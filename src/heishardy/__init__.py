@@ -38,7 +38,7 @@ from .operators import (
     weighted_hardy,
     weighted_cesaro,
 )
-from .mixed_norm import MixedExponents, SeparableFunction, mixed_norm_radial, radialize
+from .mixed_norm import MixedExponents, SeparableFunction, radial_norm_with_error, radialize
 from .sharp_constants import (
     SharpConstantQuery,
     theoretical_constant,

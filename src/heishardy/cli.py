@@ -20,15 +20,17 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import __version__
 from .geometry import heis_space, run_geometry_checks
-from .mixed_norm import MixedExponents, mixed_norm_radial
+from .mixed_norm import MixedExponents, radial_norm_with_error
 from .operators import OperatorKind, apply_operator, power_weight
 from .quadrature import (
     DivergentIntegralError,
@@ -45,6 +47,7 @@ from .sharp_constants import (
     SharpConstantQuery,
     SharpnessViolationError,
     UnboundedOperatorError,
+    check_eps_grid,
     convergence_table,
     theoretical_constant,
     upper_bound_probe,
@@ -102,9 +105,7 @@ class RunConfig:
         return power_weight(self.weight_c, self.weight_beta)
 
     def kind(self, tag: str) -> OperatorKind:
-        if tag in ("weighted_hardy", "weighted_cesaro"):
-            return OperatorKind(tag, self.weight())
-        return OperatorKind(tag)
+        return OperatorKind(tag, self.weight() if tag.startswith("weighted") else None)
 
     def echo(self) -> dict:
         return {
@@ -127,11 +128,27 @@ class RunConfig:
         }
 
 
-def _parse_float_list(text: str, name: str) -> list[float]:
+def _checked(build: Callable, *args):
+    """Call a library constructor or checker; its ValueError becomes a ConfigError."""
     try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip()]
+        return build(*args)
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {name}: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
+
+
+def _parse_float(text: str, what: str) -> float:
+    """The one CLI number parser: a finite float, else ConfigError."""
+    try:
+        val = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {what} {text!r}") from exc
+    if not math.isfinite(val):
+        raise ConfigError(f"{what} must be finite, got {text!r}")
+    return val
+
+
+def _parse_float_list(text: str, name: str) -> list[float]:
+    vals = [_parse_float(tok, name) for tok in text.split(",") if tok.strip()]
     if not vals:
         raise ConfigError(f"{name} is empty")
     return vals
@@ -139,12 +156,25 @@ def _parse_float_list(text: str, name: str) -> list[float]:
 
 def _parse_int_list(text: str, name: str) -> list[int]:
     vals = _parse_float_list(text, name)
-    out = []
-    for v in vals:
-        if v != int(v):
-            raise ConfigError(f"{name} must contain integers, got {v}")
-        out.append(int(v))
-    return out
+    if any(v != int(v) for v in vals):
+        raise ConfigError(f"{name} must contain integers, got {vals}")
+    return [int(v) for v in vals]
+
+
+def _parse_params(rest: str, what: str) -> tuple[float | None, dict[str, float]]:
+    """'MAIN,key=val,...' as (the last bare number or None, {key: val})."""
+    main: float | None = None
+    kv: dict[str, float] = {}
+    for tok in rest.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        key, eq, val = tok.partition("=")
+        if eq:
+            kv[key.strip()] = _parse_float(val, f"{what} parameter {tok!r}")
+        else:
+            main = _parse_float(tok, f"{what} spec token")
+    return main, kv
 
 
 def parse_weight_spec(text: str) -> tuple[float, float]:
@@ -154,32 +184,11 @@ def parse_weight_spec(text: str) -> tuple[float, float]:
     family, _, rest = text.partition(":")
     if family.strip() != "power":
         raise ConfigError(f"only power-law weights are supported, got {family!r}")
-    c, beta = 1.0, 0.0
-    for tok in rest.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if "=" in tok:
-            key, _, val = tok.partition("=")
-            try:
-                fval = float(val)
-            except ValueError as exc:
-                raise ConfigError(f"bad weight parameter {tok!r}") from exc
-            key = key.strip()
-            if key == "c":
-                c = fval
-            elif key == "beta":
-                beta = fval
-            else:
-                raise ConfigError(f"unknown weight parameter {key!r}")
-        else:
-            try:
-                beta = float(tok)
-            except ValueError as exc:
-                raise ConfigError(f"bad weight spec token {tok!r}") from exc
-    if c <= 0:
-        raise ConfigError("weight needs c > 0")
-    return c, beta
+    main, kv = _parse_params(rest, "weight")
+    unknown = sorted(kv.keys() - {"c", "beta"})
+    if unknown:
+        raise ConfigError(f"unknown weight parameter {unknown[0]!r}")
+    return kv.get("c", 1.0), kv.get("beta", 0.0 if main is None else main)
 
 
 def parse_function_spec(text: str) -> RadialProfile:
@@ -198,36 +207,18 @@ def parse_function_spec(text: str) -> RadialProfile:
             continue
         name, _, rest = chunk.partition(":")
         name = name.strip()
-        kv: dict[str, float] = {}
-        main: float | None = None
-        for tok in rest.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            if "=" in tok:
-                key, _, val = tok.partition("=")
-                try:
-                    kv[key.strip()] = float(val)
-                except ValueError as exc:
-                    raise ConfigError(f"bad function parameter {tok!r}") from exc
-            else:
-                try:
-                    main = float(tok)
-                except ValueError as exc:
-                    raise ConfigError(f"bad function spec token {tok!r}") from exc
+        main, kv = _parse_params(rest, "function")
         if name == "power":
             alpha = kv.get("alpha", main)
             if alpha is None:
                 raise ConfigError(f"power part needs an exponent: {chunk!r}")
-            lo, hi = kv.get("lo", 0.0), kv.get("hi", math.inf)
-            if not 0.0 <= lo < hi:
-                raise ConfigError(f"bad support in {chunk!r}")
-            parts.append(power_profile(alpha, coeff=kv.get("c", 1.0), support=(lo, hi)))
+            support = (kv.get("lo", 0.0), kv.get("hi", math.inf))
+            parts.append(_checked(power_profile, alpha, kv.get("c", 1.0), support))
         elif name == "exp":
             rate = kv.get("rate", main)
-            if rate is None or rate <= 0:
-                raise ConfigError(f"exp part needs a positive rate: {chunk!r}")
-            parts.append(exp_profile(rate, exponent=kv.get("alpha", 0.0), coeff=kv.get("c", 1.0)))
+            if rate is None:
+                raise ConfigError(f"exp part needs a rate: {chunk!r}")
+            parts.append(_checked(exp_profile, rate, kv.get("alpha", 0.0), kv.get("c", 1.0)))
         else:
             raise ConfigError(f"unknown function part {name!r} (expected power | exp | zero)")
     if not parts:
@@ -294,13 +285,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"HH_SEED must be an integer, got {env!r}") from exc
-    if args.rel_tol <= 0 or args.abs_tol <= 0:
-        raise ConfigError("tolerances must be positive")
     cfg = RunConfig(command=args.command, seed=seed, fmt=args.fmt, out=args.out,
                     rel_tol=args.rel_tol, abs_tol=args.abs_tol)
+    _checked(cfg.spec)
     cfg.ns = _parse_int_list(args.n, "--n")
-    if any(n < 1 for n in cfg.ns):
-        raise ConfigError("--n entries must be >= 1")
+    for n in cfg.ns:
+        _checked(heis_space, n)
     cfg.mc_count = args.mc_count
     if cfg.mc_count < 1:
         raise ConfigError("--mc-count must be >= 1")
@@ -309,9 +299,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.ps = _parse_float_list(args.p, "--p")
         cfg.pbar1s = _parse_float_list(args.pbar1, "--pbar1")
         cfg.pbar2s = _parse_float_list(args.pbar2, "--pbar2")
-        for name, vals in (("--p", cfg.ps), ("--pbar1", cfg.pbar1s), ("--pbar2", cfg.pbar2s)):
-            if any(not (1.0 < v < math.inf) for v in vals):
-                raise ConfigError(f"{name} entries must lie in (1, inf)")
+        for triple in itertools.product(cfg.ps, cfg.pbar1s, cfg.pbar2s):
+            _checked(MixedExponents, *triple)
         kinds = []
         for tok in args.kind.split(","):
             tok = tok.strip().lower()
@@ -320,13 +309,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             kinds.append(_KIND_ALIASES[tok])
         cfg.kinds = kinds
         cfg.weight_c, cfg.weight_beta = parse_weight_spec(args.weight)
+        _checked(cfg.weight)
 
     if hasattr(args, "eps_grid"):
-        cfg.eps_grid = _parse_float_list(args.eps_grid, "--eps-grid")
-        if any(not (0.0 < e < 1.0) for e in cfg.eps_grid):
-            raise ConfigError("--eps-grid entries must lie in (0, 1)")
-        if any(b >= a for a, b in zip(cfg.eps_grid[:-1], cfg.eps_grid[1:])):
-            raise ConfigError("--eps-grid must be strictly decreasing")
+        cfg.eps_grid = _checked(check_eps_grid, _parse_float_list(args.eps_grid, "--eps-grid"))
         cfg.trials = args.trials
         if cfg.trials < 1:
             raise ConfigError("--trials must be >= 1")
@@ -355,20 +341,15 @@ def _provenance(cfg: RunConfig) -> dict:
 
 
 def _grid(cfg: RunConfig):
-    for tag in cfg.kinds:
-        for n in cfg.ns:
-            for p in cfg.ps:
-                for pb1 in cfg.pbar1s:
-                    for pb2 in cfg.pbar2s:
-                        yield tag, n, p, pb1, pb2
+    """(query, row key) for every kind x n x p x pbar1 x pbar2 of the config."""
+    for tag, n, p, pb1, pb2 in itertools.product(cfg.kinds, cfg.ns, cfg.ps, cfg.pbar1s, cfg.pbar2s):
+        q = SharpConstantQuery(cfg.kind(tag), MixedExponents(p, pb1, pb2), heis_space(n))
+        yield q, {"kind": tag, "n": n, "p": p, "pbar1": pb1, "pbar2": pb2}
 
 
 def cmd_constants(cfg: RunConfig) -> tuple[dict, int]:
     rows = []
-    for tag, n, p, pb1, pb2 in _grid(cfg):
-        space = heis_space(n)
-        q = SharpConstantQuery(cfg.kind(tag), MixedExponents(p, pb1, pb2), space)
-        row = {"kind": tag, "n": n, "p": p, "pbar1": pb1, "pbar2": pb2}
+    for q, row in _grid(cfg):
         try:
             row["constant"] = theoretical_constant(q, cfg.spec())
             row["verdict"] = "bounded"
@@ -383,10 +364,7 @@ def cmd_verify_sharp(cfg: RunConfig) -> tuple[dict, int]:
     rows = []
     status = EXIT_OK
     offending = None
-    for tag, n, p, pb1, pb2 in _grid(cfg):
-        space = heis_space(n)
-        q = SharpConstantQuery(cfg.kind(tag), MixedExponents(p, pb1, pb2), space)
-        base = {"kind": tag, "n": n, "p": p, "pbar1": pb1, "pbar2": pb2}
+    for q, base in _grid(cfg):
         try:
             theoretical_constant(q, cfg.spec())
         except UnboundedOperatorError:
@@ -460,7 +438,7 @@ def cmd_norm(cfg: RunConfig) -> tuple[dict, int]:
             for pb1 in cfg.pbar1s:
                 row = {"n": n, "p": p, "pbar": pb1}
                 try:
-                    row["norm"] = mixed_norm_radial(f, p, pb1, space, cfg.spec())
+                    row["norm"] = radial_norm_with_error(f, p, pb1, space, cfg.spec()).value
                     row["verdict"] = "finite"
                 except DivergentIntegralError as exc:
                     row["norm"] = None
@@ -542,13 +520,6 @@ def render_csv(report: dict, cfg: RunConfig) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        cfg = config_from_args(args)
-    except ConfigError as exc:
-        print(json.dumps({"error": "invalid configuration", "reason": str(exc)}),
-              file=sys.stderr)
-        return EXIT_CONFIG
-
     handlers = {
         "constants": cmd_constants,
         "verify-sharp": cmd_verify_sharp,
@@ -557,6 +528,7 @@ def main(argv: list[str] | None = None) -> int:
         "geom-check": cmd_geom_check,
     }
     try:
+        cfg = config_from_args(args)
         report, status = handlers[cfg.command](cfg)
     except ConfigError as exc:
         print(json.dumps({"error": "invalid configuration", "reason": str(exc)}),

@@ -25,14 +25,14 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import HeisSpace
+from .geometry import HeisSpace, sphere_project_array
 from .quadrature import (
     DivergentIntegralError,
     QuadratureSpec,
     QuadResult,
     RadialProfile,
     abs_power_profile,
-    integrate_power_weighted,
+    integrate_radial,
     mc_ball_sample,
     mc_sphere_sample,
     scaled_profile,
@@ -43,7 +43,6 @@ __all__ = [
     "MixedExponents",
     "SeparableFunction",
     "NormEstimate",
-    "mixed_norm_radial",
     "radial_norm_with_error",
     "mixed_norm_separable",
     "radialize",
@@ -93,9 +92,11 @@ class NormEstimate:
     stderr: float
 
 
-def _check_norm_integrable(f: RadialProfile, p: float, q: float) -> None:
+def _norm_integral(f: RadialProfile, p: float, space: HeisSpace, spec: QuadratureSpec) -> QuadResult:
+    """int |f|^p r^{Q-1} dr, checked against f's decay metadata first."""
     if f.is_zero:
-        return
+        return QuadResult(0.0, 0.0)
+    q = space.q
     if f.support[0] == 0.0 and p * f.origin_exponent + q <= 0:
         raise DivergentIntegralError(
             f"divergent norm: origin exponent {f.origin_exponent} with p={p} "
@@ -106,6 +107,7 @@ def _check_norm_integrable(f: RadialProfile, p: float, q: float) -> None:
             f"divergent norm: tail exponent {f.tail_exponent} with p={p} "
             f"fails p*ainf + Q < 0"
         )
+    return integrate_radial(abs_power_profile(f, p), space, spec=spec)
 
 
 def radial_norm_with_error(
@@ -115,35 +117,22 @@ def radial_norm_with_error(
     space: HeisSpace,
     spec: QuadratureSpec | None = None,
 ) -> QuadResult:
-    """omega_small^{1/pbar} (int |f|^p r^{Q-1} dr)^{1/p} with error estimate.
+    """Mixed norm omega_small^{1/pbar} (int |f|^p r^{Q-1} dr)^{1/p} of a radial f.
+
+    Raises DivergentIntegralError when f's decay metadata rules the norm out.
 
     The returned error combines the outer quadrature certificate with an
     allowance for the tolerance of any quadratures nested inside f's
     evaluations (operator outputs), both mapped through the 1/p power.
     """
     spec = spec or QuadratureSpec()
-    _check_norm_integrable(f, p, space.q)
-    if f.is_zero:
-        return QuadResult(0.0, 0.0)
-    integrand = abs_power_profile(f, p)
-    res = integrate_power_weighted(integrand, float(space.q), (0.0, math.inf), spec)
+    res = _norm_integral(f, p, space, spec)
     if res.value <= 0.0:
         return QuadResult(0.0, res.error)
     prefactor = space.omega_small ** (1.0 / p_bar)
     value = prefactor * res.value ** (1.0 / p)
     rel = res.error / res.value + 2.0 * spec.inner().rel_tol
     return QuadResult(value, value * rel / p)
-
-
-def mixed_norm_radial(
-    f: RadialProfile,
-    p: float,
-    p_bar: float,
-    space: HeisSpace,
-    spec: QuadratureSpec | None = None,
-) -> float:
-    """Mixed norm of a radial profile; raises on metadata divergence."""
-    return radial_norm_with_error(f, p, p_bar, space, spec).value
 
 
 def _angular_moment(
@@ -179,14 +168,11 @@ def mixed_norm_separable(
     f short-circuits to the deterministic path with zero standard error.
     """
     if f.is_radial:
-        return NormEstimate(mixed_norm_radial(f.radial, p, p_bar, space, spec), 0.0)
+        return NormEstimate(radial_norm_with_error(f.radial, p, p_bar, space, spec).value, 0.0)
     spec = spec or QuadratureSpec()
-    _check_norm_integrable(f.radial, p, space.q)
     if f.radial.is_zero:
         return NormEstimate(0.0, 0.0)
-    radial_factor = integrate_power_weighted(
-        abs_power_profile(f.radial, p), float(space.q), (0.0, math.inf), spec
-    ).value ** (1.0 / p)
+    radial_factor = _norm_integral(f.radial, p, space, spec).value ** (1.0 / p)
     a_val, a_se = _angular_moment(f.angular, p_bar, space, mc_count, seed)
     value = a_val ** (1.0 / p_bar) * radial_factor
     stderr = value * a_se / (p_bar * a_val) if a_val > 0 else a_se * radial_factor
@@ -243,16 +229,13 @@ def hardy_radialization_identity_check(
     """
     spec = spec or QuadratureSpec()
     g = radialize(f, space, mc_count=mc_count, seed=seed + 1)
-    lhs_profile = hardy(g, space, spec)
-    lhs = float(lhs_profile.eval(radius)) if not g.is_zero else 0.0
+    lhs = float(hardy(g, space, spec).eval(radius))  # a zero g maps to the zero profile
 
     batch = mc_ball_sample(space, mc_count, seed)
     radii = radius * batch.radii()
     vals = np.asarray(f.radial.eval(radii), dtype=float)
     if f.angular is not None:
         # dilation preserves direction, so angles come from the unit-ball points
-        from .geometry import sphere_project_array
-
         vals = vals * np.asarray(f.angular(sphere_project_array(batch.coords, space.n)), dtype=float)
     mc = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))

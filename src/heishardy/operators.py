@@ -8,12 +8,15 @@ radial functions on H^n (Q = 2n + 2):
     weighted_hardy Hw f(r)  = int_0^1 f(t r) w(t) dt
     weighted_cesaro H*w f(r) = int_0^1 f(r / t) t^{-Q} w(t) dt
 
-Outputs are lazily evaluated profiles: each evaluation runs one certified
-quadrature in the substitution variable sigma = s / r (log domain), so the
-power scaling demanded by downstream norm integrals never overflows.
-Output decay metadata is propagated symbolically from the input metadata,
-which keeps improper-integral certification sound end to end.  Divergence
-is always detected from metadata up front and raised as a typed error.
+All four are one Mellin convolution in v = log(s / r): the Hardy side
+integrates over v <= 0, the Cesaro side over v >= 0, and hardy/dual_hardy
+are the weighted kinds at w(t) = Q t^{Q-1}.  One routine implements both
+sides.  Outputs are lazily evaluated profiles: each evaluation runs one
+certified quadrature in the log domain, so the power scaling demanded by
+downstream norm integrals never overflows.  Output decay metadata is
+propagated symbolically from the input metadata, which keeps
+improper-integral certification sound end to end.  Divergence is always
+detected from metadata up front and raised as a typed error.
 
 Non-radial inputs reach these operators only after the radialization step
 of the mixed-norm module.
@@ -29,11 +32,12 @@ import numpy as np
 
 from .geometry import HeisPoint, HeisSpace, koranyi_norm
 from .quadrature import (
+    _EXP_TAIL,
     DivergentIntegralError,
     QuadratureSpec,
     RadialProfile,
     certified_log_integral,
-    integrate_power_weighted,
+    integrate_radial,
     product_profile,
     zero_profile,
 )
@@ -54,16 +58,6 @@ __all__ = [
     "duality_pairing_check",
 ]
 
-# log-slope sentinel matching an exponentially decaying tail
-_EXP_TAIL = -1e9
-
-
-def _effective_tail(f: RadialProfile) -> float:
-    """Tail exponent with bounded supports treated as infinitely fast decay."""
-    if math.isfinite(f.support[1]):
-        return _EXP_TAIL
-    return f.tail_exponent
-
 
 @dataclass(frozen=True)
 class WeightFunction:
@@ -82,8 +76,6 @@ class WeightFunction:
     def eval_log(self, v) -> np.ndarray:
         """w(e^v) for v <= 0."""
         v = np.asarray(v, dtype=float)
-        if self.family == "power":
-            return self.c * np.exp(self.beta * v)
         with np.errstate(under="ignore"):
             t = np.exp(np.maximum(v, -745.0))
         return np.asarray(self.eval(t), dtype=float)
@@ -111,8 +103,8 @@ class WeightFunction:
 
 
 def power_weight(c: float = 1.0, beta: float = 0.0) -> WeightFunction:
-    if c <= 0:
-        raise ValueError("power-law weight needs c > 0")
+    if not (0 < c < math.inf and math.isfinite(beta)):
+        raise ValueError(f"power-law weight needs finite c > 0 and beta, got c={c}, beta={beta}")
 
     def ev(t):
         return c * np.asarray(t, dtype=float) ** beta
@@ -137,85 +129,132 @@ class OperatorKind:
             raise ValueError(f"unknown operator tag {self.tag!r}")
         if self.tag in ("weighted_hardy", "weighted_cesaro") and self.weight is None:
             raise ValueError(f"{self.tag} requires a weight function")
+        if self.tag in ("hardy", "dual_hardy") and self.weight is not None:
+            raise ValueError(f"{self.tag} has the fixed weight Q t^(Q-1) and takes none")
 
     @property
-    def is_weighted(self) -> bool:
-        return self.weight is not None
+    def dual(self) -> bool:
+        """True for the Cesaro-side kinds (dual_hardy, weighted_cesaro)."""
+        return self.tag in ("dual_hardy", "weighted_cesaro")
+
+    def weight_on(self, space: HeisSpace) -> WeightFunction:
+        """The kind's weight; hardy and dual_hardy use w(t) = Q t^{Q-1}."""
+        if self.weight is not None:
+            return self.weight
+        q = float(space.q)
+        return power_weight(q, q - 1.0)
 
 
 HARDY = OperatorKind("hardy")
 DUAL_HARDY = OperatorKind("dual_hardy")
 
 
-def _lazy_output(
-    pointwise: Callable[[float, float], float],
-    origin_exponent: float,
-    tail_exponent: float,
-    support: tuple[float, float],
-    exp_rate: float | None,
-    breakpoints: tuple[float, ...],
+def _mellin(
+    f: RadialProfile,
+    w: WeightFunction,
+    space: HeisSpace,
+    spec: QuadratureSpec | None,
+    dual: bool,
 ) -> RadialProfile:
-    """Wrap a scalar (u, kappa) -> value rule as a profile (looped over arrays)."""
+    """The one operator routine: f against a weight kernel in v = log(s / r).
 
-    def lv(u, kappa):
+    For w(t) = c t^beta the Hardy side (dual=False) is
+    Hw f(r) = c int_{v<=0} f(r e^v) e^{(beta+1) v} dv and the Cesaro side is
+    H*w f(r) = c int_{v>=0} f(r e^v) e^{(Q-1-beta) v} dv; a general weight
+    puts w(e^{+-v}) in place of c e^{+-beta v}.  Each evaluation at r = e^u
+    is one certified quadrature over the part of the half-line meeting f's
+    support, with the caller's measure power kappa folded into the kernel
+    and a power weight's c applied outside.
+
+    Soundness of the output metadata (a, b: f's origin and tail exponents;
+    beta0: the weight's order at t = 0):
+    * Hardy side: Hw f(r) <= c r^a int_0^1 t^{a+beta0} dt near 0, finite by
+      the up-front check a + beta0 + 1 > 0, so the origin order is a.  At
+      infinity f's mass below a fixed radius, swept against w, decays like
+      r^{-(beta0+1)} and the rest like f's tail (any order for a bounded
+      support).  The output lives on (sup_lo, inf).
+    * Cesaro side: H*w f(r) <= c r^b int_0^1 t^{-b-Q} w(t) dt at infinity,
+      finite by the screening check beta0 + 1 - Q - b > 0, so f's tail and
+      exponential rate carry over.  Near 0 the integrand grows like
+      e^{(a+Q-1-beta0) v} up to v = log(1/r): the origin order is
+      min(a, beta0 + 1 - Q), with a = +inf if f vanishes near 0, lowered by
+      1e-6 at a tie for the logarithm.  The output lives on (0, sup_hi),
+      kinked at sup_lo, which is therefore a breakpoint.
+    """
+    spec = (spec or QuadratureSpec()).inner()
+    q = float(space.q)
+    if f.is_zero:
+        return zero_profile()
+    sup_lo, sup_hi = f.support
+    log_lo = math.log(sup_lo) if sup_lo > 0.0 else -math.inf
+    log_hi = math.log(sup_hi) if math.isfinite(sup_hi) else math.inf
+    # a power weight's exponent is folded into the one exp, which keeps the
+    # factors in float range even on slowly converging windows
+    power = w.family == "power"
+    if dual:
+        rate_lo, rate_hi = 1.0, w.zero_exponent + 1.0 - q - f.tail_exponent
+        if math.isinf(sup_hi) and f.exp_rate is None and rate_hi <= 0:
+            raise DivergentIntegralError(
+                f"Cesaro-side operator diverges at t -> 0 (screening rate {rate_hi} <= 0)"
+            )
+        kernel = ((lambda v, kappa: np.exp((q - 1.0 - kappa - w.beta) * v)) if power else
+                  (lambda v, kappa: w.eval_log(-v) * np.exp((q - 1.0 - kappa) * v)))
+        own = f.origin_exponent if sup_lo == 0.0 else math.inf
+        bound = w.zero_exponent + 1.0 - q
+        meta = dict(
+            origin_exponent=min(own, bound) - (1e-6 if own == bound else 0.0),
+            tail_exponent=f.tail_exponent, support=(0.0, sup_hi), exp_rate=f.exp_rate,
+            breakpoints=f.breakpoints + ((sup_lo,) if sup_lo > 0.0 else ()),
+        )
+    else:
+        rate_lo, rate_hi = f.origin_exponent + (w.zero_exponent + 1.0), 1.0
+        if sup_lo == 0.0 and rate_lo <= 0:
+            raise DivergentIntegralError(
+                f"Hardy-side operator diverges at the origin "
+                f"(origin {f.origin_exponent} + weight order {w.zero_exponent} <= -1)"
+            )
+        kernel = ((lambda v, kappa: np.exp((w.beta + 1.0 - kappa) * v)) if power else
+                  (lambda v, kappa: w.eval_log(v) * np.exp((1.0 - kappa) * v)))
+        tail = _EXP_TAIL if math.isfinite(sup_hi) else f.tail_exponent
+        meta = dict(
+            origin_exponent=f.origin_exponent, tail_exponent=max(tail, -(w.zero_exponent + 1.0)),
+            support=(sup_lo, math.inf), exp_rate=None, breakpoints=f.breakpoints,
+        )
+    scale = w.c if power else 1.0
+    f_breaks = f.log_breakpoints()
+
+    def point(u: float, kappa: float) -> float:
+        # r^kappa (T f)(r) at r = e^u
+        if dual:
+            v_lo, v_hi = max(0.0, log_lo - u), log_hi - u
+        else:
+            v_lo, v_hi = log_lo - u, min(0.0, log_hi - u)
+        if not v_lo < v_hi:
+            return 0.0
+        res = certified_log_integral(
+            lambda v: f.logeval(u + v, kappa) * kernel(v, kappa),
+            v_lo, v_hi, rate_lo=rate_lo, rate_hi=rate_hi, spec=spec,
+            seeds=tuple(b - u for b in f_breaks),
+            exp_tail=dual and f.exp_rate is not None,
+        )
+        return scale * res.value
+
+    def logeval(u, kappa):
+        # one scalar quadrature per radius
         u = np.asarray(u, dtype=float)
-        shape = u.shape
-        flat = np.atleast_1d(u).ravel()
-        out = np.empty_like(flat)
-        for i, ui in enumerate(flat):
-            out[i] = pointwise(float(ui), kappa)
-        return out.reshape(shape)
+        vals = [point(float(ui), kappa) for ui in np.atleast_1d(u).ravel()]
+        return np.array(vals, dtype=float).reshape(u.shape)
 
-    return RadialProfile(
-        lv, origin_exponent, tail_exponent,
-        support=support, exp_rate=exp_rate, breakpoints=breakpoints,
-    )
+    return RadialProfile(logeval, **meta)
 
 
 def hardy(f: RadialProfile, space: HeisSpace, spec: QuadratureSpec | None = None) -> RadialProfile:
     """Ball average (Q / r^Q) int_0^r f(s) s^{Q-1} ds as a lazy profile.
 
     Needs f integrable against s^{Q-1} near the origin.  The output decays
-    no slower than r^{-Q} at infinity and inherits f's origin behavior,
-    capped at order zero.
+    no slower than r^{-Q} at infinity and inherits f's origin behavior.
     """
-    spec = (spec or QuadratureSpec()).inner()
-    q = float(space.q)
-    if f.is_zero:
-        return zero_profile()
-    if f.support[0] == 0.0 and f.origin_exponent + q <= 0:
-        raise DivergentIntegralError(
-            f"hardy: f diverges too fast at the origin "
-            f"(origin exponent {f.origin_exponent} <= -Q)"
-        )
-    sup_lo, sup_hi = f.support
-    f_breaks = f.log_breakpoints()
-
-    def point(u: float, kappa: float) -> float:
-        # (Hf)(e^u) e^{kappa u} = Q int f.logeval(u+v, kappa) e^{(Q-kappa) v} dv
-        # over v <= min(0, log sup_hi - u), v >= log sup_lo - u.
-        v_hi = min(0.0, (math.log(sup_hi) - u) if math.isfinite(sup_hi) else 0.0)
-        v_lo = (math.log(sup_lo) - u) if sup_lo > 0.0 else -math.inf
-        if not v_lo < v_hi:
-            return 0.0
-        res = certified_log_integral(
-            lambda v: f.logeval(u + v, kappa) * np.exp((q - kappa) * v),
-            v_lo, v_hi,
-            rate_lo=f.origin_exponent + q,
-            rate_hi=1.0,
-            spec=spec,
-            seeds=tuple(b - u for b in f_breaks),
-        )
-        return q * res.value
-
-    return _lazy_output(
-        point,
-        origin_exponent=min(f.origin_exponent, 0.0),
-        tail_exponent=max(_effective_tail(f), -q),
-        support=(sup_lo, math.inf),
-        exp_rate=None,
-        breakpoints=f.breakpoints,
-    )
+    return _mellin(f, HARDY.weight_on(space), space, spec, dual=False)
 
 
 def dual_hardy(f: RadialProfile, space: HeisSpace, spec: QuadratureSpec | None = None) -> RadialProfile:
@@ -225,49 +264,7 @@ def dual_hardy(f: RadialProfile, space: HeisSpace, spec: QuadratureSpec | None =
     support of f the output is constant; at zero it picks up at worst a
     logarithm, recorded as an arbitrarily small negative order.
     """
-    spec = (spec or QuadratureSpec()).inner()
-    q = float(space.q)
-    if f.is_zero:
-        return zero_profile()
-    if math.isinf(f.support[1]) and f.exp_rate is None and f.tail_exponent >= 0:
-        raise DivergentIntegralError(
-            f"dual_hardy: tail exponent {f.tail_exponent} >= 0, divergent tail"
-        )
-    sup_lo, sup_hi = f.support
-    f_breaks = f.log_breakpoints()
-
-    def point(u: float, kappa: float) -> float:
-        # (H*f)(e^u) e^{kappa u} = Q int f.logeval(u+v, kappa) e^{-kappa v} dv,
-        # v >= max(0, log sup_lo - u), v <= log sup_hi - u.
-        v_lo = max(0.0, (math.log(sup_lo) - u) if sup_lo > 0.0 else 0.0)
-        v_hi = (math.log(sup_hi) - u) if math.isfinite(sup_hi) else math.inf
-        if not v_lo < v_hi:
-            return 0.0
-        res = certified_log_integral(
-            lambda v: f.logeval(u + v, kappa) * np.exp(-kappa * v),
-            v_lo, v_hi,
-            rate_lo=1.0,
-            rate_hi=-f.tail_exponent,
-            spec=spec,
-            seeds=tuple(b - u for b in f_breaks),
-            exp_tail=f.exp_rate is not None,
-        )
-        return q * res.value
-
-    if f.origin_exponent > 0 or sup_lo > 0.0:
-        origin = 0.0
-    elif f.origin_exponent == 0.0:
-        origin = -1e-6  # logarithmic blowup, bounded by any negative power
-    else:
-        origin = f.origin_exponent
-    return _lazy_output(
-        point,
-        origin_exponent=origin,
-        tail_exponent=f.tail_exponent if f.exp_rate is None else -1.0,
-        support=(0.0, sup_hi),
-        exp_rate=f.exp_rate,
-        breakpoints=f.breakpoints,
-    )
+    return _mellin(f, DUAL_HARDY.weight_on(space), space, spec, dual=True)
 
 
 def weighted_hardy(
@@ -279,49 +276,7 @@ def weighted_hardy(
     w's vanishing order above -1.  The output tail is the slower of f's own
     tail and r^{-(beta0 + 1)} from the dilation flow crossing the weight.
     """
-    spec = (spec or QuadratureSpec()).inner()
-    if f.is_zero:
-        return zero_profile()
-    if f.support[0] == 0.0 and f.origin_exponent + w.zero_exponent + 1.0 <= 0:
-        raise DivergentIntegralError(
-            f"weighted_hardy: divergent moment "
-            f"(origin {f.origin_exponent} + weight order {w.zero_exponent} <= -1)"
-        )
-    sup_lo, sup_hi = f.support
-    f_breaks = f.log_breakpoints()
-    if w.family == "power":
-        # weight exponent folded into a single exp keeps the factors in
-        # float range even on slowly converging windows
-        def t_factor(v, kappa):
-            return w.c * np.exp((w.beta + 1.0 - kappa) * v)
-    else:
-        def t_factor(v, kappa):
-            return w.eval_log(v) * np.exp((1.0 - kappa) * v)
-
-    def point(u: float, kappa: float) -> float:
-        # r^kappa Hw f(r) = int f.logeval(u+v, kappa) e^{-kappa v} w(e^v) e^v dv, v <= 0
-        v_hi = min(0.0, (math.log(sup_hi) - u) if math.isfinite(sup_hi) else 0.0)
-        v_lo = (math.log(sup_lo) - u) if sup_lo > 0.0 else -math.inf
-        if not v_lo < v_hi:
-            return 0.0
-        res = certified_log_integral(
-            lambda v: f.logeval(u + v, kappa) * t_factor(v, kappa),
-            v_lo, v_hi,
-            rate_lo=f.origin_exponent + w.zero_exponent + 1.0,
-            rate_hi=1.0,
-            spec=spec,
-            seeds=tuple(b - u for b in f_breaks),
-        )
-        return res.value
-
-    return _lazy_output(
-        point,
-        origin_exponent=f.origin_exponent,
-        tail_exponent=max(_effective_tail(f), -(w.zero_exponent + 1.0)),
-        support=(sup_lo, math.inf),
-        exp_rate=None,
-        breakpoints=f.breakpoints,
-    )
+    return _mellin(f, w, space, spec, dual=False)
 
 
 def weighted_cesaro(
@@ -333,63 +288,14 @@ def weighted_cesaro(
     screening condition (weight order) - Q - (tail exponent) > -1 is
     required and checked up front.
     """
-    spec = (spec or QuadratureSpec()).inner()
-    q = float(space.q)
-    if f.is_zero:
-        return zero_profile()
-    tail_rate = w.zero_exponent + 1.0 - q - f.tail_exponent
-    if math.isinf(f.support[1]) and f.exp_rate is None and tail_rate <= 0:
-        raise DivergentIntegralError(
-            f"weighted_cesaro: divergent at t -> 0 "
-            f"(screening rate {tail_rate} <= 0)"
-        )
-    sup_lo, sup_hi = f.support
-    f_breaks = f.log_breakpoints()
-    if w.family == "power":
-        def t_factor(v, kappa):
-            return w.c * np.exp((q - 1.0 - kappa - w.beta) * v)
-    else:
-        def t_factor(v, kappa):
-            return w.eval_log(-v) * np.exp((q - 1.0 - kappa) * v)
-
-    def point(u: float, kappa: float) -> float:
-        # r^kappa H*w f(r) = int_0^inf f.logeval(u+v, kappa) e^{(Q-1-kappa) v} w(e^{-v}) dv
-        v_lo = max(0.0, (math.log(sup_lo) - u) if sup_lo > 0.0 else 0.0)
-        v_hi = (math.log(sup_hi) - u) if math.isfinite(sup_hi) else math.inf
-        if not v_lo < v_hi:
-            return 0.0
-        res = certified_log_integral(
-            lambda v: f.logeval(u + v, kappa) * t_factor(v, kappa),
-            v_lo, v_hi,
-            rate_lo=1.0,
-            rate_hi=tail_rate,
-            spec=spec,
-            seeds=tuple(b - u for b in f_breaks),
-            exp_tail=f.exp_rate is not None,
-        )
-        return res.value
-
-    own_origin = f.origin_exponent if sup_lo == 0.0 else math.inf
-    return _lazy_output(
-        point,
-        origin_exponent=min(own_origin, w.zero_exponent + 1.0 - q),
-        tail_exponent=f.tail_exponent,
-        support=(0.0, sup_hi),
-        exp_rate=f.exp_rate,
-        breakpoints=f.breakpoints + ((sup_lo,) if sup_lo > 0.0 else ()),
-    )
+    return _mellin(f, w, space, spec, dual=True)
 
 
 def apply_operator(
     kind: OperatorKind, f: RadialProfile, space: HeisSpace, spec: QuadratureSpec | None = None
 ) -> RadialProfile:
-    if kind.tag == "hardy":
-        return hardy(f, space, spec)
-    if kind.tag == "dual_hardy":
-        return dual_hardy(f, space, spec)
-    if kind.tag == "weighted_hardy":
-        return weighted_hardy(f, kind.weight, space, spec)
-    return weighted_cesaro(f, kind.weight, space, spec)
+    """Apply the operator `kind` to f as a lazy profile."""
+    return _mellin(f, kind.weight_on(space), space, spec, kind.dual)
 
 
 def apply_pointwise(
@@ -422,17 +328,10 @@ def duality_pairing_check(
     each by its own nested quadrature; callers assert closeness.
     """
     spec = spec or QuadratureSpec()
-    q = float(space.q)
 
     def pairing(a: RadialProfile, b: RadialProfile) -> float:
-        prod = product_profile(a, b)
-        if prod.is_zero:
-            return 0.0
-        if prod.support[0] == 0.0 and prod.origin_exponent + q <= 0:
-            raise DivergentIntegralError("pairing diverges at the origin")
-        if math.isinf(prod.support[1]) and prod.exp_rate is None and prod.tail_exponent + q >= 0:
-            raise DivergentIntegralError("pairing diverges at infinity")
-        return integrate_power_weighted(prod, q, (0.0, math.inf), spec).value
+        # integrate_radial raises DivergentIntegralError on divergent metadata
+        return integrate_radial(product_profile(a, b), space, (0.0, math.inf), spec).value
 
     lhs = space.omega_small * pairing(f, weighted_hardy(g, w, space, spec))
     rhs = space.omega_small * pairing(g, weighted_cesaro(f, w, space, spec))

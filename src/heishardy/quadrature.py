@@ -51,9 +51,7 @@ __all__ = [
     "scaled_profile",
     "product_profile",
     "abs_power_profile",
-    "profile_from_callable",
     "integrate_radial",
-    "integrate_power_weighted",
     "certified_log_integral",
     "SampleBatch",
     "mc_ball_sample",
@@ -81,8 +79,8 @@ class QuadratureSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be finite and strictly positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
@@ -235,7 +233,6 @@ def certified_log_integral(
     spec: QuadratureSpec,
     seeds: Sequence[float] = (),
     exp_tail: bool = False,
-    center: float | None = None,
 ) -> QuadResult:
     """Adaptive integral of fun(u) du over [u_lo, u_hi] with certified cutoffs.
 
@@ -243,29 +240,28 @@ def certified_log_integral(
     |fun| <= C e^{rate_lo (u - center)} with rate_lo > 0, and toward u_hi
     |fun| <= C e^{-rate_hi (u - center)} with rate_hi > 0 (unless exp_tail
     is set, in which case the upper cutoff is found by scanning for the
-    doubly-exponential collapse).  The envelope constants are estimated by
-    probing fun near the mass center and doubling; windows are cut where
-    the envelope bound drops below abs_tol/10 and the neglected mass joins
-    the returned error estimate.  Finite windows far longer than the decay
-    scale are cut the same way, which also keeps profile evaluations away
-    from regions where individual factors of an integrand would leave
-    float range.
+    doubly-exponential collapse); center is 0 clamped into [u_lo, u_hi].
+    The envelope constants are estimated by probing fun near the center
+    and doubling; windows are cut where the envelope bound drops below
+    abs_tol/10 and the neglected mass joins the returned error estimate.
+    Finite windows far longer than the decay scale are cut the same way,
+    which also keeps profile evaluations away from regions where
+    individual factors of an integrand would leave float range.
     """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         return _certified_log_integral_impl(
-            fun, u_lo, u_hi, rate_lo, rate_hi, spec, seeds, exp_tail, center
+            fun, u_lo, u_hi, rate_lo, rate_hi, spec, seeds, exp_tail
         )
 
 
 def _certified_log_integral_impl(
-    fun, u_lo, u_hi, rate_lo, rate_hi, spec, seeds, exp_tail, center
+    fun, u_lo, u_hi, rate_lo, rate_hi, spec, seeds, exp_tail
 ) -> QuadResult:
-    if center is None:
-        center = 0.0
-        if math.isfinite(u_lo):
-            center = max(center, u_lo)
-        if math.isfinite(u_hi):
-            center = min(center, u_hi)
+    center = 0.0
+    if math.isfinite(u_lo):
+        center = max(center, u_lo)
+    if math.isfinite(u_hi):
+        center = min(center, u_hi)
     trunc_err = 0.0
     offsets = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 12.0])
 
@@ -385,9 +381,6 @@ class RadialProfile:
         return float(out) if out.ndim == 0 else out
 
     __call__ = eval
-
-    def effective_interval(self, lo: float, hi: float) -> tuple[float, float]:
-        return max(lo, self.support[0]), min(hi, self.support[1])
 
     def log_breakpoints(self) -> tuple[float, ...]:
         pts = [math.log(b) for b in self.breakpoints]
@@ -521,61 +514,7 @@ def abs_power_profile(f: RadialProfile, p: float) -> RadialProfile:
     )
 
 
-def profile_from_callable(
-    fn: Callable[[np.ndarray], np.ndarray],
-    origin_exponent: float,
-    tail_exponent: float,
-    support: tuple[float, float] = (0.0, math.inf),
-    exp_rate: float | None = None,
-    breakpoints: tuple[float, ...] = (),
-) -> RadialProfile:
-    """Wrap a plain vectorized r -> f(r) callable.
-
-    Evaluates fn at r = e^u directly, so it is only safe while the radii of
-    interest stay within float range; prefer the structured constructors
-    for anything that must survive extreme radii.
-    """
-
-    def lv(u, kappa):
-        u = np.asarray(u, dtype=float)
-        r = np.exp(np.clip(u, -700.0, 700.0))
-        return np.asarray(fn(r), dtype=float) * np.exp(kappa * u)
-
-    return RadialProfile(
-        lv, origin_exponent, tail_exponent,
-        support=support, exp_rate=exp_rate, breakpoints=breakpoints,
-    )
-
-
 # --- radial integration --------------------------------------------------------
-
-
-def integrate_power_weighted(
-    f: RadialProfile,
-    kappa: float,
-    interval: tuple[float, float],
-    spec: QuadratureSpec,
-) -> QuadResult:
-    """Certified value of  int_interval f(r) r^{kappa - 1} dr."""
-    lo, hi = interval
-    if not (0.0 <= lo < hi):
-        raise ValueError(f"bad interval {interval}")
-    if f.is_zero:
-        return QuadResult(0.0, 0.0)
-    lo, hi = f.effective_interval(lo, hi)
-    if not lo < hi:
-        return QuadResult(0.0, 0.0)
-
-    u_lo = math.log(lo) if lo > 0.0 else -math.inf
-    u_hi = math.log(hi) if math.isfinite(hi) else math.inf
-    rate_lo = f.origin_exponent + kappa          # required > 0 if u_lo = -inf
-    rate_hi = -(f.tail_exponent + kappa)         # required > 0 if u_hi = +inf
-    return certified_log_integral(
-        lambda u: f.logeval(u, kappa),
-        u_lo, u_hi, rate_lo, rate_hi, spec,
-        seeds=f.log_breakpoints(),
-        exp_tail=f.exp_rate is not None,
-    )
 
 
 def integrate_radial(
@@ -591,7 +530,26 @@ def integrate_radial(
     subdivision budget runs out.
     """
     spec = spec or QuadratureSpec()
-    return integrate_power_weighted(g, float(space.q), interval, spec)
+    lo, hi = interval
+    if not (0.0 <= lo < hi):
+        raise ValueError(f"bad interval {interval}")
+    if g.is_zero:
+        return QuadResult(0.0, 0.0)
+    lo, hi = max(lo, g.support[0]), min(hi, g.support[1])
+    if not lo < hi:
+        return QuadResult(0.0, 0.0)
+
+    q = float(space.q)
+    u_lo = math.log(lo) if lo > 0.0 else -math.inf
+    u_hi = math.log(hi) if math.isfinite(hi) else math.inf
+    rate_lo = g.origin_exponent + q          # required > 0 if u_lo = -inf
+    rate_hi = -(g.tail_exponent + q)         # required > 0 if u_hi = +inf
+    return certified_log_integral(
+        lambda u: g.logeval(u, q),
+        u_lo, u_hi, rate_lo, rate_hi, spec,
+        seeds=g.log_breakpoints(),
+        exp_tail=g.exp_rate is not None,
+    )
 
 
 # --- Monte Carlo samplers -------------------------------------------------------

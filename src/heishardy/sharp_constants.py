@@ -44,11 +44,11 @@ __all__ = [
     "UnboundedOperatorError",
     "SharpnessViolationError",
     "SharpConstantQuery",
-    "ExtremalFamily",
     "RatioReport",
     "theoretical_constant",
     "extremal_profile",
     "extremal_ratio",
+    "check_eps_grid",
     "convergence_table",
     "upper_bound_probe",
     "DEFAULT_EPS_GRID",
@@ -73,18 +73,6 @@ class SharpConstantQuery:
 
 
 @dataclass(frozen=True)
-class ExtremalFamily:
-    """One member of the power-tail family driving the lower bounds."""
-
-    epsilon: float
-    profile: RadialProfile
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-
-
-@dataclass(frozen=True)
 class RatioReport:
     """A computed norm ratio against the theoretical constant.
 
@@ -101,12 +89,6 @@ class RatioReport:
     seeds_and_tolerances: dict = field(default_factory=dict)
 
 
-def _weight_moment_exponent(kind: OperatorKind, p: float, q: float) -> float:
-    if kind.tag == "weighted_hardy":
-        return -q / p
-    return -q * (1.0 - 1.0 / p)
-
-
 def theoretical_constant(q: SharpConstantQuery, spec: QuadratureSpec | None = None) -> float:
     """Closed-form sharp constant for the query; exact moments for power weights.
 
@@ -115,12 +97,16 @@ def theoretical_constant(q: SharpConstantQuery, spec: QuadratureSpec | None = No
     """
     exps, space = q.exps, q.space
     omega_delta = space.omega_small ** exps.delta
-    if q.kind.tag == "hardy":
+    if q.kind.weight is None:
+        # closed forms of the two moments of w = Q t^{Q-1}; the generic
+        # moment Q / (Q - Q/p) can differ from p/(p-1) in the last bit
+        if q.kind.dual:
+            return exps.p * omega_delta
         return exps.p / (exps.p - 1.0) * omega_delta
-    if q.kind.tag == "dual_hardy":
-        return exps.p * omega_delta
+    # the Cesaro side pairs with the conjugate exponent
+    exponent = -space.q * (1.0 - 1.0 / exps.p) if q.kind.dual else -space.q / exps.p
     try:
-        moment = q.kind.weight.moment(_weight_moment_exponent(q.kind, exps.p, space.q), spec)
+        moment = q.kind.weight.moment(exponent, spec)
     except DivergentIntegralError as exc:
         raise UnboundedOperatorError(
             f"unbounded operator for this weight: {exc}"
@@ -128,10 +114,34 @@ def theoretical_constant(q: SharpConstantQuery, spec: QuadratureSpec | None = No
     return omega_delta * moment
 
 
-def extremal_profile(eps: float, p: float, space: HeisSpace) -> ExtremalFamily:
-    """f_eps = r^{-(Q/p + eps)} beyond radius 1, zero inside."""
-    prof = power_profile(-(space.q / p + eps), support=(1.0, math.inf))
-    return ExtremalFamily(epsilon=eps, profile=prof)
+def extremal_profile(eps: float, p: float, space: HeisSpace) -> RadialProfile:
+    """f_eps = r^{-(Q/p + eps)} beyond radius 1, zero inside, for eps in (0, 1)."""
+    if not (0.0 < eps < 1.0):
+        raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
+    return power_profile(-(space.q / p + eps), support=(1.0, math.inf))
+
+
+def _ratio_report(
+    q: SharpConstantQuery,
+    f: RadialProfile,
+    constant: float,
+    spec: QuadratureSpec,
+    epsilon: float,
+    **seeds,
+) -> RatioReport:
+    """||T f||_{p, pbar2} / ||f||_{p, pbar1} by quadrature, against `constant`."""
+    out = apply_operator(q.kind, f, q.space, spec)
+    num = radial_norm_with_error(out, q.exps.p, q.exps.p_bar_2, q.space, spec)
+    den = radial_norm_with_error(f, q.exps.p, q.exps.p_bar_1, q.space, spec)
+    ratio = num.value / den.value
+    return RatioReport(
+        epsilon=epsilon,
+        ratio=ratio,
+        constant=constant,
+        relative_gap=1.0 - ratio / constant,
+        error_estimate=num.error / num.value + den.error / den.value,
+        seeds_and_tolerances={"rel_tol": spec.rel_tol, "abs_tol": spec.abs_tol, **seeds},
+    )
 
 
 def extremal_ratio(
@@ -140,24 +150,20 @@ def extremal_ratio(
     """Norm ratio ||T f_eps||_{p, pbar2} / ||f_eps||_{p, pbar1} by quadrature."""
     spec = spec or QuadratureSpec()
     constant = theoretical_constant(q, spec)
-    fam = extremal_profile(eps, q.exps.p, q.space)
-    out = apply_operator(q.kind, fam.profile, q.space, spec)
-    num = radial_norm_with_error(out, q.exps.p, q.exps.p_bar_2, q.space, spec)
-    den = radial_norm_with_error(fam.profile, q.exps.p, q.exps.p_bar_1, q.space, spec)
-    ratio = num.value / den.value
-    rel_err = num.error / num.value + den.error / den.value
-    return RatioReport(
-        epsilon=eps,
-        ratio=ratio,
-        constant=constant,
-        relative_gap=1.0 - ratio / constant,
-        error_estimate=rel_err,
-        seeds_and_tolerances={
-            "rel_tol": spec.rel_tol,
-            "abs_tol": spec.abs_tol,
-            "inner_rel_tol": spec.inner().rel_tol,
-        },
-    )
+    f = extremal_profile(eps, q.exps.p, q.space)
+    return _ratio_report(q, f, constant, spec, eps, inner_rel_tol=spec.inner().rel_tol)
+
+
+def check_eps_grid(eps_list: Sequence[float]) -> list[float]:
+    """The grid as a list if non-empty, inside (0, 1) and strictly decreasing; else ValueError."""
+    eps_list = list(eps_list)
+    if not eps_list:
+        raise ValueError("epsilon grid is empty")
+    if any(not (0.0 < e < 1.0) for e in eps_list):
+        raise ValueError("epsilon grid must lie inside (0, 1)")
+    if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
+        raise ValueError("epsilon grid must be strictly decreasing")
+    return eps_list
 
 
 def convergence_table(
@@ -166,14 +172,7 @@ def convergence_table(
     spec: QuadratureSpec | None = None,
 ) -> list[RatioReport]:
     """One RatioReport per epsilon, for a strictly decreasing grid in (0, 1)."""
-    eps_list = list(eps_list)
-    if not eps_list:
-        raise ValueError("epsilon grid is empty")
-    if any(not (0.0 < e < 1.0) for e in eps_list):
-        raise ValueError("epsilon grid must lie inside (0, 1)")
-    if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
-        raise ValueError("epsilon grid must be strictly decreasing")
-    return [extremal_ratio(q, eps, spec) for eps in eps_list]
+    return [extremal_ratio(q, eps, spec) for eps in check_eps_grid(eps_list)]
 
 
 def _random_admissible_profile(rng: np.random.Generator, q: SharpConstantQuery) -> RadialProfile:
@@ -181,15 +180,17 @@ def _random_admissible_profile(rng: np.random.Generator, q: SharpConstantQuery) 
 
     Tail exponents are drawn below -Q/p and origin exponents above -Q/p, so
     the norm integrals converge by construction; weighted kinds narrow the
-    origin draw further so the weight moments stay finite.
+    origin draw (Hardy side) or the tail draw (Cesaro side) further so the
+    weight moments stay finite.
     """
     p, Q = q.exps.p, float(q.space.q)
+    beta0 = q.kind.weight_on(q.space).zero_exponent
     origin_floor = -Q / p + 0.1
-    if q.kind.tag == "weighted_hardy":
-        origin_floor = max(origin_floor, -q.kind.weight.zero_exponent - 0.9)
     tail_ceiling = -Q / p - 0.1
-    if q.kind.tag == "weighted_cesaro":
-        tail_ceiling = min(tail_ceiling, q.kind.weight.zero_exponent + 1.0 - Q - 0.1)
+    if q.kind.dual:
+        tail_ceiling = min(tail_ceiling, beta0 + 1.0 - Q - 0.1)
+    else:
+        origin_floor = max(origin_floor, -beta0 - 0.9)
 
     parts: list[RadialProfile] = []
     cut = float(rng.uniform(0.3, 3.0))
@@ -228,25 +229,10 @@ def upper_bound_probe(
         key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0x9E3779B9 + trial], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         f = _random_admissible_profile(rng, q)
-        out = apply_operator(q.kind, f, q.space, spec)
-        num = radial_norm_with_error(out, q.exps.p, q.exps.p_bar_2, q.space, spec)
-        den = radial_norm_with_error(f, q.exps.p, q.exps.p_bar_1, q.space, spec)
-        ratio = num.value / den.value
-        rel_err = num.error / num.value + den.error / den.value
-        report = RatioReport(
-            epsilon=math.nan,
-            ratio=ratio,
-            constant=constant,
-            relative_gap=1.0 - ratio / constant,
-            error_estimate=rel_err,
-            seeds_and_tolerances={
-                "seed": seed, "trial": trial,
-                "rel_tol": spec.rel_tol, "abs_tol": spec.abs_tol,
-            },
-        )
-        if ratio > constant * (1.0 + 1e-6 + rel_err):
+        report = _ratio_report(q, f, constant, spec, math.nan, seed=seed, trial=trial)
+        if report.ratio > constant * (1.0 + 1e-6 + report.error_estimate):
             raise SharpnessViolationError(
-                f"probe trial {trial} (seed {seed}) gave ratio {ratio!r} above "
+                f"probe trial {trial} (seed {seed}) gave ratio {report.ratio!r} above "
                 f"constant {constant!r} beyond tolerance"
             )
         if worst is None or report.ratio > worst.ratio:

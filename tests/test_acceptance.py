@@ -17,8 +17,8 @@ from heishardy.mixed_norm import (
     MixedExponents,
     SeparableFunction,
     hardy_radialization_identity_check,
-    mixed_norm_radial,
     mixed_norm_separable,
+    radial_norm_with_error,
     radialize,
 )
 from heishardy.operators import (
@@ -266,10 +266,10 @@ def test_criterion_7_radialization_contraction():
         )
         seed = 9000 + trial
         g = radialize(f, space, mc_count=mc, seed=seed)
-        lhs = mixed_norm_radial(g, p, pbar, space, spec) if not g.is_zero else 0.0
+        lhs = radial_norm_with_error(g, p, pbar, space, spec).value if not g.is_zero else 0.0
         est = mixed_norm_separable(f, p, pbar, space, spec, mc_count=mc,
                                    seed=seed + 131)
-        base_norm = mixed_norm_radial(f.radial, p, pbar, space, spec)
+        base_norm = radial_norm_with_error(f.radial, p, pbar, space, spec).value
         lhs_se = 3.0 / math.sqrt(mc) * base_norm
         ok = ok and lhs <= est.value + 3.0 * math.hypot(est.stderr, lhs_se) + 1e-9
 

@@ -163,8 +163,18 @@ class TestConfigHandling:
         assert status == EXIT_CONFIG
         assert "invalid configuration" in err
 
-    def test_bad_exponent_exits_2(self, capsys):
-        status, _, err = run_cli(capsys, "constants", "--p", "1")
+    @pytest.mark.parametrize("argv", [
+        ("constants", "--p", "1"),
+        ("apply", "--radii", "nan"),
+        ("apply", "--function", "power:1,c=inf"),
+        ("constants", "--kind", "whardy", "--weight", "power:c=1,beta=nan"),
+        ("constants", "--rel-tol", "0"),
+        ("constants", "--rel-tol", "inf"),
+        ("constants", "--n", "0"),
+    ], ids=["p-1", "radii-nan", "function-c-inf", "weight-beta-nan", "rel-tol-0", "rel-tol-inf",
+            "n-0"])
+    def test_bad_exponent_exits_2(self, argv, capsys):
+        status, _, err = run_cli(capsys, *argv)
         assert status == EXIT_CONFIG
 
     def test_bad_eps_grid_exits_2(self, capsys):

@@ -152,6 +152,14 @@ class TestWeightedCesaro:
             weighted_cesaro(constant_profile(1.0, support=(1.0, INF)),
                             power_weight(1.0, 0.0), space1, spec)
 
+    def test_log_blowup_declared_at_origin(self, space1, spec):
+        # w(t) = t^{Q-1} cancels the kernel: the output is log(1/r) below
+        # r = 1, so it must declare a negative origin order, not 0
+        out = weighted_cesaro(constant_profile(1.0, support=(0.0, 1.0)),
+                              power_weight(1.0, 3.0), space1, spec)
+        assert abs(out.eval(1e-8) - math.log(1e8)) <= 1e-8
+        assert out.origin_exponent < 0.0
+
 
 class TestOperatorProperties:
     @pytest.mark.parametrize("make_op", [

@@ -90,10 +90,13 @@ class TestExtremalRatio:
         want = hardy_extremal_ratio(6.0, 5.0, 1e-3)
         assert abs(rep.ratio - want) <= 1e-6 * want
 
-    def test_dual_matches_closed_form(self, space1, spec):
-        rep = extremal_ratio(q_of(DUAL_HARDY, 2.0, 2.0, 2.0, space1), 0.01, spec)
-        want = dual_hardy_extremal_ratio(4.0, 2.0, 0.01)
+    @pytest.mark.parametrize("p, eps", [(2.0, 0.01), (5.0, 1e-3)])
+    def test_dual_matches_closed_form(self, p, eps, space1, spec):
+        rep = extremal_ratio(q_of(DUAL_HARDY, p, 2.0, 2.0, space1), eps, spec)
+        want = dual_hardy_extremal_ratio(4.0, p, eps)
         assert abs(rep.ratio - want) <= 1e-6 * want
+        # the reported error bar covers the true deviation
+        assert abs(rep.ratio - want) <= rep.error_estimate * rep.ratio
 
     def test_weighted_hardy_matches_oracle(self, space1, spec):
         kind = OperatorKind("weighted_hardy", power_weight(1.0, 2.0))
@@ -126,10 +129,10 @@ class TestExtremalRatio:
             assert rep.ratio <= rep.constant * (1.0 + rep.error_estimate)
 
     def test_extremal_profile_shape(self, space1):
-        fam = extremal_profile(0.25, 2.0, space1)
-        assert fam.profile.support[0] == 1.0
-        assert fam.profile.eval(0.5) == 0.0
-        assert abs(fam.profile.eval(2.0) - 2.0 ** -(2.0 + 0.25)) <= 1e-15
+        prof = extremal_profile(0.25, 2.0, space1)
+        assert prof.support[0] == 1.0
+        assert prof.eval(0.5) == 0.0
+        assert abs(prof.eval(2.0) - 2.0 ** -(2.0 + 0.25)) <= 1e-15
 
     def test_rejects_bad_epsilon(self, space1):
         with pytest.raises(ValueError):
@@ -184,14 +187,14 @@ class TestUpperBoundProbe:
     def test_truncated_constant_ratio_vs_brute_force(self, space1, spec):
         # f = 1 on (0, 1]: both norms have closed forms at p = 2, Q = 4:
         # ||f||^2 = omega/4; Hf = 1 inside, r^{-4} beyond, ||Hf||^2 = omega(1/4 + 1/4)
-        from heishardy.mixed_norm import mixed_norm_radial
+        from heishardy.mixed_norm import radial_norm_with_error
         from heishardy.operators import hardy
         from heishardy.quadrature import constant_profile
 
         f = constant_profile(1.0, support=(0.0, 1.0))
         out = hardy(f, space1, spec)
-        num = mixed_norm_radial(out, 2.0, 2.0, space1, spec)
-        den = mixed_norm_radial(f, 2.0, 2.0, space1, spec)
+        num = radial_norm_with_error(out, 2.0, 2.0, space1, spec).value
+        den = radial_norm_with_error(f, 2.0, 2.0, space1, spec).value
         assert abs(den - math.sqrt(space1.omega_small / 4.0)) <= 1e-7
         assert abs(num - math.sqrt(space1.omega_small * 0.5)) <= 1e-6
         assert num / den <= 2.0
