@@ -226,8 +226,15 @@ def parse_function_spec(text: str) -> RadialProfile:
     return mixture_profile(parts)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose rejections are ConfigErrors, not usage text and exit."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="heishardy",
         description="Hardy-type operators and sharp-constant verification on Heisenberg groups",
     )
@@ -518,8 +525,6 @@ def render_csv(report: dict, cfg: RunConfig) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "constants": cmd_constants,
         "verify-sharp": cmd_verify_sharp,
@@ -528,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
         "geom-check": cmd_geom_check,
     }
     try:
-        cfg = config_from_args(args)
+        cfg = config_from_args(build_parser().parse_args(argv))
         report, status = handlers[cfg.command](cfg)
     except ConfigError as exc:
         print(json.dumps({"error": "invalid configuration", "reason": str(exc)}),

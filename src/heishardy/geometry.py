@@ -17,6 +17,7 @@ estimates the latter.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,16 +88,25 @@ class HeisSpace:
 
 
 def heis_space(n: int) -> HeisSpace:
-    """Build the H^n ambient structure for integer n >= 1."""
+    """Build the H^n ambient structure for integer n >= 1.
+
+    Raises ValueError unless the volume constants come out as finite normal
+    floats; from n = 130 on the Gamma-function product overflows.
+    """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     q = 2 * n + 2
-    omega_big = (
-        2.0
-        * math.pi ** (n + 0.5)
-        * _gamma_exact(n / 2.0)
-        / ((n + 1) * _gamma_exact(float(n)) * _gamma_exact((n + 1) / 2.0))
-    )
+    try:
+        omega_big = (
+            2.0
+            * math.pi ** (n + 0.5)
+            * _gamma_exact(n / 2.0)
+            / ((n + 1) * _gamma_exact(float(n)) * _gamma_exact((n + 1) / 2.0))
+        )
+    except OverflowError:
+        omega_big = math.nan
+    if not all(math.isfinite(v) and v >= sys.float_info.min for v in (omega_big, q * omega_big)):
+        raise ValueError(f"n = {n} is too large: the volume constants of H^n overflow float64")
     return HeisSpace(
         n=n,
         q=q,
@@ -236,7 +246,10 @@ class GeometryReport:
     mc_volume_estimate: float
     mc_volume_expected: float
     mc_volume_stderrs: float
-    all_pass: bool
+
+    @property
+    def all_pass(self) -> bool:
+        return all(row["pass"] for row in self.rows())
 
     def rows(self) -> list[dict]:
         return [
@@ -303,14 +316,6 @@ def run_geometry_checks(
     se = vol_box * math.sqrt(p_acc * (1 - p_acc) / batch.attempts)
     stderrs = abs(est - expected) / se
 
-    all_pass = (
-        assoc_err <= 1e-12
-        and inv_err <= 1e-15
-        and gauge_rel <= 1e-10
-        and left_rel <= 1e-10
-        and violations == 0
-        and stderrs <= 3.0
-    )
     return GeometryReport(
         n=n,
         triples=triples,
@@ -323,5 +328,4 @@ def run_geometry_checks(
         mc_volume_estimate=est,
         mc_volume_expected=expected,
         mc_volume_stderrs=stderrs,
-        all_pass=all_pass,
     )

@@ -27,7 +27,6 @@ import numpy as np
 
 from .geometry import HeisSpace, sphere_project_array
 from .quadrature import (
-    DivergentIntegralError,
     QuadratureSpec,
     QuadResult,
     RadialProfile,
@@ -92,24 +91,6 @@ class NormEstimate:
     stderr: float
 
 
-def _norm_integral(f: RadialProfile, p: float, space: HeisSpace, spec: QuadratureSpec) -> QuadResult:
-    """int |f|^p r^{Q-1} dr, checked against f's decay metadata first."""
-    if f.is_zero:
-        return QuadResult(0.0, 0.0)
-    q = space.q
-    if f.support[0] == 0.0 and p * f.origin_exponent + q <= 0:
-        raise DivergentIntegralError(
-            f"divergent norm: origin exponent {f.origin_exponent} with p={p} "
-            f"fails p*a0 + Q > 0"
-        )
-    if math.isinf(f.support[1]) and f.exp_rate is None and p * f.tail_exponent + q >= 0:
-        raise DivergentIntegralError(
-            f"divergent norm: tail exponent {f.tail_exponent} with p={p} "
-            f"fails p*ainf + Q < 0"
-        )
-    return integrate_radial(abs_power_profile(f, p), space, spec=spec)
-
-
 def radial_norm_with_error(
     f: RadialProfile,
     p: float,
@@ -126,13 +107,22 @@ def radial_norm_with_error(
     evaluations (operator outputs), both mapped through the 1/p power.
     """
     spec = spec or QuadratureSpec()
-    res = _norm_integral(f, p, space, spec)
+    res = integrate_radial(abs_power_profile(f, p), space, spec=spec)
     if res.value <= 0.0:
         return QuadResult(0.0, res.error)
     prefactor = space.omega_small ** (1.0 / p_bar)
     value = prefactor * res.value ** (1.0 / p)
     rel = res.error / res.value + 2.0 * spec.inner().rel_tol
     return QuadResult(value, value * rel / p)
+
+
+def _mc_mean(vals) -> tuple[float, float]:
+    """(mean, standard error) of Monte Carlo samples; ValueError if any is non-finite."""
+    vals = np.asarray(vals, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("function evaluated non-finite on Monte Carlo samples")
+    se = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
+    return float(np.mean(vals)), se
 
 
 def _angular_moment(
@@ -144,11 +134,7 @@ def _angular_moment(
 ) -> tuple[float, float]:
     """(A, stderr) for A = int |h|^pbar dtheta, by sphere Monte Carlo."""
     batch = mc_sphere_sample(space, mc_count, seed)
-    vals = np.abs(np.asarray(h(batch.coords), dtype=float)) ** p_bar
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("angular part evaluated non-finite on sphere samples")
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
+    mean, se = _mc_mean(np.abs(np.asarray(h(batch.coords), dtype=float)) ** p_bar)
     return space.omega_small * mean, space.omega_small * se
 
 
@@ -172,7 +158,8 @@ def mixed_norm_separable(
     spec = spec or QuadratureSpec()
     if f.radial.is_zero:
         return NormEstimate(0.0, 0.0)
-    radial_factor = _norm_integral(f.radial, p, space, spec).value ** (1.0 / p)
+    radial_int = integrate_radial(abs_power_profile(f.radial, p), space, spec=spec)
+    radial_factor = radial_int.value ** (1.0 / p)
     a_val, a_se = _angular_moment(f.angular, p_bar, space, mc_count, seed)
     value = a_val ** (1.0 / p_bar) * radial_factor
     stderr = value * a_se / (p_bar * a_val) if a_val > 0 else a_se * radial_factor
@@ -194,10 +181,7 @@ def radialize(
     if f.is_radial:
         return f.radial
     batch = mc_sphere_sample(space, mc_count, seed)
-    vals = np.asarray(f.angular(batch.coords), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("angular part evaluated non-finite on sphere samples")
-    return scaled_profile(f.radial, float(np.mean(vals)))
+    return scaled_profile(f.radial, _mc_mean(f.angular(batch.coords))[0])
 
 
 @dataclass(frozen=True)
@@ -237,6 +221,5 @@ def hardy_radialization_identity_check(
     if f.angular is not None:
         # dilation preserves direction, so angles come from the unit-ball points
         vals = vals * np.asarray(f.angular(sphere_project_array(batch.coords, space.n)), dtype=float)
-    mc = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+    mc, se = _mc_mean(vals)
     return RadializationCheck(quadrature_side=lhs, mc_side=mc, mc_stderr=se)

@@ -32,7 +32,6 @@ import numpy as np
 
 from .geometry import HeisPoint, HeisSpace, koranyi_norm
 from .quadrature import (
-    _EXP_TAIL,
     DivergentIntegralError,
     QuadratureSpec,
     RadialProfile,
@@ -82,22 +81,16 @@ class WeightFunction:
 
     def moment(self, exponent: float, spec: QuadratureSpec | None = None) -> float:
         """int_0^1 t^exponent w(t) dt, exact for the power family."""
-        if self.family == "power":
-            s = exponent + self.beta + 1.0
-            if s <= 0:
-                raise DivergentIntegralError(
-                    f"weight moment diverges: exponent sum {s} <= 0"
-                )
-            return self.c / s
-        spec = spec or QuadratureSpec()
         rate = exponent + self.zero_exponent + 1.0
         if rate <= 0:
             raise DivergentIntegralError(
                 f"weight moment diverges: t -> 0 rate {rate} <= 0"
             )
+        if self.family == "power":
+            return self.c / rate
         res = certified_log_integral(
             lambda v: self.eval_log(v) * np.exp((exponent + 1.0) * v),
-            -math.inf, 0.0, rate_lo=rate, rate_hi=1.0, spec=spec,
+            -math.inf, 0.0, rate_lo=rate, rate_hi=1.0, spec=spec or QuadratureSpec(),
         )
         return res.value
 
@@ -174,9 +167,10 @@ def _mellin(
       r^{-(beta0+1)} and the rest like f's tail (any order for a bounded
       support).  The output lives on (sup_lo, inf).
     * Cesaro side: H*w f(r) <= c r^b int_0^1 t^{-b-Q} w(t) dt at infinity,
-      finite by the screening check beta0 + 1 - Q - b > 0, so f's tail and
-      exponential rate carry over.  Near 0 the integrand grows like
-      e^{(a+Q-1-beta0) v} up to v = log(1/r): the origin order is
+      finite by the screening check beta0 + 1 - Q - b > 0, so f's tail
+      carries over; an exponential tail (b = -inf) passes the check and
+      gives each evaluation rate_hi = inf, a scanned cutoff.  Near 0 the
+      integrand grows like e^{(a+Q-1-beta0) v} up to v = log(1/r): the origin order is
       min(a, beta0 + 1 - Q), with a = +inf if f vanishes near 0, lowered by
       1e-6 at a tie for the logarithm.  The output lives on (0, sup_hi),
       kinked at sup_lo, which is therefore a breakpoint.
@@ -193,7 +187,7 @@ def _mellin(
     power = w.family == "power"
     if dual:
         rate_lo, rate_hi = 1.0, w.zero_exponent + 1.0 - q - f.tail_exponent
-        if math.isinf(sup_hi) and f.exp_rate is None and rate_hi <= 0:
+        if math.isinf(sup_hi) and rate_hi <= 0:
             raise DivergentIntegralError(
                 f"Cesaro-side operator diverges at t -> 0 (screening rate {rate_hi} <= 0)"
             )
@@ -203,7 +197,7 @@ def _mellin(
         bound = w.zero_exponent + 1.0 - q
         meta = dict(
             origin_exponent=min(own, bound) - (1e-6 if own == bound else 0.0),
-            tail_exponent=f.tail_exponent, support=(0.0, sup_hi), exp_rate=f.exp_rate,
+            tail_exponent=f.tail_exponent, support=(0.0, sup_hi),
             breakpoints=f.breakpoints + ((sup_lo,) if sup_lo > 0.0 else ()),
         )
     else:
@@ -215,10 +209,10 @@ def _mellin(
             )
         kernel = ((lambda v, kappa: np.exp((w.beta + 1.0 - kappa) * v)) if power else
                   (lambda v, kappa: w.eval_log(v) * np.exp((1.0 - kappa) * v)))
-        tail = _EXP_TAIL if math.isfinite(sup_hi) else f.tail_exponent
+        tail = -math.inf if math.isfinite(sup_hi) else f.tail_exponent
         meta = dict(
             origin_exponent=f.origin_exponent, tail_exponent=max(tail, -(w.zero_exponent + 1.0)),
-            support=(sup_lo, math.inf), exp_rate=None, breakpoints=f.breakpoints,
+            support=(sup_lo, math.inf), breakpoints=f.breakpoints,
         )
     scale = w.c if power else 1.0
     f_breaks = f.log_breakpoints()
@@ -235,7 +229,6 @@ def _mellin(
             lambda v: f.logeval(u + v, kappa) * kernel(v, kappa),
             v_lo, v_hi, rate_lo=rate_lo, rate_hi=rate_hi, spec=spec,
             seeds=tuple(b - u for b in f_breaks),
-            exp_tail=dual and f.exp_rate is not None,
         )
         return scale * res.value
 

@@ -16,7 +16,9 @@ Gauss-Kronrod rule.  Working in u has three payoffs at once:
 Truncation is always driven by declared decay exponents, never by blind
 sampling: the neglected mass is bounded by a closed-form power-law (or
 exponential) tail estimate pushed below abs_tol/10, with the bound's
-constant estimated by probing the integrand and doubling.
+constant estimated by probing the integrand and doubling.  A divergent
+integral is recognized from the same exponents and raised as
+DivergentIntegralError before the integrand is evaluated at all.
 
 The Monte Carlo half of the module draws uniform points of the Koranyi
 unit ball by rejection from the enclosing box [-1, 1]^{2n+1}, using
@@ -222,6 +224,25 @@ def _two_sided_seeds(a: float, b: float, cap_lo: float, cap_hi: float) -> set[fl
 
 
 _TRUNC_EFOLDS = 45.0  # window length, in e-folds of decay, beyond which we cut
+_ENVELOPE_OFFSETS = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 12.0])
+
+
+def _envelope_cut(
+    fun, base: float, end: float, rate: float, sign: float, abs_tol: float
+) -> tuple[float, float]:
+    """Pull `end`, on side `sign` of `base`, in to where the decay envelope is negligible.
+
+    The envelope C e^{-rate |u - base|} takes its constant from probing fun
+    and doubling; the cut sits where the neglected mass drops below
+    abs_tol/20, but no nearer than 13 units of u.  Returns the new end and that mass.
+    """
+    offsets = _ENVELOPE_OFFSETS
+    c_est = 2.0 * float(np.max(np.abs(fun(base + sign * offsets)) * np.exp(rate * offsets)))
+    width = 13.0 if c_est == 0.0 else max(math.log(20.0 * c_est / (abs_tol * rate)) / rate, 13.0)
+    cut = base + sign * width
+    if not sign * cut < sign * end:
+        return end, 0.0
+    return cut, c_est * math.exp(-rate * width) / rate
 
 
 def certified_log_integral(
@@ -232,15 +253,16 @@ def certified_log_integral(
     rate_hi: float,
     spec: QuadratureSpec,
     seeds: Sequence[float] = (),
-    exp_tail: bool = False,
 ) -> QuadResult:
     """Adaptive integral of fun(u) du over [u_lo, u_hi] with certified cutoffs.
 
     Endpoints may be infinite.  Toward u_lo the integrand must obey
     |fun| <= C e^{rate_lo (u - center)} with rate_lo > 0, and toward u_hi
-    |fun| <= C e^{-rate_hi (u - center)} with rate_hi > 0 (unless exp_tail
-    is set, in which case the upper cutoff is found by scanning for the
-    doubly-exponential collapse); center is 0 clamped into [u_lo, u_hi].
+    |fun| <= C e^{-rate_hi (u - center)} with rate_hi > 0; center is 0
+    clamped into [u_lo, u_hi].  rate_hi = inf declares an exponential tail
+    in r = e^u, whose upper cutoff is found by scanning for the
+    doubly-exponential collapse.  An infinite end whose rate is not
+    positive raises DivergentIntegralError before fun is evaluated.
     The envelope constants are estimated by probing fun near the center
     and doubling; windows are cut where the envelope bound drops below
     abs_tol/10 and the neglected mass joins the returned error estimate.
@@ -248,79 +270,59 @@ def certified_log_integral(
     which also keeps profile evaluations away from regions where
     individual factors of an integrand would leave float range.
     """
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        return _certified_log_integral_impl(
-            fun, u_lo, u_hi, rate_lo, rate_hi, spec, seeds, exp_tail
+    if math.isinf(u_hi) and not rate_hi > 0:
+        raise DivergentIntegralError(
+            f"non-decaying upper tail (rate {rate_hi} <= 0); divergent integral"
         )
+    if math.isinf(u_lo) and not rate_lo > 0:
+        raise DivergentIntegralError(
+            f"non-decaying lower tail (rate {rate_lo} <= 0); divergent integral"
+        )
+    # over/underflow in far-out evaluations is expected and handled
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        center = 0.0
+        if math.isfinite(u_lo):
+            center = max(center, u_lo)
+        if math.isfinite(u_hi):
+            center = min(center, u_hi)
+        trunc_err = 0.0
+        exp_decay = rate_hi == math.inf
 
+        if exp_decay:
+            # a finite window needs no cut under exponential decay
+            if math.isinf(u_hi):
+                u = center + 1.0
+                for _ in range(300):
+                    g0 = abs(float(fun(np.array(u))))
+                    g1 = abs(float(fun(np.array(u + 0.5))))
+                    if g0 < spec.abs_tol / 20.0 and g1 <= g0 * math.exp(-0.5) + spec.abs_tol / 100.0:
+                        break
+                    u += 1.0
+                else:
+                    raise DivergentIntegralError("no certified cutoff for exponential tail")
+                u_hi = u
+                trunc_err += abs(float(fun(np.array(u)))) * 2.0
+        elif math.isinf(u_hi) or rate_hi * (u_hi - center) > _TRUNC_EFOLDS:
+            u_hi, err = _envelope_cut(fun, center, u_hi, rate_hi, 1.0, spec.abs_tol)
+            trunc_err += err
 
-def _certified_log_integral_impl(
-    fun, u_lo, u_hi, rate_lo, rate_hi, spec, seeds, exp_tail
-) -> QuadResult:
-    center = 0.0
-    if math.isfinite(u_lo):
-        center = max(center, u_lo)
-    if math.isfinite(u_hi):
-        center = min(center, u_hi)
-    trunc_err = 0.0
-    offsets = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 12.0])
+        if math.isinf(u_lo) or rate_lo * (center - u_lo) > _TRUNC_EFOLDS:
+            u_lo, err = _envelope_cut(fun, min(center, u_hi), u_lo, rate_lo, -1.0, spec.abs_tol)
+            trunc_err += err
 
-    if math.isinf(u_hi) and exp_tail:
-        u = center + 1.0
-        for _ in range(300):
-            g0 = abs(float(fun(np.array(u))))
-            g1 = abs(float(fun(np.array(u + 0.5))))
-            if g0 < spec.abs_tol / 20.0 and g1 <= g0 * math.exp(-0.5) + spec.abs_tol / 100.0:
-                break
-            u += 1.0
-        else:
-            raise DivergentIntegralError("no certified cutoff for exponential tail")
-        u_hi = u
-        trunc_err += abs(float(fun(np.array(u)))) * 2.0
-    elif math.isinf(u_hi) or rate_hi * (u_hi - center) > _TRUNC_EFOLDS:
-        if not rate_hi > 0:
-            raise DivergentIntegralError(
-                f"non-decaying upper tail (rate {rate_hi} <= 0); divergent integral"
-            )
-        probes = center + offsets
-        c_est = 2.0 * float(np.max(np.abs(fun(probes)) * np.exp(rate_hi * offsets)))
-        if c_est == 0.0:
-            u_hi = min(u_hi, center + 13.0)
-        else:
-            width = max(math.log(20.0 * c_est / (spec.abs_tol * rate_hi)) / rate_hi, 13.0)
-            if center + width < u_hi:
-                u_hi = center + width
-                trunc_err += c_est * math.exp(-rate_hi * width) / rate_hi
+        if not u_lo < u_hi:
+            return QuadResult(0.0, trunc_err)
 
-    if math.isinf(u_lo) or rate_lo * (center - u_lo) > _TRUNC_EFOLDS:
-        if not rate_lo > 0:
-            raise DivergentIntegralError(
-                f"non-decaying lower tail (rate {rate_lo} <= 0); divergent integral"
-            )
-        base = min(center, u_hi)
-        probes = base - offsets
-        c_est = 2.0 * float(np.max(np.abs(fun(probes)) * np.exp(rate_lo * offsets)))
-        if c_est == 0.0:
-            u_lo = max(u_lo, base - 13.0)
-        else:
-            width = max(math.log(20.0 * c_est / (spec.abs_tol * rate_lo)) / rate_lo, 13.0)
-            if base - width > u_lo:
-                u_lo = base - width
-                trunc_err += c_est * math.exp(-rate_lo * width) / rate_lo
-
-    if not u_lo < u_hi:
-        return QuadResult(0.0, trunc_err)
-
-    cap_lo = 4.0 / max(abs(rate_lo), 0.25)
-    cap_hi = 4.0 / max(abs(rate_hi), 0.25) if not exp_tail else 2.0
-    all_seeds = _two_sided_seeds(u_lo, u_hi, cap_lo, cap_hi)
-    all_seeds.update(s for s in seeds if u_lo < s < u_hi)
-    value, err = _adaptive(
-        fun, u_lo, u_hi,
-        rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
-        max_panels=spec.max_subdivisions, seeds=sorted(all_seeds),
-    )
-    return QuadResult(value, err + trunc_err)
+        cap_lo = 4.0 / max(abs(rate_lo), 0.25)
+        cap_hi = 2.0 if exp_decay else 4.0 / max(abs(rate_hi), 0.25)
+        all_seeds = _two_sided_seeds(u_lo, u_hi, cap_lo, cap_hi)
+        all_seeds.update(s for s in seeds if u_lo < s < u_hi)
+        value, err = _adaptive(
+            fun, u_lo, u_hi,
+            rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
+            max_panels=spec.max_subdivisions, seeds=sorted(all_seeds),
+        )
+        return QuadResult(value, err + trunc_err)
 
 
 # --- radial profiles ----------------------------------------------------------
@@ -331,10 +333,10 @@ class RadialProfile:
 
     The metadata is what makes improper integrals certifiable:
     |f(r)| = O(r^origin_exponent) as r -> 0+ and O(r^tail_exponent) as
-    r -> infinity, with an optional factor e^{-exp_rate * r} that beats
-    every power.  `support` clips the function to an interval; outside it
-    the profile evaluates to zero, and a bounded support makes the tail
-    exponent irrelevant.
+    r -> infinity; tail_exponent = -inf declares an exponential tail
+    e^{-c r} that beats every power.  `support` clips the function to an
+    interval; outside it the profile evaluates to zero, and a bounded
+    support makes the tail exponent irrelevant.
 
     Evaluation goes through ``logeval(u, kappa) = f(e^u) * e^{kappa u}`` so
     measure powers can be folded in without overflow at extreme radii.
@@ -346,7 +348,6 @@ class RadialProfile:
         origin_exponent: float,
         tail_exponent: float,
         support: tuple[float, float] = (0.0, math.inf),
-        exp_rate: float | None = None,
         breakpoints: tuple[float, ...] = (),
         is_zero: bool = False,
     ):
@@ -357,7 +358,6 @@ class RadialProfile:
         self.origin_exponent = float(origin_exponent)
         self.tail_exponent = float(tail_exponent)
         self.support = (float(lo), float(hi))
-        self.exp_rate = exp_rate
         self.breakpoints = tuple(sorted({b for b in breakpoints if 0.0 < b < math.inf}))
         self.is_zero = is_zero
 
@@ -390,10 +390,6 @@ class RadialProfile:
         return tuple(sorted(set(pts)))
 
 
-# tail exponent sentinel for profiles whose decay is exponential
-_EXP_TAIL = -1e9
-
-
 def power_profile(
     exponent: float,
     coeff: float = 1.0,
@@ -408,7 +404,7 @@ def power_profile(
 
 
 def exp_profile(rate: float, exponent: float = 0.0, coeff: float = 1.0) -> RadialProfile:
-    """coeff * r^exponent * e^{-rate * r} with rate > 0."""
+    """coeff * r^exponent * e^{-rate * r} with rate > 0; its tail exponent is -inf."""
     if not rate > 0:
         raise ValueError("decay rate must be positive")
 
@@ -416,7 +412,7 @@ def exp_profile(rate: float, exponent: float = 0.0, coeff: float = 1.0) -> Radia
         arg = (exponent + kappa) * u - rate * np.exp(u)
         return coeff * np.exp(arg)
 
-    return RadialProfile(lv, origin_exponent=exponent, tail_exponent=_EXP_TAIL, exp_rate=rate)
+    return RadialProfile(lv, origin_exponent=exponent, tail_exponent=-math.inf)
 
 
 def constant_profile(c: float, support: tuple[float, float] = (0.0, math.inf)) -> RadialProfile:
@@ -426,7 +422,7 @@ def constant_profile(c: float, support: tuple[float, float] = (0.0, math.inf)) -
 def zero_profile() -> RadialProfile:
     return RadialProfile(
         lambda u, kappa: np.zeros_like(np.asarray(u, dtype=float)),
-        origin_exponent=0.0, tail_exponent=_EXP_TAIL, is_zero=True,
+        origin_exponent=0.0, tail_exponent=-math.inf, is_zero=True,
     )
 
 
@@ -449,9 +445,6 @@ def mixture_profile(parts: Sequence[RadialProfile]) -> RadialProfile:
     # only parts that actually reach an edge grade the behavior there
     at_lo = [p for p in parts if p.support[0] == lo]
     at_hi = [p for p in parts if p.support[1] == hi]
-    exp_rate = None
-    if math.isinf(hi) and all(p.exp_rate is not None for p in at_hi):
-        exp_rate = min(p.exp_rate for p in at_hi)
     breaks = []
     for p in parts:
         breaks.extend(p.breakpoints)
@@ -461,7 +454,6 @@ def mixture_profile(parts: Sequence[RadialProfile]) -> RadialProfile:
         origin_exponent=min(p.origin_exponent for p in at_lo),
         tail_exponent=max(p.tail_exponent for p in at_hi),
         support=(lo, hi),
-        exp_rate=exp_rate,
         breakpoints=tuple(breaks),
     )
 
@@ -474,7 +466,6 @@ def scaled_profile(f: RadialProfile, c: float) -> RadialProfile:
         origin_exponent=f.origin_exponent,
         tail_exponent=f.tail_exponent,
         support=f.support,
-        exp_rate=f.exp_rate,
         breakpoints=f.breakpoints,
     )
 
@@ -487,15 +478,11 @@ def product_profile(f: RadialProfile, g: RadialProfile) -> RadialProfile:
     hi = min(f.support[1], g.support[1])
     if not lo < hi:
         return zero_profile()
-    rate = None
-    if f.exp_rate is not None or g.exp_rate is not None:
-        rate = (f.exp_rate or 0.0) + (g.exp_rate or 0.0)
     return RadialProfile(
         lambda u, kappa: f.logeval(u, 0.5 * kappa) * g.logeval(u, 0.5 * kappa),
         origin_exponent=f.origin_exponent + g.origin_exponent,
-        tail_exponent=max(f.tail_exponent + g.tail_exponent, _EXP_TAIL),
+        tail_exponent=f.tail_exponent + g.tail_exponent,
         support=(lo, hi),
-        exp_rate=rate,
         breakpoints=f.breakpoints + g.breakpoints,
     )
 
@@ -507,9 +494,8 @@ def abs_power_profile(f: RadialProfile, p: float) -> RadialProfile:
     return RadialProfile(
         lambda u, kappa: np.abs(f.logeval(u, kappa / p)) ** p,
         origin_exponent=p * f.origin_exponent,
-        tail_exponent=max(p * f.tail_exponent, _EXP_TAIL),
+        tail_exponent=p * f.tail_exponent,
         support=f.support,
-        exp_rate=None if f.exp_rate is None else p * f.exp_rate,
         breakpoints=f.breakpoints,
     )
 
@@ -548,7 +534,6 @@ def integrate_radial(
         lambda u: g.logeval(u, q),
         u_lo, u_hi, rate_lo, rate_hi, spec,
         seeds=g.log_breakpoints(),
-        exp_tail=g.exp_rate is not None,
     )
 
 

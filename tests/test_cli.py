@@ -171,11 +171,20 @@ class TestConfigHandling:
         ("constants", "--rel-tol", "0"),
         ("constants", "--rel-tol", "inf"),
         ("constants", "--n", "0"),
+        ("constants", "--n", "160", "--pbar1", "4"),
+        ("constants", "--n", "400"),
+        ("constants", "--rel-tol", "abc"),
+        ("geom-check", "--triples", "x"),
+        ("constants", "--format", "xml"),
+        ("constants", "--no-such-flag"),
     ], ids=["p-1", "radii-nan", "function-c-inf", "weight-beta-nan", "rel-tol-0", "rel-tol-inf",
-            "n-0"])
+            "n-0", "n-160", "n-400", "rel-tol-abc", "triples-x", "format-xml", "unknown-flag"])
     def test_bad_exponent_exits_2(self, argv, capsys):
-        status, _, err = run_cli(capsys, *argv)
+        status, out, err = run_cli(capsys, *argv)
         assert status == EXIT_CONFIG
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "invalid configuration" and doc["reason"]
 
     def test_bad_eps_grid_exits_2(self, capsys):
         status, _, err = run_cli(capsys, "verify-sharp", "--eps-grid", "0.01,0.1")

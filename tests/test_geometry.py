@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from heishardy.geometry import (
     DimensionMismatchError,
+    GeometryReport,
     HeisPoint,
     ball_volume,
     dilate,
@@ -167,6 +169,35 @@ class TestSpaceConstants:
             heis_space(0)
         with pytest.raises(ValueError):
             heis_space(-2)
+
+    @pytest.mark.parametrize("n", [130, 171, 172, 400])
+    def test_rejects_n_whose_constants_overflow(self, n):
+        # n = 130..171 used to give omega_big = 0.0, n >= 172 an OverflowError
+        with pytest.raises(ValueError):
+            heis_space(n)
+
+    def test_largest_n_has_normal_constants(self):
+        sp = heis_space(129)
+        assert sys.float_info.min <= sp.omega_big < sp.omega_small < math.inf
+
+
+class TestGeometryReport:
+    def _report(self, **over):
+        stats = dict(n=1, triples=10, max_associativity_error=0.0, max_inverse_error=0.0,
+                     max_gauge_homogeneity_relerr=0.0, max_left_invariance_relerr=0.0,
+                     triangle_violations=0, triangle_worst_slack=-1.0,
+                     mc_volume_estimate=1.0, mc_volume_expected=1.0, mc_volume_stderrs=0.5)
+        return GeometryReport(**{**stats, **over})
+
+    def test_all_pass_is_the_conjunction_of_rows(self):
+        assert self._report().all_pass
+        for field, bad in [("max_associativity_error", 1e-11), ("max_inverse_error", 1e-14),
+                           ("max_gauge_homogeneity_relerr", 1e-9),
+                           ("max_left_invariance_relerr", 1e-9), ("triangle_violations", 1),
+                           ("mc_volume_stderrs", 3.5)]:
+            rep = self._report(**{field: bad})
+            assert not rep.all_pass, field
+            assert [row["pass"] for row in rep.rows()].count(False) == 1
 
 
 class TestBallVolume:

@@ -179,6 +179,19 @@ class TestContraction:
                                                  mc_count=50_000, seed=2, radius=1.0)
         assert chk.agrees(3.0)
 
+    def test_identity_rejects_non_finite_mc_side(self, space1, spec):
+        # finite on the radialization draw, NaN on the ball draw of the MC side
+        calls = []
+
+        def h(pts):
+            calls.append(len(pts))
+            return np.full(len(pts), 1.0 if len(calls) == 1 else math.nan)
+
+        f = SeparableFunction(radial=exp_profile(1.0), angular=h)
+        with pytest.raises(ValueError, match="non-finite"):
+            hardy_radialization_identity_check(f, space1, spec, mc_count=1000, seed=2)
+        assert len(calls) == 2
+
     def test_identity_zero(self, space1, spec):
         f = SeparableFunction(radial=zero_profile(), angular=None)
         chk = hardy_radialization_identity_check(f, space1, spec,

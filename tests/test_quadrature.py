@@ -8,6 +8,7 @@ from heishardy.geometry import heis_space
 from heishardy.quadrature import (
     DivergentIntegralError,
     QuadratureSpec,
+    RadialProfile,
     ToleranceNotReachedError,
     abs_power_profile,
     constant_profile,
@@ -19,6 +20,7 @@ from heishardy.quadrature import (
     scaled_profile,
     zero_profile,
 )
+from heishardy.mixed_norm import radial_norm_with_error
 
 INF = math.inf
 
@@ -106,6 +108,22 @@ class TestDivergenceDetection:
         res = integrate_radial(f, space1, (0.0, INF), QuadratureSpec())
         assert abs(res.value - 2.0**7 / 7.0) < 1e-8
 
+    @pytest.mark.parametrize("tail", [-10.0, -INF], ids=["power-tail", "exp-tail"])
+    def test_divergent_origin_raised_before_any_evaluation(self, space1, tail):
+        # r^-5 against r^3 dr diverges at 0 whatever the tail does
+        points = []
+
+        def lv(u, kappa):
+            points.append(np.size(u))
+            return np.exp((-5.0 + kappa) * np.asarray(u, dtype=float))
+
+        f = RadialProfile(lv, origin_exponent=-5.0, tail_exponent=tail)
+        with pytest.raises(DivergentIntegralError):
+            integrate_radial(f, space1, (0.0, INF), QuadratureSpec())
+        with pytest.raises(DivergentIntegralError):
+            radial_norm_with_error(f, 2.0, 2.0, space1, QuadratureSpec())
+        assert points == []
+
     def test_tolerance_not_reached_carries_estimate(self, space1):
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=3)
         with pytest.raises(ToleranceNotReachedError) as exc_info:
@@ -166,7 +184,7 @@ class TestProfileAlgebra:
     def test_product_metadata(self):
         f = product_profile(power_profile(-1.0), exp_profile(2.0))
         assert f.origin_exponent == -1.0
-        assert f.exp_rate == 2.0
+        assert f.tail_exponent == -math.inf
 
     def test_abs_power(self):
         f = abs_power_profile(scaled_profile(power_profile(-1.0), -3.0), 2.0)
