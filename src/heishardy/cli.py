@@ -12,7 +12,11 @@ geom-check    randomized verification of the group geometry and gauge metric
 Every report carries a provenance block (config echo, seed, tolerances,
 package version) and is byte-identical across runs with the same
 configuration.  Exit status: 0 success, 2 invalid configuration, 3 numeric
-check failure.
+check failure (including a Monte Carlo sampler that ran out of rounds).
+
+Each option is declared once, in build_parser: a type= converter that
+validates through the library, a dest that is its config-echo key, and a
+default in the top-level parser's one set_defaults.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Callable
 
 from . import __version__
@@ -36,6 +39,7 @@ from .quadrature import (
     DivergentIntegralError,
     QuadratureSpec,
     RadialProfile,
+    SamplingBudgetError,
     ToleranceNotReachedError,
     exp_profile,
     mixture_profile,
@@ -57,83 +61,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_KIND_ALIASES = {
-    "hardy": "hardy",
-    "dual-hardy": "dual_hardy",
-    "dual_hardy": "dual_hardy",
-    "whardy": "weighted_hardy",
-    "weighted-hardy": "weighted_hardy",
-    "weighted_hardy": "weighted_hardy",
-    "wcesaro": "weighted_cesaro",
-    "weighted-cesaro": "weighted_cesaro",
-    "weighted_cesaro": "weighted_cesaro",
-}
+# the config echo: each key is the dest of its option
+_ECHO = ("command", "kinds", "n", "p", "pbar1", "pbar2", "weight", "eps_grid", "rel_tol",
+         "abs_tol", "mc_count", "trials", "seed", "function", "radii", "format")
+# the grid keys of a result row, and the fields of one convergence-table entry
+_GRID = ("kind", "n", "p", "pbar1", "pbar2")
+_TABLE = ("epsilon", "ratio", "constant", "relative_gap", "error_estimate")
 
 
 class ConfigError(ValueError):
     """Invalid run configuration; rendered as a machine-readable reason."""
-
-
-@dataclass
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-
-    command: str
-    kinds: list[str] = field(default_factory=lambda: ["hardy"])
-    ns: list[int] = field(default_factory=lambda: [1])
-    ps: list[float] = field(default_factory=lambda: [2.0])
-    pbar1s: list[float] = field(default_factory=lambda: [2.0])
-    pbar2s: list[float] = field(default_factory=lambda: [2.0])
-    weight_c: float = 1.0
-    weight_beta: float = 0.0
-    eps_grid: list[float] = field(default_factory=lambda: list(DEFAULT_EPS_GRID))
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-14
-    mc_count: int = 100_000
-    trials: int = 20
-    triples: int = 100_000
-    seed: int = 0
-    fmt: str = "json"
-    out: str | None = None
-    function: str = "zero"
-    radii: list[float] = field(default_factory=lambda: [1.0])
-
-    def spec(self) -> QuadratureSpec:
-        return QuadratureSpec(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
-
-    def weight(self):
-        return power_weight(self.weight_c, self.weight_beta)
-
-    def kind(self, tag: str) -> OperatorKind:
-        return OperatorKind(tag, self.weight() if tag.startswith("weighted") else None)
-
-    def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "kinds": self.kinds,
-            "n": self.ns,
-            "p": self.ps,
-            "pbar1": self.pbar1s,
-            "pbar2": self.pbar2s,
-            "weight": {"family": "power", "c": self.weight_c, "beta": self.weight_beta},
-            "eps_grid": self.eps_grid,
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-            "mc_count": self.mc_count,
-            "trials": self.trials,
-            "seed": self.seed,
-            "function": self.function,
-            "radii": self.radii,
-            "format": self.fmt,
-        }
-
-
-def _checked(build: Callable, *args):
-    """Call a library constructor or checker; its ValueError becomes a ConfigError."""
-    try:
-        return build(*args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _parse_float(text: str, what: str) -> float:
@@ -145,20 +82,6 @@ def _parse_float(text: str, what: str) -> float:
     if not math.isfinite(val):
         raise ConfigError(f"{what} must be finite, got {text!r}")
     return val
-
-
-def _parse_float_list(text: str, name: str) -> list[float]:
-    vals = [_parse_float(tok, name) for tok in text.split(",") if tok.strip()]
-    if not vals:
-        raise ConfigError(f"{name} is empty")
-    return vals
-
-
-def _parse_int_list(text: str, name: str) -> list[int]:
-    vals = _parse_float_list(text, name)
-    if any(v != int(v) for v in vals):
-        raise ConfigError(f"{name} must contain integers, got {vals}")
-    return [int(v) for v in vals]
 
 
 def _parse_params(rest: str, what: str) -> tuple[float | None, dict[str, float]]:
@@ -201,9 +124,7 @@ def parse_function_spec(text: str) -> RadialProfile:
     parts = []
     for chunk in text.split("+"):
         chunk = chunk.strip()
-        if not chunk:
-            continue
-        if chunk == "zero":
+        if chunk in ("", "zero"):
             continue
         name, _, rest = chunk.partition(":")
         name = name.strip()
@@ -213,17 +134,80 @@ def parse_function_spec(text: str) -> RadialProfile:
             if alpha is None:
                 raise ConfigError(f"power part needs an exponent: {chunk!r}")
             support = (kv.get("lo", 0.0), kv.get("hi", math.inf))
-            parts.append(_checked(power_profile, alpha, kv.get("c", 1.0), support))
+            parts.append(power_profile(alpha, kv.get("c", 1.0), support))
         elif name == "exp":
             rate = kv.get("rate", main)
             if rate is None:
                 raise ConfigError(f"exp part needs a rate: {chunk!r}")
-            parts.append(_checked(exp_profile, rate, kv.get("alpha", 0.0), kv.get("c", 1.0)))
+            parts.append(exp_profile(rate, kv.get("alpha", 0.0), kv.get("c", 1.0)))
         else:
             raise ConfigError(f"unknown function part {name!r} (expected power | exp | zero)")
-    if not parts:
-        return zero_profile()
-    return mixture_profile(parts)
+    return mixture_profile(parts) if parts else zero_profile()
+
+
+# --- type= converters: each raises ValueError with the reason ---------------
+
+
+def _floats(text: str) -> list[float]:
+    vals = [_parse_float(tok, "list entry") for tok in text.split(",") if tok.strip()]
+    if not vals:
+        raise ConfigError("empty list")
+    return vals
+
+
+def _group_indices(text: str) -> list[int]:
+    """Each entry must build heis_space: an integer n >= 1 whose constants fit float64."""
+    return [heis_space(int(v) if v.is_integer() else v).n for v in _floats(text)]
+
+
+def _operator(tag: str, c: float = 1.0, beta: float = 0.0) -> OperatorKind:
+    """The tag's OperatorKind; the weighted kinds carry the weight c t^beta."""
+    return OperatorKind(tag, power_weight(c, beta) if tag.startswith("weighted") else None)
+
+
+def _kinds(text: str) -> list[str]:
+    """Operator tags; '-' may stand for '_', and whardy/wcesaro abbreviate."""
+    abbreviations = {"whardy": "weighted_hardy", "wcesaro": "weighted_cesaro"}
+    tags = (tok.strip().lower().replace("-", "_") for tok in text.split(","))
+    return [_operator(abbreviations.get(t, t)).tag for t in tags]
+
+
+def _weight(text: str) -> dict:
+    c, beta = parse_weight_spec(text)
+    power_weight(c, beta)
+    return {"family": "power", "c": c, "beta": beta}
+
+
+def _function(text: str) -> str:
+    parse_function_spec(text)
+    return text
+
+
+def _radii(text: str) -> list[float]:
+    radii = _floats(text)
+    if any(r <= 0 for r in radii):
+        raise ConfigError("entries must be positive")
+    return radii
+
+
+def _count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise ConfigError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise ConfigError(f"must be >= 1, got {count}")
+    return count
+
+
+def _checked(parse: Callable) -> Callable:
+    """`parse` as a type= converter: its ValueError message is the rejection reason."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
 
 
 class _Parser(argparse.ArgumentParser):
@@ -239,126 +223,78 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hardy-type operators and sharp-constant verification on Heisenberg groups",
     )
     ap.add_argument("--version", action="version", version=f"heishardy {__version__}")
+    # every default; a subcommand that lacks an option still echoes its value
+    ap.set_defaults(kinds=["hardy"], n=[1], p=[2.0], pbar1=[2.0], pbar2=[2.0],
+                    weight={"family": "power", "c": 1.0, "beta": 0.0},
+                    eps_grid=list(DEFAULT_EPS_GRID), rel_tol=1e-8, abs_tol=1e-14,
+                    mc_count=100_000, trials=20, triples=100_000, seed=None,
+                    function="zero", radii=[1.0], format="json", out=None)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_exps: bool = True) -> None:
-        p.add_argument("--n", default="1", help="comma list of group indices n >= 1")
+    def command(name: str, run: Callable, help: str, with_exps: bool = True):
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.set_defaults(run=run)
+        p.add_argument("--n", type=_checked(_group_indices),
+                       help="comma list of group indices n >= 1")
         if with_exps:
-            p.add_argument("--p", default="2", help="comma list of radial exponents p")
-            p.add_argument("--pbar1", default="2", help="comma list of source angular exponents")
-            p.add_argument("--pbar2", default="2", help="comma list of target angular exponents")
-            p.add_argument("--kind", default="hardy",
+            p.add_argument("--p", type=_checked(_floats), help="comma list of radial exponents p")
+            p.add_argument("--pbar1", type=_checked(_floats),
+                           help="comma list of source angular exponents")
+            p.add_argument("--pbar2", type=_checked(_floats),
+                           help="comma list of target angular exponents")
+            p.add_argument("--kind", dest="kinds", metavar="KIND", type=_checked(_kinds),
                            help="comma list: hardy | dual-hardy | weighted-hardy | weighted-cesaro")
-            p.add_argument("--weight", default="power:c=1,beta=0",
+            p.add_argument("--weight", type=_checked(_weight),
                            help="weight spec, e.g. power:c=1,beta=2")
-        p.add_argument("--rel-tol", type=float, default=1e-8)
-        p.add_argument("--abs-tol", type=float, default=1e-14)
-        p.add_argument("--mc-count", type=int, default=100_000)
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (default: HH_SEED env var, else 0)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.add_argument("--rel-tol", type=float)
+        p.add_argument("--abs-tol", type=float)
+        p.add_argument("--mc-count", type=_checked(_count))
+        p.add_argument("--seed", type=int, help="RNG seed (default: HH_SEED env var, else 0)")
+        p.add_argument("--format", choices=("csv", "json"))
+        p.add_argument("--out", help="output path (default: stdout)")
+        return p
 
-    pc = sub.add_parser("constants", help="table of sharp constants")
-    common(pc)
+    command("constants", cmd_constants, "table of sharp constants")
 
-    pv = sub.add_parser("verify-sharp", help="convergence tables and upper-bound probes")
-    common(pv)
-    pv.add_argument("--eps-grid", default=",".join(str(e) for e in DEFAULT_EPS_GRID),
+    pv = command("verify-sharp", cmd_verify_sharp, "convergence tables and upper-bound probes")
+    pv.add_argument("--eps-grid", type=_checked(lambda text: check_eps_grid(_floats(text))),
                     help="strictly decreasing comma list in (0,1)")
-    pv.add_argument("--trials", type=int, default=20, help="random probe trials per config")
+    pv.add_argument("--trials", type=_checked(_count), help="random probe trials per config")
 
-    pa = sub.add_parser("apply", help="evaluate an operator on a radial function")
-    common(pa)
-    pa.add_argument("--function", default="power:1", help="radial function spec")
-    pa.add_argument("--radii", default="1", help="comma list of evaluation radii")
+    pa = command("apply", cmd_apply, "evaluate an operator on a radial function")
+    pa.add_argument("--function", type=_checked(_function), default="power:1",
+                    help="radial function spec")
+    pa.add_argument("--radii", type=_checked(_radii), help="comma list of evaluation radii")
 
-    pn = sub.add_parser("norm", help="mixed radial-angular norm of a radial function")
-    common(pn)
-    pn.add_argument("--function", default="exp:1", help="radial function spec")
+    pn = command("norm", cmd_norm, "mixed radial-angular norm of a radial function")
+    pn.add_argument("--function", type=_checked(_function), default="exp:1",
+                    help="radial function spec")
 
-    pg = sub.add_parser("geom-check", help="geometry property suite")
-    common(pg, with_exps=False)
-    pg.add_argument("--triples", type=int, default=100_000)
+    pg = command("geom-check", cmd_geom_check, "geometry property suite", with_exps=False)
+    pg.add_argument("--triples", type=_checked(_count))
 
     return ap
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("HH_SEED", "0")
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"HH_SEED must be an integer, got {env!r}") from exc
-    cfg = RunConfig(command=args.command, seed=seed, fmt=args.fmt, out=args.out,
-                    rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    _checked(cfg.spec)
-    cfg.ns = _parse_int_list(args.n, "--n")
-    for n in cfg.ns:
-        _checked(heis_space, n)
-    cfg.mc_count = args.mc_count
-    if cfg.mc_count < 1:
-        raise ConfigError("--mc-count must be >= 1")
-
-    if hasattr(args, "p"):
-        cfg.ps = _parse_float_list(args.p, "--p")
-        cfg.pbar1s = _parse_float_list(args.pbar1, "--pbar1")
-        cfg.pbar2s = _parse_float_list(args.pbar2, "--pbar2")
-        for triple in itertools.product(cfg.ps, cfg.pbar1s, cfg.pbar2s):
-            _checked(MixedExponents, *triple)
-        kinds = []
-        for tok in args.kind.split(","):
-            tok = tok.strip().lower()
-            if tok not in _KIND_ALIASES:
-                raise ConfigError(f"unknown kind {tok!r}")
-            kinds.append(_KIND_ALIASES[tok])
-        cfg.kinds = kinds
-        cfg.weight_c, cfg.weight_beta = parse_weight_spec(args.weight)
-        _checked(cfg.weight)
-
-    if hasattr(args, "eps_grid"):
-        cfg.eps_grid = _checked(check_eps_grid, _parse_float_list(args.eps_grid, "--eps-grid"))
-        cfg.trials = args.trials
-        if cfg.trials < 1:
-            raise ConfigError("--trials must be >= 1")
-
-    if hasattr(args, "function"):
-        cfg.function = args.function
-        parse_function_spec(cfg.function)  # validate before any computation
-    if hasattr(args, "radii"):
-        cfg.radii = _parse_float_list(args.radii, "--radii")
-        if any(r <= 0 for r in cfg.radii):
-            raise ConfigError("--radii entries must be positive")
-    if hasattr(args, "triples"):
-        cfg.triples = args.triples
-        if cfg.triples < 1:
-            raise ConfigError("--triples must be >= 1")
-    return cfg
+def _provenance(cfg: argparse.Namespace) -> dict:
+    return {"version": __version__, "seed": cfg.seed,
+            "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol}
 
 
-def _provenance(cfg: RunConfig) -> dict:
-    return {
-        "version": __version__,
-        "seed": cfg.seed,
-        "rel_tol": cfg.rel_tol,
-        "abs_tol": cfg.abs_tol,
-    }
-
-
-def _grid(cfg: RunConfig):
+def _grid(cfg: argparse.Namespace):
     """(query, row key) for every kind x n x p x pbar1 x pbar2 of the config."""
-    for tag, n, p, pb1, pb2 in itertools.product(cfg.kinds, cfg.ns, cfg.ps, cfg.pbar1s, cfg.pbar2s):
-        q = SharpConstantQuery(cfg.kind(tag), MixedExponents(p, pb1, pb2), heis_space(n))
-        yield q, {"kind": tag, "n": n, "p": p, "pbar1": pb1, "pbar2": pb2}
+    for combo in itertools.product(cfg.kinds, cfg.n, cfg.p, cfg.pbar1, cfg.pbar2):
+        tag, n, p, pb1, pb2 = combo
+        kind = _operator(tag, cfg.weight["c"], cfg.weight["beta"])
+        q = SharpConstantQuery(kind, MixedExponents(p, pb1, pb2), heis_space(n))
+        yield q, dict(zip(_GRID, combo))
 
 
-def cmd_constants(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_constants(cfg: argparse.Namespace) -> tuple[dict, int]:
     rows = []
     for q, row in _grid(cfg):
         try:
-            row["constant"] = theoretical_constant(q, cfg.spec())
+            row["constant"] = theoretical_constant(q, cfg.spec)
             row["verdict"] = "bounded"
         except UnboundedOperatorError:
             row["constant"] = None
@@ -367,42 +303,31 @@ def cmd_constants(cfg: RunConfig) -> tuple[dict, int]:
     return {"results": rows}, EXIT_OK
 
 
-def cmd_verify_sharp(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_verify_sharp(cfg: argparse.Namespace) -> tuple[dict, int]:
     rows = []
     status = EXIT_OK
     offending = None
     for q, base in _grid(cfg):
         try:
-            theoretical_constant(q, cfg.spec())
+            theoretical_constant(q, cfg.spec)
         except UnboundedOperatorError:
             rows.append({**base, "verdict": "unbounded"})
             continue
         try:
-            table = convergence_table(q, cfg.eps_grid, cfg.spec())
-            probe = upper_bound_probe(q, cfg.trials, cfg.seed, cfg.spec())
+            table = convergence_table(q, cfg.eps_grid, cfg.spec)
+            probe = upper_bound_probe(q, cfg.trials, cfg.seed, cfg.spec)
         except SharpnessViolationError as exc:
             status = EXIT_NUMERIC
             offending = {**base, "error": str(exc)}
             break
         final = table[-1]
-        sandwich_ok = all(
-            r.ratio <= r.constant * (1.0 + 1e-6 + r.error_estimate) for r in table
-        ) and probe.ratio <= probe.constant * (1.0 + 1e-6 + probe.error_estimate)
+        sandwich_ok = all(r.sandwich_ok for r in table) and probe.sandwich_ok
         converged = final.relative_gap <= 0.05
         rows.append({
             **base,
             "verdict": "bounded",
             "constant": final.constant,
-            "table": [
-                {
-                    "epsilon": r.epsilon,
-                    "ratio": r.ratio,
-                    "constant": r.constant,
-                    "relative_gap": r.relative_gap,
-                    "error_estimate": r.error_estimate,
-                }
-                for r in table
-            ],
+            "table": [{k: getattr(r, k) for k in _TABLE} for r in table],
             "probe_worst_ratio": probe.ratio,
             "probe_trials": cfg.trials,
             "sandwich_ok": sandwich_ok,
@@ -417,14 +342,15 @@ def cmd_verify_sharp(cfg: RunConfig) -> tuple[dict, int]:
     return report, status
 
 
-def cmd_apply(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_apply(cfg: argparse.Namespace) -> tuple[dict, int]:
     rows = []
     f = parse_function_spec(cfg.function)
     for tag in cfg.kinds:
-        for n in cfg.ns:
+        kind = _operator(tag, cfg.weight["c"], cfg.weight["beta"])
+        for n in cfg.n:
             space = heis_space(n)
             try:
-                out = apply_operator(cfg.kind(tag), f, space, cfg.spec())
+                out = apply_operator(kind, f, space, cfg.spec)
                 for r in cfg.radii:
                     rows.append({
                         "kind": tag, "n": n, "r": r,
@@ -436,16 +362,16 @@ def cmd_apply(cfg: RunConfig) -> tuple[dict, int]:
     return {"results": rows}, EXIT_OK
 
 
-def cmd_norm(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_norm(cfg: argparse.Namespace) -> tuple[dict, int]:
     rows = []
     f = parse_function_spec(cfg.function)
-    for n in cfg.ns:
+    for n in cfg.n:
         space = heis_space(n)
-        for p in cfg.ps:
-            for pb1 in cfg.pbar1s:
+        for p in cfg.p:
+            for pb1 in cfg.pbar1:
                 row = {"n": n, "p": p, "pbar": pb1}
                 try:
-                    row["norm"] = radial_norm_with_error(f, p, pb1, space, cfg.spec()).value
+                    row["norm"] = radial_norm_with_error(f, p, pb1, space, cfg.spec).value
                     row["verdict"] = "finite"
                 except DivergentIntegralError as exc:
                     row["norm"] = None
@@ -455,10 +381,10 @@ def cmd_norm(cfg: RunConfig) -> tuple[dict, int]:
     return {"results": rows}, EXIT_OK
 
 
-def cmd_geom_check(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_geom_check(cfg: argparse.Namespace) -> tuple[dict, int]:
     rows = []
     ok = True
-    for n in cfg.ns:
+    for n in cfg.n:
         space = heis_space(n)
         rep = run_geometry_checks(space, triples=cfg.triples,
                                   seed=cfg.seed, mc_count=cfg.mc_count)
@@ -474,9 +400,9 @@ def cmd_geom_check(cfg: RunConfig) -> tuple[dict, int]:
     return {"results": rows}, EXIT_OK if ok else EXIT_NUMERIC
 
 
-def render_json(report: dict, cfg: RunConfig) -> str:
+def render_json(report: dict, cfg: argparse.Namespace) -> str:
     payload = {
-        "config": cfg.echo(),
+        "config": {k: getattr(cfg, k) for k in _ECHO},
         "results": report["results"],
         "provenance": _provenance(cfg),
     }
@@ -489,62 +415,57 @@ def _flatten_for_csv(rows: list[dict]) -> tuple[list[str], list[dict]]:
     flat = []
     for row in rows:
         if "table" in row:
-            for entry in row["table"]:
-                flat.append({
-                    "kind": row["kind"], "n": row["n"], "p": row["p"],
-                    "pbar1": row["pbar1"], "pbar2": row["pbar2"],
-                    "epsilon": entry["epsilon"], "ratio": entry["ratio"],
-                    "constant": entry["constant"],
-                    "relative_gap": entry["relative_gap"],
-                    "error_estimate": entry["error_estimate"],
-                })
+            flat.extend({**{k: row[k] for k in _GRID}, **entry} for entry in row["table"])
         elif "checks" in row:
-            for chk in row["checks"]:
-                flat.append({"n": row["n"], **chk})
+            flat.extend({"n": row["n"], **chk} for chk in row["checks"])
         else:
             flat.append({k: v for k, v in row.items() if not isinstance(v, (list, dict))})
-    headers: list[str] = []
-    for row in flat:
-        for key in row:
-            if key not in headers:
-                headers.append(key)
-    return headers, flat
+    return list(dict.fromkeys(key for row in flat for key in row)), flat
 
 
-def render_csv(report: dict, cfg: RunConfig) -> str:
+def render_csv(report: dict, cfg: argparse.Namespace) -> str:
     buf = io.StringIO()
     for key, val in sorted(_provenance(cfg).items()):
         buf.write(f"# {key}={val}\n")
-    buf.write(f"# config={json.dumps(cfg.echo(), sort_keys=True)}\n")
+    buf.write(f"# config={json.dumps({k: getattr(cfg, k) for k in _ECHO}, sort_keys=True)}\n")
     headers, rows = _flatten_for_csv(report["results"])
     writer = csv.DictWriter(buf, fieldnames=headers, restval="")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
-def main(argv: list[str] | None = None) -> int:
-    handlers = {
-        "constants": cmd_constants,
-        "verify-sharp": cmd_verify_sharp,
-        "apply": cmd_apply,
-        "norm": cmd_norm,
-        "geom-check": cmd_geom_check,
-    }
-    try:
-        cfg = config_from_args(build_parser().parse_args(argv))
-        report, status = handlers[cfg.command](cfg)
-    except ConfigError as exc:
-        print(json.dumps({"error": "invalid configuration", "reason": str(exc)}),
-              file=sys.stderr)
-        return EXIT_CONFIG
-    except ToleranceNotReachedError as exc:
-        print(json.dumps({"error": "numeric tolerance failure", "reason": str(exc)}),
-              file=sys.stderr)
-        return EXIT_NUMERIC
+def _fail(error: str, exc: Exception, status: int) -> int:
+    print(json.dumps({"error": error, "reason": str(exc)}), file=sys.stderr)
+    return status
 
-    text = render_json(report, cfg) if cfg.fmt == "json" else render_csv(report, cfg)
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    try:
+        cfg = parser.parse_args(argv)
+        # the checks that span several inputs
+        if cfg.seed is None:
+            env = os.environ.get("HH_SEED", "0")
+            try:
+                cfg.seed = int(env)
+            except ValueError:
+                parser.error(f"HH_SEED must be an integer, got {env!r}")
+        try:
+            cfg.spec = QuadratureSpec(cfg.rel_tol, cfg.abs_tol)
+            for triple in itertools.product(cfg.p, cfg.pbar1, cfg.pbar2):
+                MixedExponents(*triple)
+        except ValueError as exc:
+            parser.error(str(exc))
+        report, status = cfg.run(cfg)
+    except ConfigError as exc:
+        return _fail("invalid configuration", exc, EXIT_CONFIG)
+    except ToleranceNotReachedError as exc:
+        return _fail("numeric tolerance failure", exc, EXIT_NUMERIC)
+    except SamplingBudgetError as exc:
+        return _fail("sampling budget exhausted", exc, EXIT_NUMERIC)
+
+    text = render_json(report, cfg) if cfg.format == "json" else render_csv(report, cfg)
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text)

@@ -88,6 +88,11 @@ class RatioReport:
     error_estimate: float
     seeds_and_tolerances: dict = field(default_factory=dict)
 
+    @property
+    def sandwich_ok(self) -> bool:
+        """ratio <= constant * (1 + 1e-6 + error_estimate); False for a NaN ratio."""
+        return self.ratio <= self.constant * (1.0 + 1e-6 + self.error_estimate)
+
 
 def theoretical_constant(q: SharpConstantQuery, spec: QuadratureSpec | None = None) -> float:
     """Closed-form sharp constant for the query; exact moments for power weights.
@@ -216,9 +221,9 @@ def upper_bound_probe(
     """Max norm ratio over random admissible profiles; must stay below the constant.
 
     Returns the worst-case RatioReport (epsilon is NaN for probes).  Raises
-    SharpnessViolationError if any ratio beats constant * (1 + 1e-6) plus
-    the computed quadrature allowance, which the boundedness theorems rule
-    out.
+    SharpnessViolationError if any report fails `sandwich_ok`: a ratio
+    beyond constant * (1 + 1e-6) plus the computed quadrature allowance,
+    which the boundedness theorems rule out, or a NaN ratio.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -230,7 +235,7 @@ def upper_bound_probe(
         rng = np.random.Generator(np.random.Philox(key=key))
         f = _random_admissible_profile(rng, q)
         report = _ratio_report(q, f, constant, spec, math.nan, seed=seed, trial=trial)
-        if report.ratio > constant * (1.0 + 1e-6 + report.error_estimate):
+        if not report.sandwich_ok:
             raise SharpnessViolationError(
                 f"probe trial {trial} (seed {seed}) gave ratio {report.ratio!r} above "
                 f"constant {constant!r} beyond tolerance"

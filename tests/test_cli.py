@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from heishardy import cli
 from heishardy.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -150,6 +151,16 @@ class TestGeomCheckCommand:
         doc = json.loads(out)
         assert all(row["all_pass"] for row in doc["results"])
 
+    def test_sampler_out_of_rounds_exits_3(self, capsys):
+        # box-rejection acceptance at n = 6 is 1.5e-4, so 100 points need
+        # more than the sampler's 10,000 rounds
+        status, out, err = run_cli(capsys, "geom-check", "--n", "6",
+                                   "--mc-count", "100", "--triples", "100")
+        assert status == EXIT_NUMERIC
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "sampling budget exhausted" and doc["reason"]
+
     def test_volume_expectations(self, capsys):
         doc = run_json(capsys, "geom-check", "--n", "1", "--triples", "1000",
                        "--mc-count", "200000", "--seed", "1")
@@ -163,23 +174,44 @@ class TestConfigHandling:
         assert status == EXIT_CONFIG
         assert "invalid configuration" in err
 
-    @pytest.mark.parametrize("argv", [
-        ("constants", "--p", "1"),
-        ("apply", "--radii", "nan"),
-        ("apply", "--function", "power:1,c=inf"),
-        ("constants", "--kind", "whardy", "--weight", "power:c=1,beta=nan"),
-        ("constants", "--rel-tol", "0"),
-        ("constants", "--rel-tol", "inf"),
-        ("constants", "--n", "0"),
-        ("constants", "--n", "160", "--pbar1", "4"),
-        ("constants", "--n", "400"),
-        ("constants", "--rel-tol", "abc"),
-        ("geom-check", "--triples", "x"),
-        ("constants", "--format", "xml"),
-        ("constants", "--no-such-flag"),
+    @pytest.mark.parametrize("argv, hh_seed", [
+        (("constants", "--p", "1"), None),
+        (("apply", "--radii", "nan"), None),
+        (("apply", "--function", "power:1,c=inf"), None),
+        (("constants", "--kind", "whardy", "--weight", "power:c=1,beta=nan"), None),
+        (("constants", "--rel-tol", "0"), None),
+        (("constants", "--rel-tol", "inf"), None),
+        (("constants", "--n", "0"), None),
+        (("constants", "--n", "160", "--pbar1", "4"), None),
+        (("constants", "--n", "400"), None),
+        (("constants", "--rel-tol", "abc"), None),
+        (("geom-check", "--triples", "x"), None),
+        (("constants", "--format", "xml"), None),
+        (("constants", "--no-such-flag"), None),
+        (("constants", "--n", "1.5"), None),
+        (("constants", "--n", ""), None),
+        (("constants", "--pbar2", "0.5"), None),
+        (("constants", "--abs-tol", "-1"), None),
+        (("constants", "--mc-count", "0"), None),
+        (("verify-sharp", "--trials", "0"), None),
+        (("verify-sharp", "--eps-grid", "1.5"), None),
+        (("geom-check", "--triples", "0"), None),
+        (("geom-check", "--p", "2"), None),
+        (("constants", "--kind", "w-hardy"), None),
+        (("constants", "--weight", "gauss:1"), None),
+        (("constants", "--weight", "power:d=1"), None),
+        (("constants", "--seed", "x"), None),
+        (("constants",), "x"),
     ], ids=["p-1", "radii-nan", "function-c-inf", "weight-beta-nan", "rel-tol-0", "rel-tol-inf",
-            "n-0", "n-160", "n-400", "rel-tol-abc", "triples-x", "format-xml", "unknown-flag"])
-    def test_bad_exponent_exits_2(self, argv, capsys):
+            "n-0", "n-160", "n-400", "rel-tol-abc", "triples-x", "format-xml", "unknown-flag",
+            "n-1.5", "n-empty", "pbar2-0.5", "abs-tol-negative", "mc-count-0", "trials-0",
+            "eps-grid-1.5", "triples-0", "geom-check-p", "kind-w-hardy", "weight-gauss",
+            "weight-unknown-parameter", "seed-x", "hh-seed-x"])
+    def test_bad_exponent_exits_2(self, argv, hh_seed, capsys, monkeypatch):
+        if hh_seed is None:
+            monkeypatch.delenv("HH_SEED", raising=False)
+        else:
+            monkeypatch.setenv("HH_SEED", hh_seed)
         status, out, err = run_cli(capsys, *argv)
         assert status == EXIT_CONFIG
         assert out == ""
@@ -204,6 +236,28 @@ class TestConfigHandling:
         monkeypatch.setenv("HH_SEED", "777")
         doc = run_json(capsys, "constants", "--kind", "hardy", "--seed", "5")
         assert doc["provenance"]["seed"] == 5
+
+
+class TestConfigEcho:
+    DEFAULTS = {
+        "kinds": ["hardy"], "n": [1], "p": [2.0], "pbar1": [2.0], "pbar2": [2.0],
+        "weight": {"family": "power", "c": 1.0, "beta": 0.0},
+        "eps_grid": [0.1, 0.03, 0.01, 0.003, 0.001], "rel_tol": 1e-8, "abs_tol": 1e-14,
+        "mc_count": 100000, "trials": 20, "seed": 0, "radii": [1.0], "format": "json",
+    }
+
+    @pytest.mark.parametrize("command, function", [
+        ("constants", "zero"), ("verify-sharp", "zero"), ("apply", "power:1"),
+        ("norm", "exp:1"), ("geom-check", "zero"),
+    ])
+    def test_defaults_echoed_without_flags(self, command, function, capsys, monkeypatch):
+        # the subcommand's own defaults win over the top-level ones
+        monkeypatch.delenv("HH_SEED", raising=False)
+        for name in ("cmd_constants", "cmd_verify_sharp", "cmd_apply", "cmd_norm", "cmd_geom_check"):
+            monkeypatch.setattr(cli, name, lambda cfg: ({"results": []}, EXIT_OK))
+        echo = run_json(capsys, command)["config"]
+        want = {**self.DEFAULTS, "command": command, "function": function}
+        assert json.dumps(echo, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 class TestReproducibility:

@@ -9,6 +9,7 @@ from heishardy.operators import DUAL_HARDY, HARDY, OperatorKind, power_weight
 from heishardy.quadrature import QuadratureSpec
 from heishardy.sharp_constants import (
     DEFAULT_EPS_GRID,
+    RatioReport,
     SharpConstantQuery,
     UnboundedOperatorError,
     convergence_table,
@@ -216,3 +217,14 @@ class TestRatioReportInvariants:
         assert rep.ratio <= rep.constant * (1.0 + rep.error_estimate)
         assert abs(rep.relative_gap - (1.0 - rep.ratio / rep.constant)) <= 1e-15
         assert rep.seeds_and_tolerances["rel_tol"] == spec.rel_tol
+
+    @pytest.mark.parametrize("ratio, error_estimate, ok", [
+        (2.0, 0.0, True),
+        (2.0 * (1.0 + 2e-6), 0.0, False),
+        (2.0 * (1.0 + 2e-6), 1e-5, True),
+        (math.nan, 0.0, False),
+    ])
+    def test_sandwich_bound(self, ratio, error_estimate, ok):
+        rep = RatioReport(epsilon=math.nan, ratio=ratio, constant=2.0,
+                          relative_gap=1.0 - ratio / 2.0, error_estimate=error_estimate)
+        assert rep.sandwich_ok is ok
