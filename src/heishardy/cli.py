@@ -16,7 +16,9 @@ check failure (including a Monte Carlo sampler that ran out of rounds).
 
 Each option is declared once, in build_parser: a type= converter that
 validates through the library, a dest that is its config-echo key, and a
-default in the top-level parser's one set_defaults.
+default in the top-level parser's one set_defaults.  Each subcommand takes
+only the flags its handler reads, plus --rel-tol, --abs-tol, --seed,
+--format and --out, which every report uses; any other flag exits 2.
 """
 
 from __future__ import annotations
@@ -231,48 +233,49 @@ def build_parser() -> argparse.ArgumentParser:
                     function="zero", radii=[1.0], format="json", out=None)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name: str, run: Callable, help: str, with_exps: bool = True):
-        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-        p.set_defaults(run=run)
-        p.add_argument("--n", type=_checked(_group_indices),
-                       help="comma list of group indices n >= 1")
-        if with_exps:
-            p.add_argument("--p", type=_checked(_floats), help="comma list of radial exponents p")
-            p.add_argument("--pbar1", type=_checked(_floats),
-                           help="comma list of source angular exponents")
-            p.add_argument("--pbar2", type=_checked(_floats),
-                           help="comma list of target angular exponents")
-            p.add_argument("--kind", dest="kinds", metavar="KIND", type=_checked(_kinds),
-                           help="comma list: hardy | dual-hardy | weighted-hardy | weighted-cesaro")
-            p.add_argument("--weight", type=_checked(_weight),
-                           help="weight spec, e.g. power:c=1,beta=2")
-        p.add_argument("--rel-tol", type=float)
-        p.add_argument("--abs-tol", type=float)
-        p.add_argument("--mc-count", type=_checked(_count))
-        p.add_argument("--seed", type=int, help="RNG seed (default: HH_SEED env var, else 0)")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--out", help="output path (default: stdout)")
-        return p
-
-    command("constants", cmd_constants, "table of sharp constants")
-
-    pv = command("verify-sharp", cmd_verify_sharp, "convergence tables and upper-bound probes")
-    pv.add_argument("--eps-grid", type=_checked(lambda text: check_eps_grid(_floats(text))),
-                    help="strictly decreasing comma list in (0,1)")
-    pv.add_argument("--trials", type=_checked(_count), help="random probe trials per config")
-
-    pa = command("apply", cmd_apply, "evaluate an operator on a radial function")
-    pa.add_argument("--function", type=_checked(_function), default="power:1",
-                    help="radial function spec")
-    pa.add_argument("--radii", type=_checked(_radii), help="comma list of evaluation radii")
-
-    pn = command("norm", cmd_norm, "mixed radial-angular norm of a radial function")
-    pn.add_argument("--function", type=_checked(_function), default="exp:1",
-                    help="radial function spec")
-
-    pg = command("geom-check", cmd_geom_check, "geometry property suite", with_exps=False)
-    pg.add_argument("--triples", type=_checked(_count))
-
+    # each option once, in --help order
+    options = {
+        "--n": dict(type=_checked(_group_indices), help="comma list of group indices n >= 1"),
+        "--p": dict(type=_checked(_floats), help="comma list of radial exponents p"),
+        "--pbar1": dict(type=_checked(_floats), help="comma list of source angular exponents"),
+        "--pbar2": dict(type=_checked(_floats), help="comma list of target angular exponents"),
+        "--kind": dict(dest="kinds", metavar="KIND", type=_checked(_kinds),
+                       help="comma list: hardy | dual-hardy | weighted-hardy | weighted-cesaro"),
+        "--weight": dict(type=_checked(_weight), help="weight spec, e.g. power:c=1,beta=2"),
+        "--rel-tol": dict(type=float),
+        "--abs-tol": dict(type=float),
+        "--mc-count": dict(type=_checked(_count)),
+        "--seed": dict(type=int, help="RNG seed (default: HH_SEED env var, else 0)"),
+        "--format": dict(choices=("csv", "json")),
+        "--out": dict(help="output path (default: stdout)"),
+        "--eps-grid": dict(type=_checked(lambda text: check_eps_grid(_floats(text))),
+                           help="strictly decreasing comma list in (0,1)"),
+        "--trials": dict(type=_checked(_count), help="random probe trials per config"),
+        "--function": dict(type=_checked(_function), help="radial function spec"),
+        "--radii": dict(type=_checked(_radii), help="comma list of evaluation radii"),
+        "--triples": dict(type=_checked(_count)),
+    }
+    # each subcommand: handler, help, the flags its handler reads, its own defaults;
+    # every report also reads --rel-tol, --abs-tol, --seed, --format and --out
+    grid = "--n --p --pbar1 --pbar2 --kind --weight"
+    commands = {
+        "constants": (cmd_constants, "table of sharp constants", grid, {}),
+        "verify-sharp": (cmd_verify_sharp, "convergence tables and upper-bound probes",
+                         grid + " --eps-grid --trials", {}),
+        "apply": (cmd_apply, "evaluate an operator on a radial function",
+                  "--n --kind --weight --function --radii", {"function": "power:1"}),
+        "norm": (cmd_norm, "mixed radial-angular norm of a radial function",
+                 "--n --p --pbar1 --function", {"function": "exp:1"}),
+        "geom-check": (cmd_geom_check, "geometry property suite",
+                       "--n --mc-count --triples", {}),
+    }
+    for name, (run, about, flags, defaults) in commands.items():
+        p = sub.add_parser(name, help=about, argument_default=argparse.SUPPRESS)
+        p.set_defaults(run=run, **defaults)
+        read = set(flags.split()) | {"--rel-tol", "--abs-tol", "--seed", "--format", "--out"}
+        for flag, kwargs in options.items():
+            if flag in read:
+                p.add_argument(flag, **kwargs)
     return ap
 
 
@@ -305,8 +308,7 @@ def cmd_constants(cfg: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_verify_sharp(cfg: argparse.Namespace) -> tuple[dict, int]:
     rows = []
-    status = EXIT_OK
-    offending = None
+    offending = []
     for q, base in _grid(cfg):
         try:
             theoretical_constant(q, cfg.spec)
@@ -317,8 +319,7 @@ def cmd_verify_sharp(cfg: argparse.Namespace) -> tuple[dict, int]:
             table = convergence_table(q, cfg.eps_grid, cfg.spec)
             probe = upper_bound_probe(q, cfg.trials, cfg.seed, cfg.spec)
         except SharpnessViolationError as exc:
-            status = EXIT_NUMERIC
-            offending = {**base, "error": str(exc)}
+            offending.append({**base, "error": str(exc)})
             break
         final = table[-1]
         sandwich_ok = all(r.sandwich_ok for r in table) and probe.sandwich_ok
@@ -334,12 +335,11 @@ def cmd_verify_sharp(cfg: argparse.Namespace) -> tuple[dict, int]:
             "converged": converged,
         })
         if not (sandwich_ok and converged):
-            status = EXIT_NUMERIC
-            offending = {**base, "relative_gap": final.relative_gap}
+            offending.append({**base, "relative_gap": final.relative_gap})
     report = {"results": rows}
-    if offending is not None:
+    if offending:
         report["offending"] = offending
-    return report, status
+    return report, EXIT_NUMERIC if offending else EXIT_OK
 
 
 def cmd_apply(cfg: argparse.Namespace) -> tuple[dict, int]:

@@ -252,20 +252,16 @@ class GeometryReport:
         return all(row["pass"] for row in self.rows())
 
     def rows(self) -> list[dict]:
-        return [
-            {"check": "associativity", "statistic": self.max_associativity_error,
-             "bound": 1e-12, "pass": self.max_associativity_error <= 1e-12},
-            {"check": "inverse_law", "statistic": self.max_inverse_error,
-             "bound": 1e-15, "pass": self.max_inverse_error <= 1e-15},
-            {"check": "gauge_homogeneity", "statistic": self.max_gauge_homogeneity_relerr,
-             "bound": 1e-10, "pass": self.max_gauge_homogeneity_relerr <= 1e-10},
-            {"check": "left_invariance", "statistic": self.max_left_invariance_relerr,
-             "bound": 1e-10, "pass": self.max_left_invariance_relerr <= 1e-10},
-            {"check": "triangle_violations", "statistic": float(self.triangle_violations),
-             "bound": 0.0, "pass": self.triangle_violations == 0},
-            {"check": "mc_volume_stderrs", "statistic": self.mc_volume_stderrs,
-             "bound": 3.0, "pass": self.mc_volume_stderrs <= 3.0},
-        ]
+        checks = (
+            ("associativity", self.max_associativity_error, 1e-12),
+            ("inverse_law", self.max_inverse_error, 1e-15),
+            ("gauge_homogeneity", self.max_gauge_homogeneity_relerr, 1e-10),
+            ("left_invariance", self.max_left_invariance_relerr, 1e-10),
+            ("triangle_violations", self.triangle_violations, 0.0),
+            ("mc_volume_stderrs", self.mc_volume_stderrs, 3.0),
+        )
+        return [{"check": check, "statistic": float(stat), "bound": bound, "pass": stat <= bound}
+                for check, stat, bound in checks]
 
 
 def run_geometry_checks(

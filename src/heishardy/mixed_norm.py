@@ -125,17 +125,11 @@ def _mc_mean(vals) -> tuple[float, float]:
     return float(np.mean(vals)), se
 
 
-def _angular_moment(
-    h: Callable[[np.ndarray], np.ndarray],
-    p_bar: float,
-    space: HeisSpace,
-    mc_count: int,
-    seed: int,
+def _sphere_mean(
+    g: Callable[[np.ndarray], np.ndarray], space: HeisSpace, mc_count: int, seed: int
 ) -> tuple[float, float]:
-    """(A, stderr) for A = int |h|^pbar dtheta, by sphere Monte Carlo."""
-    batch = mc_sphere_sample(space, mc_count, seed)
-    mean, se = _mc_mean(np.abs(np.asarray(h(batch.coords), dtype=float)) ** p_bar)
-    return space.omega_small * mean, space.omega_small * se
+    """(mean, standard error) of g over uniform gauge-sphere samples."""
+    return _mc_mean(g(mc_sphere_sample(space, mc_count, seed).coords))
 
 
 def mixed_norm_separable(
@@ -160,7 +154,10 @@ def mixed_norm_separable(
         return NormEstimate(0.0, 0.0)
     radial_int = integrate_radial(abs_power_profile(f.radial, p), space, spec=spec)
     radial_factor = radial_int.value ** (1.0 / p)
-    a_val, a_se = _angular_moment(f.angular, p_bar, space, mc_count, seed)
+    # A = int |h|^pbar dtheta = omega_small * (sphere mean of |h|^pbar)
+    mean, se = _sphere_mean(lambda x: np.abs(np.asarray(f.angular(x), dtype=float)) ** p_bar,
+                            space, mc_count, seed)
+    a_val, a_se = space.omega_small * mean, space.omega_small * se
     value = a_val ** (1.0 / p_bar) * radial_factor
     stderr = value * a_se / (p_bar * a_val) if a_val > 0 else a_se * radial_factor
     return NormEstimate(value, stderr)
@@ -180,8 +177,7 @@ def radialize(
     """
     if f.is_radial:
         return f.radial
-    batch = mc_sphere_sample(space, mc_count, seed)
-    return scaled_profile(f.radial, _mc_mean(f.angular(batch.coords))[0])
+    return scaled_profile(f.radial, _sphere_mean(f.angular, space, mc_count, seed)[0])
 
 
 @dataclass(frozen=True)

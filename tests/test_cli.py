@@ -94,8 +94,18 @@ class TestVerifySharpCommand:
                                    "--eps-grid", "0.9", "--trials", "1")
         assert status == EXIT_NUMERIC
         doc = json.loads(out)
-        assert doc["offending"]["kind"] == "hardy"
-        assert doc["offending"]["relative_gap"] > 0.05
+        assert len(doc["offending"]) == 1
+        assert doc["offending"][0]["kind"] == "hardy"
+        assert doc["offending"][0]["relative_gap"] > 0.05
+
+    def test_every_failing_row_is_offending(self, capsys):
+        status, out, err = run_cli(capsys, "verify-sharp", "--kind", "hardy,dual-hardy",
+                                   "--eps-grid", "0.9", "--trials", "1", "--rel-tol", "1e-6")
+        assert status == EXIT_NUMERIC
+        doc = json.loads(out)
+        assert [row["converged"] for row in doc["results"]] == [False, False]
+        assert [row["kind"] for row in doc["offending"]] == ["hardy", "dual_hardy"]
+        assert all(row["relative_gap"] > 0.05 for row in doc["offending"])
 
 
 class TestApplyCommand:
@@ -192,7 +202,7 @@ class TestConfigHandling:
         (("constants", "--n", ""), None),
         (("constants", "--pbar2", "0.5"), None),
         (("constants", "--abs-tol", "-1"), None),
-        (("constants", "--mc-count", "0"), None),
+        (("geom-check", "--mc-count", "0"), None),
         (("verify-sharp", "--trials", "0"), None),
         (("verify-sharp", "--eps-grid", "1.5"), None),
         (("geom-check", "--triples", "0"), None),
@@ -202,11 +212,25 @@ class TestConfigHandling:
         (("constants", "--weight", "power:d=1"), None),
         (("constants", "--seed", "x"), None),
         (("constants",), "x"),
+        # a flag the subcommand's handler never reads
+        (("apply", "--p", "7"), None),
+        (("apply", "--pbar1", "3"), None),
+        (("apply", "--pbar2", "3"), None),
+        (("apply", "--mc-count", "5"), None),
+        (("norm", "--kind", "dual-hardy"), None),
+        (("norm", "--weight", "power:beta=7"), None),
+        (("norm", "--pbar2", "9"), None),
+        (("norm", "--mc-count", "5"), None),
+        (("constants", "--mc-count", "5"), None),
+        (("verify-sharp", "--mc-count", "5"), None),
     ], ids=["p-1", "radii-nan", "function-c-inf", "weight-beta-nan", "rel-tol-0", "rel-tol-inf",
             "n-0", "n-160", "n-400", "rel-tol-abc", "triples-x", "format-xml", "unknown-flag",
             "n-1.5", "n-empty", "pbar2-0.5", "abs-tol-negative", "mc-count-0", "trials-0",
             "eps-grid-1.5", "triples-0", "geom-check-p", "kind-w-hardy", "weight-gauss",
-            "weight-unknown-parameter", "seed-x", "hh-seed-x"])
+            "weight-unknown-parameter", "seed-x", "hh-seed-x",
+            "apply-p", "apply-pbar1", "apply-pbar2", "apply-mc-count", "norm-kind",
+            "norm-weight", "norm-pbar2", "norm-mc-count", "constants-mc-count",
+            "verify-sharp-mc-count"])
     def test_bad_exponent_exits_2(self, argv, hh_seed, capsys, monkeypatch):
         if hh_seed is None:
             monkeypatch.delenv("HH_SEED", raising=False)
@@ -217,6 +241,21 @@ class TestConfigHandling:
         assert out == ""
         doc = json.loads(err)
         assert doc["error"] == "invalid configuration" and doc["reason"]
+
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        every = {"-h", "--help", "--rel-tol", "--abs-tol", "--seed", "--format", "--out"}
+        grid = {"--n", "--p", "--pbar1", "--pbar2", "--kind", "--weight"}
+        want = {
+            "constants": grid,
+            "verify-sharp": grid | {"--eps-grid", "--trials"},
+            "apply": {"--n", "--kind", "--weight", "--function", "--radii"},
+            "norm": {"--n", "--p", "--pbar1", "--function"},
+            "geom-check": {"--n", "--mc-count", "--triples"},
+        }
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        got = {name: {s for a in p._actions for s in a.option_strings}
+               for name, p in sub.choices.items()}
+        assert got == {name: flags | every for name, flags in want.items()}
 
     def test_bad_eps_grid_exits_2(self, capsys):
         status, _, err = run_cli(capsys, "verify-sharp", "--eps-grid", "0.01,0.1")
