@@ -12,7 +12,8 @@ geom-check    randomized verification of the group geometry and gauge metric
 Every report carries a provenance block (config echo, seed, tolerances,
 package version) and is byte-identical across runs with the same
 configuration.  Exit status: 0 success, 2 invalid configuration, 3 numeric
-check failure (including a Monte Carlo sampler that ran out of rounds).
+check failure (including a Monte Carlo sampler that ran out of rounds and an
+integrand that left float range).
 
 Each option is declared once, in build_parser: a type= converter that
 validates through the library, a dest that is its config-echo key, and a
@@ -39,6 +40,7 @@ from .mixed_norm import MixedExponents, radial_norm_with_error
 from .operators import OperatorKind, apply_operator, power_weight
 from .quadrature import (
     DivergentIntegralError,
+    NonFiniteIntegrandError,
     QuadratureSpec,
     RadialProfile,
     SamplingBudgetError,
@@ -464,6 +466,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("numeric tolerance failure", exc, EXIT_NUMERIC)
     except SamplingBudgetError as exc:
         return _fail("sampling budget exhausted", exc, EXIT_NUMERIC)
+    except NonFiniteIntegrandError as exc:
+        return _fail("non-finite integrand", exc, EXIT_NUMERIC)
 
     text = render_json(report, cfg) if cfg.format == "json" else render_csv(report, cfg)
     if cfg.out:

@@ -106,6 +106,11 @@ def power_weight(c: float = 1.0, beta: float = 0.0) -> WeightFunction:
 
 
 def weight_from_callable(fn: Callable[[np.ndarray], np.ndarray], zero_exponent: float) -> WeightFunction:
+    """A general weight t -> fn(t) on [0, 1] vanishing like t^zero_exponent at 0.
+
+    fn must be elementwise in its array argument: one quadrature step
+    evaluates it on the nodes of all its panels at once.
+    """
     return WeightFunction(eval=fn, family="general", c=math.nan, beta=math.nan,
                           zero_exponent=zero_exponent)
 

@@ -2,7 +2,10 @@
 
 Radial integrals of the form  int g(r) r^{Q-1} dr  over (0, infinity) are
 computed in the log-radius variable u = log r with an adaptive 15-point
-Gauss-Kronrod rule.  Working in u has three payoffs at once:
+Gauss-Kronrod rule.  Each subdivision step evaluates all its panels in one
+integrand call (every seeded panel of an integral at once, then the two
+halves of each bisection), so integrands must be elementwise in their
+array argument.  Working in u has three payoffs at once:
 
 * power-law endpoint singularities at r -> 0 become plain exponential
   decay toward u = -infinity,
@@ -18,7 +21,8 @@ sampling: the neglected mass is bounded by a closed-form power-law (or
 exponential) tail estimate pushed below abs_tol/10, with the bound's
 constant estimated by probing the integrand and doubling.  A divergent
 integral is recognized from the same exponents and raised as
-DivergentIntegralError before the integrand is evaluated at all.
+DivergentIntegralError before the integrand is evaluated at all; an
+integrand that leaves float range raises NonFiniteIntegrandError.
 
 The Monte Carlo half of the module draws uniform points of the Koranyi
 unit ball by rejection from the enclosing box [-1, 1]^{2n+1}, using
@@ -41,6 +45,7 @@ from .geometry import HeisSpace, koranyi_norm_array, sphere_project_array
 
 __all__ = [
     "DivergentIntegralError",
+    "NonFiniteIntegrandError",
     "ToleranceNotReachedError",
     "QuadratureSpec",
     "QuadResult",
@@ -64,6 +69,10 @@ __all__ = [
 
 class DivergentIntegralError(ArithmeticError):
     """Decay metadata says the requested integral diverges."""
+
+
+class NonFiniteIntegrandError(ArithmeticError):
+    """The integrand, or the constant of its decay envelope, left float range."""
 
 
 class SamplingBudgetError(RuntimeError):
@@ -132,15 +141,26 @@ _WG[1::2] = [
 ]
 
 
-def _panel(fun: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    y = np.asarray(fun(mid + half * _XK), dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ArithmeticError(f"integrand not finite on panel [{a}, {b}]")
-    ik = half * float(_WK @ y)
-    ig = half * float(_WG @ y)
-    return ik, abs(ik - ig)
+def _panels(
+    fun: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """GK15 values and error estimates of the panels [lo[k], hi[k]] from one call of fun.
+
+    fun sees the panel-major flat node array of shape (len(lo) * 15,).
+    """
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = (mid[:, None] + half[:, None] * _XK).ravel()
+    y = np.asarray(fun(x), dtype=float).reshape(len(lo), _XK.size)
+    bad = ~np.isfinite(y).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NonFiniteIntegrandError(
+            f"integrand not finite on panel [{float(lo[k])}, {float(hi[k])}]"
+        )
+    ik = half * (y @ _WK)
+    ig = half * (y @ _WG)
+    return ik, np.abs(ik - ig)
 
 
 def _adaptive(
@@ -152,16 +172,19 @@ def _adaptive(
     max_panels: int,
     seeds: Sequence[float] = (),
 ) -> tuple[float, float]:
-    """Globally adaptive GK15 bisection over [a, b] with seeded panel edges."""
+    """Globally adaptive GK15 bisection over [a, b] with seeded panel edges.
+
+    All seeded panels are evaluated in one call of fun, and each bisection
+    evaluates its two children in one more.
+    """
     if not b > a:
         return 0.0, 0.0
     edges = sorted({a, b, *(s for s in seeds if a < s < b)})
-    panels: list[list[float]] = []
+    values, errors = _panels(fun, np.array(edges[:-1]), np.array(edges[1:]))
+    panels = [list(p) for p in zip(edges[:-1], edges[1:], values.tolist(), errors.tolist())]
     total = 0.0
     err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e = _panel(fun, lo, hi)
-        panels.append([lo, hi, v, e])
+    for _, _, v, e in panels:
         total += v
         err += e
     heap = [(-p[3], i) for i, p in enumerate(panels)]
@@ -186,8 +209,8 @@ def _adaptive(
             err -= e_old
             panels[i][3] = 0.0
             continue
-        v1, e1 = _panel(fun, lo, mid)
-        v2, e2 = _panel(fun, mid, hi)
+        values, errors = _panels(fun, np.array([lo, mid]), np.array([mid, hi]))
+        (v1, v2), (e1, e2) = values.tolist(), errors.tolist()
         total += v1 + v2 - v_old
         err += e1 + e2 - e_old
         panels[i] = [lo, mid, v1, e1]
@@ -238,10 +261,18 @@ def _envelope_cut(
     The envelope C e^{-rate |u - base|} takes its constant from probing fun
     and doubling; the cut sits where the neglected mass drops below
     abs_tol/20, but no nearer than 13 units of u.  Returns the new end and that mass.
+    When the constant leaves float range a finite end is kept whole, and an
+    infinite one raises NonFiniteIntegrandError.
     """
     offsets = _ENVELOPE_OFFSETS
-    c_est = 2.0 * float(np.max(np.abs(fun(base + sign * offsets)) * np.exp(rate * offsets)))
+    probes = np.abs(fun(base + sign * offsets))
+    # a probe that underflowed to zero bounds nothing, even where exp overflows
+    c_est = 2.0 * float(np.max(np.where(probes == 0.0, 0.0, probes * np.exp(rate * offsets))))
     width = 13.0 if c_est == 0.0 else max(math.log(20.0 * c_est / (abs_tol * rate)) / rate, 13.0)
+    if not math.isfinite(width) and math.isinf(end):
+        raise NonFiniteIntegrandError(
+            f"no finite cutoff for the decay envelope at u = {base!r} (constant {c_est!r})"
+        )
     cut = base + sign * width
     if not sign * cut < sign * end:
         return end, 0.0

@@ -129,6 +129,26 @@ class TestApplyCommand:
                        "--radii", "1,2,4")
         assert [row["r"] for row in doc["results"]] == [1.0, 2.0, 4.0]
 
+    def test_dual_hardy_steep_power_with_underflowing_envelope(self, capsys):
+        # Q int_r^inf s^-401 ds on s > 1 is Q/400 for r < 1; the envelope
+        # probes of the inner integral underflow to 0 against an overflowing exp
+        doc = run_json(capsys, "apply", "--kind", "dual-hardy", "--function",
+                       "power:-400,lo=1", "--n", "1", "--radii", "1e-3")
+        assert abs(doc["results"][0]["value"] - 0.01) < 1e-6
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--function", "power:200,hi=1e3", "--n", "1", "--p", "2"],
+    ["apply", "--kind", "hardy", "--function", "power:400", "--radii", "10"],
+    ["apply", "--kind", "hardy", "--function", "power:1,c=1e300", "--radii", "1"],
+], ids=["norm-overflowing-integrand", "apply-overflowing-power", "apply-overflowing-coefficient"])
+def test_non_finite_integrand_exits_3(capsys, argv):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == EXIT_NUMERIC
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "non-finite integrand" and doc["reason"]
+
 
 class TestNormCommand:
     def test_exponential(self, capsys):

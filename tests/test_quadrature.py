@@ -7,10 +7,17 @@ from hypothesis import given, settings, strategies as st
 from heishardy.geometry import heis_space
 from heishardy.quadrature import (
     DivergentIntegralError,
+    NonFiniteIntegrandError,
     QuadratureSpec,
     RadialProfile,
     ToleranceNotReachedError,
+    _XK,
+    _WG,
+    _WK,
+    _adaptive,
+    _panels,
     abs_power_profile,
+    certified_log_integral,
     constant_profile,
     exp_profile,
     integrate_radial,
@@ -131,6 +138,67 @@ class TestDivergenceDetection:
         err = exc_info.value
         assert abs(err.estimate - 0.375) < 0.05
         assert err.error > 0
+
+
+class TestBatchedAdaptive:
+    def test_one_call_for_seeded_panels_then_one_per_bisection(self):
+        # int_0^1 u^{-1/2} du = 2: the singular end forces many bisections
+        calls = []
+
+        def fun(u):
+            calls.append(u.shape)
+            return 1.0 / np.sqrt(u)
+
+        seeds = (0.25, 0.5, 0.75)
+        value, err = _adaptive(fun, 0.0, 1.0, rel_tol=1e-10, abs_tol=1e-300,
+                               max_panels=2000, seeds=seeds)
+        assert calls[0] == (15 * (len(seeds) + 1),)
+        assert len(calls) > 2
+        assert all(shape == (30,) for shape in calls[1:])
+        panels_evaluated = len(seeds) + 1 + 2 * (len(calls) - 1)
+        assert sum(shape[0] for shape in calls) == 15 * panels_evaluated
+        assert abs(value - 2.0) <= 1e-9
+        assert err <= 1e-10 * value
+
+    def test_panels_match_per_panel_reference(self):
+        # the batched reduction against one dot product per panel
+        lo = np.array([-3.0, -1.0, 0.5, 2.0])
+        hi = np.array([-1.0, 0.5, 2.0, 9.0])
+        values, errors = _panels(np.cos, lo, hi)
+        for k, (a, b) in enumerate(zip(lo, hi)):
+            half = 0.5 * (b - a)
+            y = np.cos(0.5 * (a + b) + half * _XK)
+            ik, ig = half * float(_WK @ y), half * float(_WG @ y)
+            scale = abs(half) * float(_WK @ np.abs(y))
+            assert abs(values[k] - ik) <= 1e-15 * scale
+            assert abs(errors[k] - abs(ik - ig)) <= 2e-15 * scale
+
+    def test_non_finite_node_names_its_panel(self):
+        edges = (0.0, 1.0, 2.0, 3.0, 4.0)
+        bad = 2.5  # the center node of the third seeded panel [2, 3]
+        fun = lambda u: np.where(u == bad, math.nan, 1.0)  # noqa: E731
+        with pytest.raises(NonFiniteIntegrandError, match=r"\[2\.0, 3\.0\]"):
+            _adaptive(fun, edges[0], edges[-1], rel_tol=1e-8, abs_tol=1e-14,
+                      max_panels=2000, seeds=edges[1:-1])
+
+    def test_underflowed_envelope_probes_count_as_zero(self):
+        # int_0^inf e^{-400 u} du: the far probes underflow to 0 while
+        # e^{400 * offset} overflows, which must not poison the cut
+        res = certified_log_integral(lambda u: np.exp(-400.0 * u), 0.0, INF,
+                                     rate_lo=1.0, rate_hi=400.0, spec=QuadratureSpec())
+        assert abs(res.value - 1.0 / 400.0) <= 1e-12
+
+    def test_envelope_out_of_float_range_is_typed(self):
+        # no finite cutoff exists for a constant of 1e300 at abs_tol 1e-14
+        with pytest.raises(NonFiniteIntegrandError):
+            certified_log_integral(lambda u: 1e300 * np.exp(-u), 0.0, INF,
+                                   rate_lo=1.0, rate_hi=1.0, spec=QuadratureSpec())
+
+    def test_envelope_out_of_float_range_keeps_a_finite_end(self):
+        # the same integrand on a finite window is integrated whole, uncut
+        res = certified_log_integral(lambda u: 1e300 * np.exp(-u), 0.0, 100.0,
+                                     rate_lo=1.0, rate_hi=1.0, spec=QuadratureSpec())
+        assert abs(res.value - 1e300 * -math.expm1(-100.0)) <= 1e-8 * 1e300
 
 
 class TestProfileAlgebra:
