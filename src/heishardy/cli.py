@@ -16,10 +16,11 @@ check failure (including a Monte Carlo sampler that ran out of rounds and an
 integrand that left float range).
 
 Each option is declared once, in build_parser: a type= converter that
-validates through the library, a dest that is its config-echo key, and a
-default in the top-level parser's one set_defaults.  Each subcommand takes
-only the flags its handler reads, plus --rel-tol, --abs-tol, --seed,
---format and --out, which every report uses; any other flag exits 2.
+validates through the library, a dest, and its default.  Each subcommand
+takes only the flags its handler reads, plus --rel-tol, --abs-tol, --seed,
+--format and --out, which every report uses; any other flag exits 2.  The
+config echo is the parsed namespace: the subcommand and every flag it
+takes, defaults included, except --out.
 """
 
 from __future__ import annotations
@@ -65,9 +66,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# the config echo: each key is the dest of its option
-_ECHO = ("command", "kinds", "n", "p", "pbar1", "pbar2", "weight", "eps_grid", "rel_tol",
-         "abs_tol", "mc_count", "trials", "seed", "function", "radii", "format")
 # the grid keys of a result row, and the fields of one convergence-table entry
 _GRID = ("kind", "n", "p", "pbar1", "pbar2")
 _TABLE = ("epsilon", "ratio", "constant", "relative_gap", "error_estimate")
@@ -227,38 +225,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hardy-type operators and sharp-constant verification on Heisenberg groups",
     )
     ap.add_argument("--version", action="version", version=f"heishardy {__version__}")
-    # every default; a subcommand that lacks an option still echoes its value
-    ap.set_defaults(kinds=["hardy"], n=[1], p=[2.0], pbar1=[2.0], pbar2=[2.0],
-                    weight={"family": "power", "c": 1.0, "beta": 0.0},
-                    eps_grid=list(DEFAULT_EPS_GRID), rel_tol=1e-8, abs_tol=1e-14,
-                    mc_count=100_000, trials=20, triples=100_000, seed=None,
-                    function="zero", radii=[1.0], format="json", out=None)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    # each option once, in --help order
+    # each option once, in --help order, with its default
     options = {
-        "--n": dict(type=_checked(_group_indices), help="comma list of group indices n >= 1"),
-        "--p": dict(type=_checked(_floats), help="comma list of radial exponents p"),
-        "--pbar1": dict(type=_checked(_floats), help="comma list of source angular exponents"),
-        "--pbar2": dict(type=_checked(_floats), help="comma list of target angular exponents"),
-        "--kind": dict(dest="kinds", metavar="KIND", type=_checked(_kinds),
+        "--n": dict(type=_checked(_group_indices), default=[1],
+                    help="comma list of group indices n >= 1"),
+        "--p": dict(type=_checked(_floats), default=[2.0],
+                    help="comma list of radial exponents p"),
+        "--pbar1": dict(type=_checked(_floats), default=[2.0],
+                        help="comma list of source angular exponents"),
+        "--pbar2": dict(type=_checked(_floats), default=[2.0],
+                        help="comma list of target angular exponents"),
+        "--kind": dict(dest="kinds", metavar="KIND", type=_checked(_kinds), default=["hardy"],
                        help="comma list: hardy | dual-hardy | weighted-hardy | weighted-cesaro"),
-        "--weight": dict(type=_checked(_weight), help="weight spec, e.g. power:c=1,beta=2"),
-        "--rel-tol": dict(type=float),
-        "--abs-tol": dict(type=float),
-        "--mc-count": dict(type=_checked(_count)),
+        "--weight": dict(type=_checked(_weight), default={"family": "power", "c": 1.0, "beta": 0.0},
+                         help="weight spec, e.g. power:c=1,beta=2"),
+        "--rel-tol": dict(type=float, default=1e-8),
+        "--abs-tol": dict(type=float, default=1e-14),
+        "--mc-count": dict(type=_checked(_count), default=100_000),
         "--seed": dict(type=int, help="RNG seed (default: HH_SEED env var, else 0)"),
-        "--format": dict(choices=("csv", "json")),
+        "--format": dict(choices=("csv", "json"), default="json"),
         "--out": dict(help="output path (default: stdout)"),
         "--eps-grid": dict(type=_checked(lambda text: check_eps_grid(_floats(text))),
+                           default=list(DEFAULT_EPS_GRID),
                            help="strictly decreasing comma list in (0,1)"),
-        "--trials": dict(type=_checked(_count), help="random probe trials per config"),
+        "--trials": dict(type=_checked(_count), default=20, help="random probe trials per config"),
         "--function": dict(type=_checked(_function), help="radial function spec"),
-        "--radii": dict(type=_checked(_radii), help="comma list of evaluation radii"),
-        "--triples": dict(type=_checked(_count)),
+        "--radii": dict(type=_checked(_radii), default=[1.0],
+                        help="comma list of evaluation radii"),
+        "--triples": dict(type=_checked(_count), default=100_000),
     }
-    # each subcommand: handler, help, the flags its handler reads, its own defaults;
-    # every report also reads --rel-tol, --abs-tol, --seed, --format and --out
+    # each subcommand: handler, help, the flags its handler reads, its own defaults
+    # (--function's differs by subcommand); every report also reads --rel-tol,
+    # --abs-tol, --seed, --format and --out
     grid = "--n --p --pbar1 --pbar2 --kind --weight"
     commands = {
         "constants": (cmd_constants, "table of sharp constants", grid, {}),
@@ -272,13 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
                        "--n --mc-count --triples", {}),
     }
     for name, (run, about, flags, defaults) in commands.items():
-        p = sub.add_parser(name, help=about, argument_default=argparse.SUPPRESS)
+        p = sub.add_parser(name, help=about)
         p.set_defaults(run=run, **defaults)
         read = set(flags.split()) | {"--rel-tol", "--abs-tol", "--seed", "--format", "--out"}
         for flag, kwargs in options.items():
             if flag in read:
                 p.add_argument(flag, **kwargs)
     return ap
+
+
+def _config(cfg: argparse.Namespace) -> dict:
+    """The config echo: the parsed namespace without the handler, spec and --out."""
+    return {k: v for k, v in vars(cfg).items() if k not in ("run", "spec", "out")}
 
 
 def _provenance(cfg: argparse.Namespace) -> dict:
@@ -356,7 +361,7 @@ def cmd_apply(cfg: argparse.Namespace) -> tuple[dict, int]:
                 for r in cfg.radii:
                     rows.append({
                         "kind": tag, "n": n, "r": r,
-                        "value": float(out.eval(r)) if not out.is_zero else 0.0,
+                        "value": float(out.eval(r)),
                     })
             except DivergentIntegralError as exc:
                 rows.append({"kind": tag, "n": n, "verdict": "divergent",
@@ -404,7 +409,7 @@ def cmd_geom_check(cfg: argparse.Namespace) -> tuple[dict, int]:
 
 def render_json(report: dict, cfg: argparse.Namespace) -> str:
     payload = {
-        "config": {k: getattr(cfg, k) for k in _ECHO},
+        "config": _config(cfg),
         "results": report["results"],
         "provenance": _provenance(cfg),
     }
@@ -429,7 +434,7 @@ def render_csv(report: dict, cfg: argparse.Namespace) -> str:
     buf = io.StringIO()
     for key, val in sorted(_provenance(cfg).items()):
         buf.write(f"# {key}={val}\n")
-    buf.write(f"# config={json.dumps({k: getattr(cfg, k) for k in _ECHO}, sort_keys=True)}\n")
+    buf.write(f"# config={json.dumps(_config(cfg), sort_keys=True)}\n")
     headers, rows = _flatten_for_csv(report["results"])
     writer = csv.DictWriter(buf, fieldnames=headers, restval="")
     writer.writeheader()
@@ -455,7 +460,9 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"HH_SEED must be an integer, got {env!r}")
         try:
             cfg.spec = QuadratureSpec(cfg.rel_tol, cfg.abs_tol)
-            for triple in itertools.product(cfg.p, cfg.pbar1, cfg.pbar2):
+            # 2.0 stands in for an exponent the subcommand does not take
+            exponents = (getattr(cfg, k, [2.0]) for k in ("p", "pbar1", "pbar2"))
+            for triple in itertools.product(*exponents):
                 MixedExponents(*triple)
         except ValueError as exc:
             parser.error(str(exc))

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import HeisPoint, HeisSpace, koranyi_norm
+from .geometry import HeisSpace
 from .quadrature import (
     DivergentIntegralError,
     QuadratureSpec,
@@ -53,7 +53,6 @@ __all__ = [
     "weighted_hardy",
     "weighted_cesaro",
     "apply_operator",
-    "apply_pointwise",
     "duality_pairing_check",
 ]
 
@@ -294,21 +293,6 @@ def apply_operator(
 ) -> RadialProfile:
     """Apply the operator `kind` to f as a lazy profile."""
     return _mellin(f, kind.weight_on(space), space, spec, kind.dual)
-
-
-def apply_pointwise(
-    kind: OperatorKind,
-    f: RadialProfile,
-    x: HeisPoint,
-    space: HeisSpace,
-    spec: QuadratureSpec | None = None,
-) -> float:
-    """Evaluate the operator at a general point through r = |x|_h."""
-    r = koranyi_norm(x)
-    if r == 0.0:
-        raise ValueError("operators are defined away from the group origin")
-    out = apply_operator(kind, f, space, spec)
-    return float(out.eval(r))
 
 
 def duality_pairing_check(

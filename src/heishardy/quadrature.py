@@ -335,7 +335,7 @@ def certified_log_integral(
                 else:
                     raise DivergentIntegralError("no certified cutoff for exponential tail")
                 u_hi = u
-                trunc_err += abs(float(fun(np.array(u)))) * 2.0
+                trunc_err += g0 * 2.0
         elif math.isinf(u_hi) or rate_hi * (u_hi - center) > _TRUNC_EFOLDS:
             u_hi, err = _envelope_cut(fun, center, u_hi, rate_hi, 1.0, spec.abs_tol)
             trunc_err += err

@@ -298,25 +298,51 @@ class TestConfigHandling:
 
 
 class TestConfigEcho:
-    DEFAULTS = {
+    VALUES = {
         "kinds": ["hardy"], "n": [1], "p": [2.0], "pbar1": [2.0], "pbar2": [2.0],
         "weight": {"family": "power", "c": 1.0, "beta": 0.0},
         "eps_grid": [0.1, 0.03, 0.01, 0.003, 0.001], "rel_tol": 1e-8, "abs_tol": 1e-14,
-        "mc_count": 100000, "trials": 20, "seed": 0, "radii": [1.0], "format": "json",
+        "mc_count": 100000, "trials": 20, "triples": 100000, "seed": 0, "radii": [1.0],
+        "format": "json",
+    }
+    # every report echoes these, plus the dests of its subcommand's own flags
+    EVERY = ("command", "rel_tol", "abs_tol", "seed", "format")
+    GRID = ("n", "p", "pbar1", "pbar2", "kinds", "weight")
+    KEYS = {
+        "constants": GRID,
+        "verify-sharp": GRID + ("eps_grid", "trials"),
+        "apply": ("n", "kinds", "weight", "function", "radii"),
+        "norm": ("n", "p", "pbar1", "function"),
+        "geom-check": ("n", "mc_count", "triples"),
     }
 
+    @pytest.fixture
+    def stubbed(self, monkeypatch):
+        monkeypatch.delenv("HH_SEED", raising=False)
+        for name in ("cmd_constants", "cmd_verify_sharp", "cmd_apply", "cmd_norm", "cmd_geom_check"):
+            monkeypatch.setattr(cli, name, lambda cfg: ({"results": []}, EXIT_OK))
+
+    # function: the subcommand's --function default, or "zero" where it takes
+    # no --function and the echo leaves the key out
     @pytest.mark.parametrize("command, function", [
         ("constants", "zero"), ("verify-sharp", "zero"), ("apply", "power:1"),
         ("norm", "exp:1"), ("geom-check", "zero"),
     ])
-    def test_defaults_echoed_without_flags(self, command, function, capsys, monkeypatch):
-        # the subcommand's own defaults win over the top-level ones
-        monkeypatch.delenv("HH_SEED", raising=False)
-        for name in ("cmd_constants", "cmd_verify_sharp", "cmd_apply", "cmd_norm", "cmd_geom_check"):
-            monkeypatch.setattr(cli, name, lambda cfg: ({"results": []}, EXIT_OK))
+    def test_defaults_echoed_without_flags(self, command, function, capsys, stubbed):
         echo = run_json(capsys, command)["config"]
-        want = {**self.DEFAULTS, "command": command, "function": function}
+        values = {**self.VALUES, "command": command, "function": function}
+        want = {k: values[k] for k in self.EVERY + self.KEYS[command]}
         assert json.dumps(echo, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    @pytest.mark.parametrize("command", sorted(KEYS))
+    def test_echo_keys_are_the_subcommand_dests(self, command, capsys, stubbed):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        dests = {a.dest for a in sub.choices[command]._actions} - {"help", "out"}
+        assert set(run_json(capsys, command)["config"]) == dests | {"command"}
+
+    def test_triples_echoed(self, capsys, stubbed):
+        echo = run_json(capsys, "geom-check", "--triples", "7")["config"]
+        assert echo["triples"] == 7
 
 
 class TestReproducibility:

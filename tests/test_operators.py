@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from heishardy.geometry import HeisPoint, heis_space
+from heishardy.geometry import HeisPoint, heis_space, koranyi_norm
 from heishardy.operators import (
     DUAL_HARDY,
     HARDY,
     OperatorKind,
     apply_operator,
-    apply_pointwise,
     dual_hardy,
     duality_pairing_check,
     hardy,
@@ -250,25 +249,27 @@ class TestDualityPairing:
 
 
 class TestApplyPointwise:
+    """An operator at a group point is its radial output at r = |x|_h."""
+
     def test_hardy_constant(self, space1, spec):
         x = HeisPoint((1.0, 1.0, 0.0))
-        val = apply_pointwise(HARDY, constant_profile(1.0), x, space1, spec)
+        val = apply_operator(HARDY, constant_profile(1.0), space1, spec).eval(koranyi_norm(x))
         assert abs(val - 1.0) <= 1e-9
 
     def test_hardy_linear_at_radius_two(self, space1, spec):
         x = HeisPoint((0.0, 0.0, 4.0))  # |x|_h = 2
-        val = apply_pointwise(HARDY, power_profile(1.0), x, space1, spec)
+        val = apply_operator(HARDY, power_profile(1.0), space1, spec).eval(koranyi_norm(x))
         assert abs(val - 1.6) <= 1e-9
 
     def test_dual_at_radius_two(self, space1, spec):
         x = HeisPoint((0.0, 0.0, 4.0))
-        val = apply_pointwise(DUAL_HARDY, power_profile(-2.0), x, space1, spec)
+        val = apply_operator(DUAL_HARDY, power_profile(-2.0), space1, spec).eval(koranyi_norm(x))
         assert abs(val - 0.5) <= 1e-9
 
     def test_origin_rejected(self, space1, spec):
+        out = apply_operator(HARDY, constant_profile(1.0), space1, spec)
         with pytest.raises(ValueError):
-            apply_pointwise(HARDY, constant_profile(1.0),
-                            HeisPoint((0.0, 0.0, 0.0)), space1, spec)
+            out.eval(koranyi_norm(HeisPoint((0.0, 0.0, 0.0))))
 
 
 class TestOperatorKind:

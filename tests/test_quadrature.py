@@ -188,6 +188,22 @@ class TestBatchedAdaptive:
                                      rate_lo=1.0, rate_hi=400.0, spec=QuadratureSpec())
         assert abs(res.value - 1.0 / 400.0) <= 1e-12
 
+    def test_exponential_tail_scan_evaluates_each_point_once(self):
+        # int e^{u - e^u} du = int_0^inf e^{-r} dr = 1; the cutoff scan probes
+        # one point per 0-d call and must not come back to the point it stopped at
+        scanned = []
+
+        def fun(u):
+            if u.ndim == 0:
+                scanned.append(float(u))
+            return np.exp(u - np.exp(u))
+
+        res = certified_log_integral(fun, -INF, INF, rate_lo=1.0, rate_hi=INF,
+                                     spec=QuadratureSpec())
+        assert len(scanned) >= 2
+        assert len(set(scanned)) == len(scanned)
+        assert abs(res.value - 1.0) <= 1e-9
+
     def test_envelope_out_of_float_range_is_typed(self):
         # no finite cutoff exists for a constant of 1e300 at abs_tol 1e-14
         with pytest.raises(NonFiniteIntegrandError):
