@@ -357,12 +357,9 @@ def cmd_apply(cfg: argparse.Namespace) -> tuple[dict, int]:
         for n in cfg.n:
             space = heis_space(n)
             try:
-                out = apply_operator(kind, f, space, cfg.spec)
-                for r in cfg.radii:
-                    rows.append({
-                        "kind": tag, "n": n, "r": r,
-                        "value": float(out.eval(r)),
-                    })
+                values = apply_operator(kind, f, space, cfg.spec).eval(cfg.radii)
+                rows.extend({"kind": tag, "n": n, "r": r, "value": v}
+                            for r, v in zip(cfg.radii, values.tolist()))
             except DivergentIntegralError as exc:
                 rows.append({"kind": tag, "n": n, "verdict": "divergent",
                              "reason": str(exc)})

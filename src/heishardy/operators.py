@@ -11,7 +11,7 @@ radial functions on H^n (Q = 2n + 2):
 All four are one Mellin convolution in v = log(s / r): the Hardy side
 integrates over v <= 0, the Cesaro side over v >= 0, and hardy/dual_hardy
 are the weighted kinds at w(t) = Q t^{Q-1}.  One routine implements both
-sides.  Outputs are lazily evaluated profiles: each evaluation runs one
+sides.  Outputs are lazily evaluated profiles: each radius evaluated is one
 certified quadrature in the log domain, so the power scaling demanded by
 downstream norm integrals never overflows.  Output decay metadata is
 propagated symbolically from the input metadata, which keeps
@@ -35,6 +35,7 @@ from .quadrature import (
     DivergentIntegralError,
     QuadratureSpec,
     RadialProfile,
+    _integrals,
     certified_log_integral,
     integrate_radial,
     product_profile,
@@ -158,10 +159,11 @@ def _mellin(
     For w(t) = c t^beta the Hardy side (dual=False) is
     Hw f(r) = c int_{v<=0} f(r e^v) e^{(beta+1) v} dv and the Cesaro side is
     H*w f(r) = c int_{v>=0} f(r e^v) e^{(Q-1-beta) v} dv; a general weight
-    puts w(e^{+-v}) in place of c e^{+-beta v}.  Each evaluation at r = e^u
-    is one certified quadrature over the part of the half-line meeting f's
-    support, with the caller's measure power kappa folded into the kernel
-    and a power weight's c applied outside.
+    puts w(e^{+-v}) in place of c e^{+-beta v}.  An evaluation at the radii
+    r = e^u runs one certified quadrature per radius, all of them in one
+    call of the population engine, each over the part of the
+    half-line meeting f's support, with the caller's measure power kappa
+    folded into the kernel and a power weight's c applied outside.
 
     Soundness of the output metadata (a, b: f's origin and tail exponents;
     beta0: the weight's order at t = 0):
@@ -219,28 +221,19 @@ def _mellin(
             support=(sup_lo, math.inf), breakpoints=f.breakpoints,
         )
     scale = w.c if power else 1.0
-    f_breaks = f.log_breakpoints()
-
-    def point(u: float, kappa: float) -> float:
-        # r^kappa (T f)(r) at r = e^u
-        if dual:
-            v_lo, v_hi = max(0.0, log_lo - u), log_hi - u
-        else:
-            v_lo, v_hi = log_lo - u, min(0.0, log_hi - u)
-        if not v_lo < v_hi:
-            return 0.0
-        res = certified_log_integral(
-            lambda v: f.logeval(u + v, kappa) * kernel(v, kappa),
-            v_lo, v_hi, rate_lo=rate_lo, rate_hi=rate_hi, spec=spec,
-            seeds=tuple(b - u for b in f_breaks),
-        )
-        return scale * res.value
+    f_breaks = np.array(f.log_breakpoints())
 
     def logeval(u, kappa):
-        # one scalar quadrature per radius
+        # r^kappa (T f)(r) at r = e^u: one inner integral per radius, all in one engine call
         u = np.asarray(u, dtype=float)
-        vals = [point(float(ui), kappa) for ui in np.atleast_1d(u).ravel()]
-        return np.array(vals, dtype=float).reshape(u.shape)
+        flat = u.ravel()
+        if dual:
+            v_lo, v_hi = np.maximum(0.0, log_lo - flat), log_hi - flat
+        else:
+            v_lo, v_hi = log_lo - flat, np.minimum(0.0, log_hi - flat)
+        values, _ = _integrals(lambda v, m: f.logeval(flat[m] + v, kappa) * kernel(v, kappa),
+                               v_lo, v_hi, rate_lo, rate_hi, spec, f_breaks[None, :] - flat[:, None])
+        return (scale * values).reshape(u.shape)
 
     return RadialProfile(logeval, **meta)
 

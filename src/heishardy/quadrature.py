@@ -2,9 +2,11 @@
 
 Radial integrals of the form  int g(r) r^{Q-1} dr  over (0, infinity) are
 computed in the log-radius variable u = log r with an adaptive 15-point
-Gauss-Kronrod rule.  Each subdivision step evaluates all its panels in one
-integrand call (every seeded panel of an integral at once, then the two
-halves of each bisection), so integrands must be elementwise in their
+Gauss-Kronrod rule.  Integrals run as populations: one engine takes many
+integrals at once, each with its own window and seeds and exactly the
+steps it would take alone, and evaluates each step of all of them in one
+integrand call fun(u, member) (every seeded panel, then the two halves of
+each member's worst panel), so integrands must be elementwise in their
 array argument.  Working in u has three payoffs at once:
 
 * power-law endpoint singularities at r -> 0 become plain exponential
@@ -34,7 +36,6 @@ independently with identical results.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -141,142 +142,238 @@ _WG[1::2] = [
 ]
 
 
-def _panels(
-    fun: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """GK15 values and error estimates of the panels [lo[k], hi[k]] from one call of fun.
+_MEMBERS = 64  # integrals per population
+_CALL_PANELS = 256  # GK15 panels per integrand call, i.e. 3,840 points
 
-    fun sees the panel-major flat node array of shape (len(lo) * 15,).
+
+def _panels(fun: Callable, lo: np.ndarray, hi: np.ndarray, member: np.ndarray, failures: dict):
+    """GK15 values and error estimates of the panels [lo[k], hi[k]].
+
+    Panel k belongs to integral member[k] (ascending, each member's panels
+    contiguous); fun sees the flat nodes and their members, at most
+    _CALL_PANELS panels per call.  Each member's panels reduce as a matrix
+    product of their own, so its values are bitwise those it gets alone.
+    The first non-finite panel fails its member in `failures`.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = (mid[:, None] + half[:, None] * _XK).ravel()
-    y = np.asarray(fun(x), dtype=float).reshape(len(lo), _XK.size)
+    y = np.empty((len(lo), _XK.size))
+    for k in range(0, len(lo), _CALL_PANELS):
+        s = slice(k, k + _CALL_PANELS)
+        x = (mid[s, None] + half[s, None] * _XK).ravel()
+        y[s] = np.asarray(fun(x, np.repeat(member[s], _XK.size)), dtype=float).reshape(-1, _XK.size)
+    runs = np.bincount(member)
+    runs = runs[runs > 0]
+    starts = np.cumsum(runs) - runs
+    ik, ig = np.empty(len(lo)), np.empty(len(lo))
+    for n in set(runs.tolist()):  # np.unique would import numpy.ma, 25 ms per fresh process
+        rows = (starts[runs == n, None] + np.arange(n)).ravel()
+        block = y[rows].reshape(-1, n, _XK.size)
+        ik[rows], ig[rows] = (block @ _WK).ravel(), (block @ _WG).ravel()
     bad = ~np.isfinite(y).all(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
-        raise NonFiniteIntegrandError(
-            f"integrand not finite on panel [{float(lo[k])}, {float(hi[k])}]"
-        )
-    ik = half * (y @ _WK)
-    ig = half * (y @ _WG)
+        failures[int(member[k])] = NonFiniteIntegrandError(
+            f"integrand not finite on panel [{float(lo[k])}, {float(hi[k])}]")
+    ik, ig = half * ik, half * ig
     return ik, np.abs(ik - ig)
 
 
-def _adaptive(
-    fun: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    rel_tol: float,
-    abs_tol: float,
-    max_panels: int,
-    seeds: Sequence[float] = (),
-) -> tuple[float, float]:
-    """Globally adaptive GK15 bisection over [a, b] with seeded panel edges.
+def _bisect(
+    fun: Callable, edges: np.ndarray, rel_tol: float, abs_tol: float, max_panels: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Globally adaptive GK15 bisection of the integrals m of fun(u, m), one edge row each.
 
-    All seeded panels are evaluated in one call of fun, and each bisection
-    evaluates its two children in one more.
+    Row m of `edges` holds sorted distinct edges, nan-padded.  All seeded
+    panels are evaluated together; then each sweep bisects the worst live
+    panel (largest error, ties to the lowest index) of every unfinished
+    member and evaluates all the children in one call.  A member stops at
+    its first failure; the lowest failing member's error is raised once
+    all have stopped.  Returns the values and error estimates.
     """
-    if not b > a:
-        return 0.0, 0.0
-    edges = sorted({a, b, *(s for s in seeds if a < s < b)})
-    values, errors = _panels(fun, np.array(edges[:-1]), np.array(edges[1:]))
-    panels = [list(p) for p in zip(edges[:-1], edges[1:], values.tolist(), errors.tolist())]
-    total = 0.0
-    err = 0.0
-    for _, _, v, e in panels:
-        total += v
-        err += e
-    heap = [(-p[3], i) for i, p in enumerate(panels)]
-    heapq.heapify(heap)
-    frozen = 0.0  # error on panels at machine resolution, not reducible
-    while err + frozen > max(rel_tol * abs(total), abs_tol):
-        if len(panels) >= max_panels or not heap:
-            value = math.fsum(p[2] for p in panels)
-            if not heap:
-                return value, err + frozen
-            raise ToleranceNotReachedError(
-                f"tolerance not reached after {len(panels)} panels "
-                f"(estimate {value!r}, error {err + frozen!r})",
-                estimate=value,
-                error=err + frozen,
-            )
-        _, i = heapq.heappop(heap)
-        lo, hi, v_old, e_old = panels[i]
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            frozen += e_old
-            err -= e_old
-            panels[i][3] = 0.0
+    n = len(edges)
+    counts = np.sum(~np.isnan(edges), axis=1) - 1
+    used = np.arange(edges.shape[1] - 1) < counts[:, None]
+    failures = {}
+    v, e = _panels(fun, edges[:, :-1][used], edges[:, 1:][used], np.nonzero(used)[0], failures)
+
+    def wider(x, fill):  # panel rows with room for as many bisections again
+        return np.hstack([x, np.full(x.shape, fill)])
+
+    lo, hi, used = wider(edges[:, :-1], np.nan), wider(edges[:, 1:], np.nan), wider(used, False)
+    val = np.zeros(lo.shape)
+    key = np.full(lo.shape, -np.inf)  # error of each live panel; -inf once frozen or unused
+    val[used], key[used] = v, e
+    # running sums add the panels in order, as a scalar loop does (np.sum pairs them)
+    total = np.cumsum(val, axis=1)[:, -1]
+    err = np.cumsum(np.where(used, key, 0.0), axis=1)[:, -1]
+    frozen = np.zeros(n)  # error on panels at machine resolution, not reducible
+    done = np.zeros(n, dtype=bool)
+    while True:
+        done[list(failures)] = True
+        act = np.flatnonzero(~done)
+        if not act.size:
+            break
+        k = key[act].argmax(axis=1)
+        e_old = key[act, k]
+        tol = np.maximum(rel_tol * np.abs(total[act]), abs_tol)
+        more = (err[act] + frozen[act] > tol) & (e_old > -np.inf)
+        done[act[~more]] = True
+        full = more & (counts[act] >= max_panels)
+        for m in act[full].tolist():
+            value, error = math.fsum(val[m, :counts[m]].tolist()), float(err[m] + frozen[m])
+            failures[m] = ToleranceNotReachedError(
+                f"tolerance not reached after {int(counts[m])} panels "
+                f"(estimate {value!r}, error {error!r})", estimate=value, error=error)
+        more &= ~full
+        act, k, e_old = act[more], k[more], e_old[more]
+        a, b = lo[act, k], hi[act, k]
+        mid = 0.5 * (a + b)
+        flat = (mid <= a) | (mid >= b)
+        if flat.any():
+            frozen[act[flat]] += e_old[flat]
+            err[act[flat]] -= e_old[flat]
+            key[act[flat], k[flat]] = -np.inf
+            act, k, e_old, a, b, mid = (x[~flat] for x in (act, k, e_old, a, b, mid))
+        if not act.size:
             continue
-        values, errors = _panels(fun, np.array([lo, mid]), np.array([mid, hi]))
-        (v1, v2), (e1, e2) = values.tolist(), errors.tolist()
-        total += v1 + v2 - v_old
-        err += e1 + e2 - e_old
-        panels[i] = [lo, mid, v1, e1]
-        heapq.heappush(heap, (-e1, i))
-        panels.append([mid, hi, v2, e2])
-        heapq.heappush(heap, (-e2, len(panels) - 1))
-    return math.fsum(p[2] for p in panels), err + frozen
+        if counts[act].max() >= lo.shape[1]:
+            lo, hi, val, key = wider(lo, np.nan), wider(hi, np.nan), wider(val, 0.0), wider(key, -np.inf)
+        ends = np.stack([a, mid, b], axis=1)
+        v, e = (x.reshape(-1, 2) for x in _panels(
+            fun, ends[:, :2].ravel(), ends[:, 1:].ravel(), np.repeat(act, 2), failures))
+        total[act] += v[:, 0] + v[:, 1] - val[act, k]
+        err[act] += e[:, 0] + e[:, 1] - e_old
+        c = counts[act]
+        lo[act, c], hi[act, c], val[act, c], key[act, c] = mid, b, v[:, 1], e[:, 1]
+        hi[act, k], val[act, k], key[act, k] = mid, v[:, 0], e[:, 0]
+        counts[act] += 1
+    if failures:
+        raise failures[min(failures)]
+    return np.array([math.fsum(val[m, :counts[m]].tolist()) for m in range(n)]), err + frozen
 
 
-def _ladder(a: float, b: float, cap_near: float, cap_far: float) -> list[float]:
-    """Dyadic seed points growing away from `a` toward `b`, width-capped.
+def _ladder(a: np.ndarray, b: np.ndarray, cap_near: float, cap_far: float) -> np.ndarray:
+    """Dyadic seed points growing away from a[m] toward b[m], width-capped; nan-padded rows.
 
     The near-edge cap resolves structure on the local decay scale; the far
     cap bounds panel widths so smooth exponential variation stays inside
     the rule's reach on every panel.
     """
     width = b - a
-    cap_near = max(cap_near, width / 64.0)
-    cap_far = max(cap_far, width / 64.0)
-    seeds = []
-    step = min(cap_near, width) / 2.0
-    if step <= 0:
-        return seeds
-    x = a + step
-    while x < b and len(seeds) < 160:
-        seeds.append(x)
-        step = min(step * 2.0, cap_far)
-        x += step
-    return seeds
-
-
-def _two_sided_seeds(a: float, b: float, cap_lo: float, cap_hi: float) -> set[float]:
-    cap = max(cap_lo, cap_hi)
-    left = _ladder(a, b, cap_lo, cap)
-    right = [a + b - s for s in _ladder(a, b, cap_hi, cap)]
-    return set(left) | set(right)
+    step = np.minimum(np.maximum(cap_near, width / 64.0), width) / 2.0
+    # steps double (exactly) up to the far cap; seeds are their running sums from a, in order
+    steps = np.minimum(step[:, None] * 2.0 ** np.arange(160), np.maximum(cap_far, width / 64.0)[:, None])
+    x = np.cumsum(np.hstack([a[:, None], steps]), axis=1)[:, 1:]
+    inside = x < b[:, None]
+    return np.where(inside, x, np.nan)[:, :inside.sum(axis=1).max()]
 
 
 _TRUNC_EFOLDS = 45.0  # window length, in e-folds of decay, beyond which we cut
 _ENVELOPE_OFFSETS = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 12.0])
 
 
-def _envelope_cut(
-    fun, base: float, end: float, rate: float, sign: float, abs_tol: float
-) -> tuple[float, float]:
-    """Pull `end`, on side `sign` of `base`, in to where the decay envelope is negligible.
+def _cut(call, sel, base, end, rate, sign, abs_tol, trunc, failures) -> None:
+    """Pull end[m], on side `sign` of base[m], in to where the decay envelope is negligible.
 
-    The envelope C e^{-rate |u - base|} takes its constant from probing fun
-    and doubling; the cut sits where the neglected mass drops below
-    abs_tol/20, but no nearer than 13 units of u.  Returns the new end and that mass.
-    When the constant leaves float range a finite end is kept whole, and an
-    infinite one raises NonFiniteIntegrandError.
+    For each member m in sel, the envelope C e^{-rate |u - base|} takes its
+    constant from probing the integrand and doubling; the cut sits where the
+    neglected mass, added to trunc[m], drops below abs_tol/20, but no nearer
+    than 13 units of u.  When the constant leaves float range a finite end
+    is kept whole, and an infinite one fails with NonFiniteIntegrandError.
     """
-    offsets = _ENVELOPE_OFFSETS
-    probes = np.abs(fun(base + sign * offsets))
+    if not sel.size:
+        return
+    probes = call(base[sel, None] + sign * _ENVELOPE_OFFSETS, np.repeat(sel[:, None], 6, axis=1))
     # a probe that underflowed to zero bounds nothing, even where exp overflows
-    c_est = 2.0 * float(np.max(np.where(probes == 0.0, 0.0, probes * np.exp(rate * offsets))))
-    width = 13.0 if c_est == 0.0 else max(math.log(20.0 * c_est / (abs_tol * rate)) / rate, 13.0)
-    if not math.isfinite(width) and math.isinf(end):
-        raise NonFiniteIntegrandError(
-            f"no finite cutoff for the decay envelope at u = {base!r} (constant {c_est!r})"
-        )
-    cut = base + sign * width
-    if not sign * cut < sign * end:
-        return end, 0.0
-    return cut, c_est * math.exp(-rate * width) / rate
+    c_est = 2.0 * np.max(np.where(probes == 0.0, 0.0, probes * np.exp(rate * _ENVELOPE_OFFSETS)), axis=1)
+    for m, b, c in zip(sel.tolist(), base[sel].tolist(), c_est.tolist()):
+        width = 13.0 if c == 0.0 else max(math.log(20.0 * c / (abs_tol * rate)) / rate, 13.0)
+        if not math.isfinite(width) and math.isinf(end[m]):
+            failures[m] = NonFiniteIntegrandError(
+                f"no finite cutoff for the decay envelope at u = {b!r} (constant {c!r})")
+        elif sign * (b + sign * width) < sign * end[m]:
+            end[m] = b + sign * width
+            trunc[m] += c * math.exp(-rate * width) / rate
+
+
+def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """The integrals ids[m] over [lo[m], hi[m]] as one population; see _integrals."""
+    def call(x, m):
+        return np.abs(np.asarray(fun(x.ravel(), ids[m.ravel()]), dtype=float)).reshape(x.shape)
+
+    n = len(ids)
+    center = np.minimum(np.maximum(0.0, lo), hi)
+    trunc = np.zeros(n)
+    failures = {}  # member -> the error it raised; later stages skip members above the lowest
+    exp_decay = rate_hi == math.inf
+    if exp_decay:
+        # a finite window needs no cut under exponential decay
+        scan = np.flatnonzero(np.isinf(hi))
+        u = center[scan] + 1.0
+        for _ in range(300):
+            if not scan.size:
+                break
+            g = call(np.column_stack([u, u + 0.5]), np.column_stack([scan, scan]))
+            stop = (g[:, 0] < spec.abs_tol / 20.0) & (
+                g[:, 1] <= g[:, 0] * math.exp(-0.5) + spec.abs_tol / 100.0)
+            hi[scan[stop]] = u[stop]
+            trunc[scan[stop]] += g[stop, 0] * 2.0
+            scan, u = scan[~stop], u[~stop] + 1.0
+        failures.update((m, DivergentIntegralError("no certified cutoff for exponential tail"))
+                        for m in scan.tolist())
+    else:
+        far = np.isinf(hi) | (rate_hi * (hi - center) > _TRUNC_EFOLDS)
+        _cut(call, np.flatnonzero(far), center, hi, rate_hi, 1.0, spec.abs_tol, trunc, failures)
+    below = np.arange(n) < min(failures, default=n)
+    far = (np.isinf(lo) | (rate_lo * (center - lo) > _TRUNC_EFOLDS)) & below
+    _cut(call, np.flatnonzero(far), np.minimum(center, hi), lo, rate_lo, -1.0, spec.abs_tol, trunc, failures)
+
+    values, errors = np.zeros(n), trunc.copy()
+    live = (lo < hi) & (np.arange(n) < min(failures, default=n))
+    if live.any():
+        a, b = lo[live], hi[live]
+        cap_lo = 4.0 / max(abs(rate_lo), 0.25)
+        cap_hi = 2.0 if exp_decay else 4.0 / max(abs(rate_hi), 0.25)
+        cap = max(cap_lo, cap_hi)
+        inner = np.hstack([_ladder(a, b, cap_lo, cap), (a + b)[:, None] - _ladder(a, b, cap_hi, cap),
+                           seeds[live]])
+        inner[~((a[:, None] < inner) & (inner < b[:, None]))] = np.nan
+        edges = np.sort(np.hstack([a[:, None], inner, b[:, None]]), axis=1)
+        edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan  # a set of edges, as sorted(set(...))
+        value, err = _bisect(lambda x, m: fun(x, ids[live][m]), np.sort(edges, axis=1),
+                             spec.rel_tol, spec.abs_tol, spec.max_subdivisions)
+        values[live], errors[live] = value, err + trunc[live]
+    if failures:
+        raise failures[min(failures)]
+    return values, errors
+
+
+def _integrals(
+    fun: Callable, lo: np.ndarray, hi: np.ndarray, rate_lo: float, rate_hi: float,
+    spec: QuadratureSpec, seeds: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Certified integrals of fun(u, m) du over [lo[m], hi[m]] for every member m at once.
+
+    The engine behind certified_log_integral: each member takes exactly the
+    steps of one such integral, with seeds[m] (nan-padded) as extra panel
+    edges; fun is elementwise in u, and m names each point's member.
+    Populations hold at most _MEMBERS members.  An empty window gives 0;
+    the first failing member, in index order, raises its error.
+    """
+    if np.isinf(hi).any() and not rate_hi > 0:
+        raise DivergentIntegralError(f"non-decaying upper tail (rate {rate_hi} <= 0); divergent integral")
+    if np.isinf(lo).any() and not rate_lo > 0:
+        raise DivergentIntegralError(f"non-decaying lower tail (rate {rate_lo} <= 0); divergent integral")
+    values, errors = np.zeros(len(lo)), np.zeros(len(lo))
+    todo = np.flatnonzero(lo < hi)
+    # over/underflow in far-out evaluations is expected and handled
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for k in range(0, len(todo), _MEMBERS):
+            ids = todo[k:k + _MEMBERS]
+            values[ids], errors[ids] = _population(
+                fun, ids, lo[ids], hi[ids], rate_lo, rate_hi, spec, seeds[ids])
+    return values, errors
 
 
 def certified_log_integral(
@@ -304,59 +401,10 @@ def certified_log_integral(
     which also keeps profile evaluations away from regions where
     individual factors of an integrand would leave float range.
     """
-    if math.isinf(u_hi) and not rate_hi > 0:
-        raise DivergentIntegralError(
-            f"non-decaying upper tail (rate {rate_hi} <= 0); divergent integral"
-        )
-    if math.isinf(u_lo) and not rate_lo > 0:
-        raise DivergentIntegralError(
-            f"non-decaying lower tail (rate {rate_lo} <= 0); divergent integral"
-        )
-    # over/underflow in far-out evaluations is expected and handled
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        center = 0.0
-        if math.isfinite(u_lo):
-            center = max(center, u_lo)
-        if math.isfinite(u_hi):
-            center = min(center, u_hi)
-        trunc_err = 0.0
-        exp_decay = rate_hi == math.inf
-
-        if exp_decay:
-            # a finite window needs no cut under exponential decay
-            if math.isinf(u_hi):
-                u = center + 1.0
-                for _ in range(300):
-                    g0 = abs(float(fun(np.array(u))))
-                    g1 = abs(float(fun(np.array(u + 0.5))))
-                    if g0 < spec.abs_tol / 20.0 and g1 <= g0 * math.exp(-0.5) + spec.abs_tol / 100.0:
-                        break
-                    u += 1.0
-                else:
-                    raise DivergentIntegralError("no certified cutoff for exponential tail")
-                u_hi = u
-                trunc_err += g0 * 2.0
-        elif math.isinf(u_hi) or rate_hi * (u_hi - center) > _TRUNC_EFOLDS:
-            u_hi, err = _envelope_cut(fun, center, u_hi, rate_hi, 1.0, spec.abs_tol)
-            trunc_err += err
-
-        if math.isinf(u_lo) or rate_lo * (center - u_lo) > _TRUNC_EFOLDS:
-            u_lo, err = _envelope_cut(fun, min(center, u_hi), u_lo, rate_lo, -1.0, spec.abs_tol)
-            trunc_err += err
-
-        if not u_lo < u_hi:
-            return QuadResult(0.0, trunc_err)
-
-        cap_lo = 4.0 / max(abs(rate_lo), 0.25)
-        cap_hi = 2.0 if exp_decay else 4.0 / max(abs(rate_hi), 0.25)
-        all_seeds = _two_sided_seeds(u_lo, u_hi, cap_lo, cap_hi)
-        all_seeds.update(s for s in seeds if u_lo < s < u_hi)
-        value, err = _adaptive(
-            fun, u_lo, u_hi,
-            rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
-            max_panels=spec.max_subdivisions, seeds=sorted(all_seeds),
-        )
-        return QuadResult(value, err + trunc_err)
+    values, errors = _integrals(lambda u, m: fun(u), np.array([u_lo], dtype=float),
+                                np.array([u_hi], dtype=float), rate_lo, rate_hi, spec,
+                                np.array(seeds, dtype=float).reshape(1, -1))
+    return QuadResult(float(values[0]), float(errors[0]))
 
 
 # --- radial profiles ----------------------------------------------------------

@@ -18,9 +18,12 @@ from heishardy.operators import (
     weighted_cesaro,
     weighted_hardy,
 )
+from heishardy import quadrature
 from heishardy.quadrature import (
     DivergentIntegralError,
     QuadratureSpec,
+    RadialProfile,
+    ToleranceNotReachedError,
     constant_profile,
     exp_profile,
     mixture_profile,
@@ -300,3 +303,62 @@ class TestWeightFunction:
         w = weight_from_callable(lambda t: np.sqrt(np.asarray(t)), zero_exponent=0.5)
         want = 1.0 / 2.5  # int t^{1/2} t dt
         assert abs(w.moment(1.0, spec) - want) <= 1e-8
+
+
+def _recording(f, sizes):
+    """f, appending the size of every evaluation to `sizes`."""
+    def lv(u, kappa):
+        sizes.append(np.size(u))
+        return f.logeval(u, kappa)
+
+    return RadialProfile(lv, f.origin_exponent, f.tail_exponent, f.support, f.breakpoints)
+
+
+class TestPopulationEvaluation:
+    """All radii of one evaluation run as one population of inner integrals."""
+
+    OPERATORS = {
+        "hardy": lambda f, sp, s: hardy(f, sp, s),
+        "dual_hardy": lambda f, sp, s: dual_hardy(f, sp, s),
+        "weighted_hardy": lambda f, sp, s: weighted_hardy(f, power_weight(1.0, 1.0), sp, s),
+        "weighted_cesaro": lambda f, sp, s: weighted_cesaro(f, power_weight(1.0, 4.0), sp, s),
+        "general_weight": lambda f, sp, s: weighted_cesaro(
+            f, weight_from_callable(lambda t: np.asarray(t) ** 2, zero_exponent=2.0), sp, s),
+    }
+    INPUTS = {
+        "power": lambda: power_profile(-5.0, support=(1.0, INF)),
+        "exp": lambda: exp_profile(1.0),
+        "mixture": lambda: mixture_profile([exp_profile(1.0),
+                                            power_profile(-5.0, support=(1.0, INF))]),
+    }
+
+    @pytest.mark.parametrize("op", OPERATORS)
+    @pytest.mark.parametrize("inp", INPUTS)
+    def test_many_radii_match_one_at_a_time(self, op, inp, space1, spec):
+        out = self.OPERATORS[op](self.INPUTS[inp](), space1, spec)
+        u = np.linspace(-3.0, 3.0, 64)
+        together = out.logeval(u, 2.0)
+        alone = np.array([out.logeval(np.array([ui]), 2.0)[0] for ui in u])
+        assert np.all(np.abs(together - alone) <= 4e-16 * np.abs(alone))
+        assert np.any(together != 0.0)
+
+    @pytest.mark.parametrize("op,inp", [("hardy", "mixture"), ("dual_hardy", "exp")])
+    def test_integrand_calls_stay_under_the_point_cap(self, op, inp, space1, spec):
+        sizes = []
+        out = self.OPERATORS[op](_recording(self.INPUTS[inp](), sizes), space1, spec)
+        vals = out.logeval(np.linspace(-4.0, 4.0, 1000), 0.0)
+        assert np.all(np.isfinite(vals))
+        cap = quadrature._CALL_PANELS * quadrature._XK.size
+        assert sum(sizes) > cap
+        assert max(sizes) <= cap
+
+    def test_inner_tolerance_failure_propagates(self, space1):
+        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=3)
+        out = hardy(exp_profile(1.0), space1, spec)
+        u = np.linspace(-2.0, 2.0, 10)
+        with pytest.raises(ToleranceNotReachedError) as many:
+            out.logeval(u, 0.0)
+        with pytest.raises(ToleranceNotReachedError) as first:
+            out.logeval(u[:1], 0.0)
+        # the first failing radius, in order, is the one reported
+        assert str(many.value) == str(first.value)

@@ -14,7 +14,7 @@ from heishardy.quadrature import (
     _XK,
     _WG,
     _WK,
-    _adaptive,
+    _bisect,
     _panels,
     abs_power_profile,
     certified_log_integral,
@@ -150,8 +150,9 @@ class TestBatchedAdaptive:
             return 1.0 / np.sqrt(u)
 
         seeds = (0.25, 0.5, 0.75)
-        value, err = _adaptive(fun, 0.0, 1.0, rel_tol=1e-10, abs_tol=1e-300,
-                               max_panels=2000, seeds=seeds)
+        values, errors = _bisect(lambda u, m: fun(u), np.array([[0.0, *seeds, 1.0]]),
+                                 rel_tol=1e-10, abs_tol=1e-300, max_panels=2000)
+        value, err = float(values[0]), float(errors[0])
         assert calls[0] == (15 * (len(seeds) + 1),)
         assert len(calls) > 2
         assert all(shape == (30,) for shape in calls[1:])
@@ -164,7 +165,9 @@ class TestBatchedAdaptive:
         # the batched reduction against one dot product per panel
         lo = np.array([-3.0, -1.0, 0.5, 2.0])
         hi = np.array([-1.0, 0.5, 2.0, 9.0])
-        values, errors = _panels(np.cos, lo, hi)
+        failures = {}
+        values, errors = _panels(lambda u, m: np.cos(u), lo, hi, np.zeros(4, dtype=int), failures)
+        assert failures == {}
         for k, (a, b) in enumerate(zip(lo, hi)):
             half = 0.5 * (b - a)
             y = np.cos(0.5 * (a + b) + half * _XK)
@@ -176,10 +179,34 @@ class TestBatchedAdaptive:
     def test_non_finite_node_names_its_panel(self):
         edges = (0.0, 1.0, 2.0, 3.0, 4.0)
         bad = 2.5  # the center node of the third seeded panel [2, 3]
-        fun = lambda u: np.where(u == bad, math.nan, 1.0)  # noqa: E731
+        fun = lambda u, m: np.where(u == bad, math.nan, 1.0)  # noqa: E731
         with pytest.raises(NonFiniteIntegrandError, match=r"\[2\.0, 3\.0\]"):
-            _adaptive(fun, edges[0], edges[-1], rel_tol=1e-8, abs_tol=1e-14,
-                      max_panels=2000, seeds=edges[1:-1])
+            _bisect(fun, np.array([edges]), rel_tol=1e-8, abs_tol=1e-14, max_panels=2000)
+
+    def test_member_values_do_not_depend_on_the_call(self):
+        # each member's panels are reduced on their own, so a population gives
+        # every member bitwise the values it gets alone
+        rng = np.random.default_rng(5)
+        member = np.repeat(np.arange(8), np.arange(1, 9))
+        lo = rng.uniform(-5.0, 5.0, size=member.size)
+        hi = lo + rng.uniform(0.1, 2.0, size=member.size)
+        fun = lambda u, m: np.exp(-u * u) * (1.0 + m)  # noqa: E731
+        together = np.concatenate(_panels(fun, lo, hi, member, {}))
+        alone = [_panels(fun, lo[member == m], hi[member == m], member[member == m], {})
+                 for m in range(8)]
+        assert np.array_equal(together, np.concatenate([v for v, _ in alone] + [e for _, e in alone]))
+
+    def test_lowest_failing_member_is_raised(self):
+        # member 0 (int_0^1 u^{-1/2} du) runs out of panels many sweeps after
+        # member 1 meets a NaN in its seeded panels; in member order, 0 fails first
+        def fun(u, m):
+            return np.where(u > 1.5, math.nan, 1.0 / np.sqrt(u))
+
+        edges = np.array([[0.0, 0.5, 1.0], [1.0, 2.0, 3.0]])
+        with pytest.raises(ToleranceNotReachedError):
+            _bisect(fun, edges, rel_tol=1e-14, abs_tol=1e-300, max_panels=20)
+        with pytest.raises(NonFiniteIntegrandError, match=r"\[1\.0, 2\.0\]"):
+            _bisect(fun, edges[::-1].copy(), rel_tol=1e-14, abs_tol=1e-300, max_panels=20)
 
     def test_underflowed_envelope_probes_count_as_zero(self):
         # int_0^inf e^{-400 u} du: the far probes underflow to 0 while
@@ -190,12 +217,13 @@ class TestBatchedAdaptive:
 
     def test_exponential_tail_scan_evaluates_each_point_once(self):
         # int e^{u - e^u} du = int_0^inf e^{-r} dr = 1; the cutoff scan probes
-        # one point per 0-d call and must not come back to the point it stopped at
+        # two points (u and u + 1/2) per call, unlike the 6 envelope probes and
+        # the 15-point panels, and must not come back to the point it stopped at
         scanned = []
 
         def fun(u):
-            if u.ndim == 0:
-                scanned.append(float(u))
+            if u.size == 2:
+                scanned.extend(u.tolist())
             return np.exp(u - np.exp(u))
 
         res = certified_log_integral(fun, -INF, INF, rate_lo=1.0, rate_hi=INF,
