@@ -12,8 +12,8 @@ geom-check    randomized verification of the group geometry and gauge metric
 Every report carries a provenance block (config echo, seed, tolerances,
 package version) and is byte-identical across runs with the same
 configuration.  Exit status: 0 success, 2 invalid configuration, 3 numeric
-check failure (including a Monte Carlo sampler that ran out of rounds and an
-integrand that left float range).
+check failure (including an integrand that left float range).  geom-check's
+Monte Carlo volume check draws exact samples, so it runs at every n.
 
 Each option is declared once, in build_parser: a type= converter that
 validates through the library, a dest, and its default.  Each subcommand
@@ -44,7 +44,6 @@ from .quadrature import (
     NonFiniteIntegrandError,
     QuadratureSpec,
     RadialProfile,
-    SamplingBudgetError,
     ToleranceNotReachedError,
     exp_profile,
     mixture_profile,
@@ -468,8 +467,6 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("invalid configuration", exc, EXIT_CONFIG)
     except ToleranceNotReachedError as exc:
         return _fail("numeric tolerance failure", exc, EXIT_NUMERIC)
-    except SamplingBudgetError as exc:
-        return _fail("sampling budget exhausted", exc, EXIT_NUMERIC)
     except NonFiniteIntegrandError as exc:
         return _fail("non-finite integrand", exc, EXIT_NUMERIC)
 

@@ -9,8 +9,9 @@ radial exponent p and angular exponent pbar factorizes:
 For radial f (h constant 1) this collapses to the closed form with the
 prefactor omega_small^{1/pbar}, computed purely by certified quadrature.
 The angular factor of a genuinely separable function is estimated by
-seeded Monte Carlo over the gauge sphere with a reported standard error;
-every acceptance check against such estimates uses three-sigma bands.
+seeded Monte Carlo over the gauge sphere (exact_ball_sample, any n) with a
+reported standard error; every acceptance check against such estimates
+uses three-sigma bands.
 
 Radialization replaces f by its angular mean at each radius.  It leaves
 Hardy-operator output unchanged and never increases the mixed norm, and
@@ -25,15 +26,14 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import HeisSpace, sphere_project_array
+from .geometry import HeisSpace, koranyi_norm_array, sphere_project_array
 from .quadrature import (
     QuadratureSpec,
     QuadResult,
     RadialProfile,
     abs_power_profile,
+    exact_ball_sample,
     integrate_radial,
-    mc_ball_sample,
-    mc_sphere_sample,
     scaled_profile,
 )
 from .operators import hardy
@@ -129,7 +129,7 @@ def _sphere_mean(
     g: Callable[[np.ndarray], np.ndarray], space: HeisSpace, mc_count: int, seed: int
 ) -> tuple[float, float]:
     """(mean, standard error) of g over uniform gauge-sphere samples."""
-    return _mc_mean(g(mc_sphere_sample(space, mc_count, seed).coords))
+    return _mc_mean(g(sphere_project_array(exact_ball_sample(space, mc_count, seed), space.n)))
 
 
 def mixed_norm_separable(
@@ -144,7 +144,7 @@ def mixed_norm_separable(
     """Mixed norm of a separable function with Monte Carlo standard error.
 
     Separability factorizes the norm as A^{1/pbar} times the radial factor;
-    A is the angular pbar-moment estimated over mc_sphere_sample.  Radial
+    A is the angular pbar-moment estimated over gauge-sphere points.  Radial
     f short-circuits to the deterministic path with zero standard error.
     """
     if f.is_radial:
@@ -182,7 +182,7 @@ def radialize(
 
 @dataclass(frozen=True)
 class RadializationCheck:
-    """Both routes to the Hardy value at one radius, plus the MC error bar."""
+    """Both routes to the Hardy value at one radius, plus the error bar of their difference."""
 
     quadrature_side: float
     mc_side: float
@@ -202,20 +202,20 @@ def hardy_radialization_identity_check(
 ) -> RadializationCheck:
     """Hardy output is blind to the angular part: check both routes at one radius.
 
-    The quadrature side evaluates H(radialize f) at `radius`; the Monte
-    Carlo side averages f over a uniform sample of the gauge ball of that
-    radius (the ball average IS the Hardy value there).  The two must agree
-    within the Monte Carlo error bar.
+    The quadrature side is H(radialize f)(radius) = H(f.radial)(radius)
+    times the sphere mean of h; the Monte Carlo side averages f over a
+    uniform sample of the gauge ball of that radius (the ball average IS
+    the Hardy value there).  mc_stderr combines both sides' errors.
     """
     spec = spec or QuadratureSpec()
-    g = radialize(f, space, mc_count=mc_count, seed=seed + 1)
-    lhs = float(hardy(g, space, spec).eval(radius))  # a zero g maps to the zero profile
+    h0 = float(hardy(f.radial, space, spec).eval(radius))  # a zero radial part maps to the zero profile
+    mean_h, se_h = (1.0, 0.0) if f.is_radial else _sphere_mean(f.angular, space, mc_count, seed + 1)
 
-    batch = mc_ball_sample(space, mc_count, seed)
-    radii = radius * batch.radii()
-    vals = np.asarray(f.radial.eval(radii), dtype=float)
+    pts = exact_ball_sample(space, mc_count, seed)
+    vals = np.asarray(f.radial.eval(radius * koranyi_norm_array(pts)), dtype=float)
     if f.angular is not None:
         # dilation preserves direction, so angles come from the unit-ball points
-        vals = vals * np.asarray(f.angular(sphere_project_array(batch.coords, space.n)), dtype=float)
+        vals = vals * np.asarray(f.angular(sphere_project_array(pts, space.n)), dtype=float)
     mc, se = _mc_mean(vals)
-    return RadializationCheck(quadrature_side=lhs, mc_side=mc, mc_stderr=se)
+    return RadializationCheck(quadrature_side=h0 * mean_h, mc_side=mc,
+                              mc_stderr=math.hypot(se, abs(h0) * se_h))

@@ -27,11 +27,12 @@ DivergentIntegralError before the integrand is evaluated at all; an
 integrand that leaves float range raises NonFiniteIntegrandError.
 
 The Monte Carlo half of the module draws uniform points of the Koranyi
-unit ball by rejection from the enclosing box [-1, 1]^{2n+1}, using
-counter-based Philox streams keyed by (seed, round): the candidate for
-index i in round t is a pure function of (seed, t, i), so batches are
-bitwise reproducible and disjoint index ranges can be produced
-independently with identical results.
+unit ball from counter-based Philox streams: index i's point depends only
+on (seed, stream, i), so batches are bitwise reproducible and a batch is
+the prefix of any larger one.  exact_ball_sample draws from the ball law
+directly and serves every Monte Carlo estimate of the package, at any n.
+The box samplers mc_ball_sample and mc_sphere_sample reject from
+[-1, 1]^{2n+1} and report their acceptance rate, 1.5e-4 at n = 6.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ __all__ = [
     "SampleBatch",
     "mc_ball_sample",
     "mc_sphere_sample",
+    "exact_ball_sample",
 ]
 
 
@@ -623,8 +625,10 @@ def integrate_radial(
 
 # Box acceptance is the ball's share of [-1, 1]^{2n+1}: 0.62 at n = 1, 0.048
 # at n = 3, 1.5e-4 at n = 6.  After this many rounds each point stays
-# unfilled with probability 2e-212 at n = 3, 4.9e-6 at n = 5, 0.23 at n = 6.
+# unfilled with probability 2e-212 at n = 3, 4.9e-6 at n = 5, 0.23 at n = 6,
+# so the package's own estimates draw from exact_ball_sample instead.
 _MC_ROUNDS = 10_000
+_BALL_TAG = 0x42414C4C  # "BALL": Philox key tag of exact_ball_sample, apart from the box rounds
 
 
 @dataclass
@@ -699,3 +703,34 @@ def mc_sphere_sample(space: HeisSpace, count: int, seed: int) -> SampleBatch:
         coords=coords, seed=seed, acceptance_rate=ball.acceptance_rate,
         attempts=ball.attempts, kind="sphere",
     )
+
+
+def _gaussian_rows(count: int, k: int, seed: int, tag: int) -> tuple[np.ndarray, np.ndarray]:
+    """k standard normals and one uniform on [-1, 1) per row, from the stream (seed, tag).
+
+    Box-Muller keeps the uniforms per row fixed (Generator.standard_normal
+    and Generator.beta consume a variable number), so row i depends only on
+    (seed, tag, i).
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    h = (k + 1) // 2
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, tag], dtype=np.uint64)
+    w = np.random.Generator(np.random.Philox(key=key)).random((count, 2 * h + 1))
+    rad, ang = np.sqrt(-2.0 * np.log1p(-w[:, :h])), 2.0 * math.pi * w[:, h:2 * h]
+    return np.hstack([rad * np.cos(ang), rad * np.sin(ang)])[:, :k], 2.0 * w[:, -1] - 1.0
+
+
+def exact_ball_sample(space: HeisSpace, count: int, seed: int) -> np.ndarray:
+    """Uniform points of {|x|_h <= 1}, shape (count, 2n+1), without rejection.
+
+    For x = (z, t): u = |z|^4 ~ Beta(n/2, 3/2), drawn as A/(A+B) with A and B
+    sums of n and 3 squared normals; t is uniform on [-sqrt(1-u), sqrt(1-u)];
+    the direction of z is a normalized Gaussian.
+    """
+    n = space.n
+    g, t = _gaussian_rows(count, 3 * n + 3, seed, _BALL_TAG)
+    a, b = np.sum(g[:, 2 * n:3 * n] ** 2, axis=1), np.sum(g[:, 3 * n:] ** 2, axis=1)
+    u = a / (a + b)
+    z = g[:, :2 * n] * (u**0.25 / np.linalg.norm(g[:, :2 * n], axis=1))[:, None]
+    return np.column_stack([z, t * np.sqrt(1.0 - u)])

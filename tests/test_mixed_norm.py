@@ -173,6 +173,32 @@ class TestContraction:
                                                  mc_count=200_000, seed=9, radius=1.0)
         assert chk.agrees(3.0)
 
+    def test_identity_error_bar_is_calibrated(self, space1, spec):
+        # the z-scores of the check have unit spread only when mc_stderr
+        # carries the sphere mean's error too (without it: 1.37)
+        f = SeparableFunction(
+            radial=exp_profile(1.0),
+            angular=lambda pts: 1.0 + 0.9 * np.sin(math.pi * pts[:, 0]),
+        )
+        z = []
+        for seed in range(0, 2000, 10):
+            chk = hardy_radialization_identity_check(f, space1, spec, mc_count=2_000, seed=seed)
+            z.append((chk.quadrature_side - chk.mc_side) / chk.mc_stderr)
+        # 200 z-scores: their standard deviation has a standard error of 0.05
+        assert 0.85 <= np.std(z, ddof=1) <= 1.15
+
+    def test_identity_and_norm_at_n6(self, spec):
+        # box rejection runs out of rounds at n = 6; these estimates do not
+        space = heis_space(6)
+        f = SeparableFunction(
+            radial=exp_profile(1.0),
+            angular=lambda pts: 1.0 + 0.5 * np.sin(math.pi * pts[:, 0]),
+        )
+        chk = hardy_radialization_identity_check(f, space, spec, mc_count=20_000, seed=9)
+        assert chk.mc_stderr > 0.0 and chk.agrees(3.0)
+        est = mixed_norm_separable(f, 2.0, 2.0, space, spec, mc_count=20_000, seed=9)
+        assert math.isfinite(est.value) and est.stderr > 0.0
+
     def test_identity_trivial_for_radial(self, space1, spec):
         f = SeparableFunction(radial=exp_profile(1.0), angular=None)
         chk = hardy_radialization_identity_check(f, space1, spec,

@@ -3,8 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from heishardy.geometry import dilate_array, heis_space, koranyi_norm_array
-from heishardy.quadrature import mc_ball_sample, mc_sphere_sample
+from heishardy.geometry import (
+    dilate_array,
+    heis_space,
+    koranyi_norm_array,
+    run_geometry_checks,
+    sphere_project_array,
+)
+from heishardy.quadrature import (
+    SamplingBudgetError,
+    exact_ball_sample,
+    mc_ball_sample,
+    mc_sphere_sample,
+)
 
 # two-sided 1% critical value for the Kolmogorov-Smirnov statistic
 KS_CRIT_1PCT = 1.62762
@@ -92,6 +103,11 @@ class TestBallSampler:
         with pytest.raises(ValueError):
             mc_ball_sample(space1, 0, 1)
 
+    def test_runs_out_of_rounds_at_n6(self):
+        # box acceptance 1.5e-4: 100 points outlast the 10,000 rounds
+        with pytest.raises(SamplingBudgetError):
+            mc_ball_sample(heis_space(6), 100, 7)
+
 
 class TestSphereSampler:
     def test_unit_norm_to_tolerance(self, space1):
@@ -118,3 +134,48 @@ class TestSphereSampler:
         a = mc_sphere_sample(space1, 2000, 77)
         b = mc_sphere_sample(space1, 2000, 78)
         assert not np.array_equal(a.coords, b.coords)
+
+
+class TestExactBallSampler:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_law_of_the_gauge_ball(self, n):
+        space = heis_space(n)
+        pts = exact_ball_sample(space, 100_000, 1000 + n)
+        assert pts.shape == (100_000, space.dim)
+        radii = koranyi_norm_array(pts)
+        assert np.max(radii) <= 1.0 + 1e-12  # rounding of |z|^4 + t^2 = 1 at the rim
+        # P(|x|_h <= r) = r^Q, so half the points lie inside radius 2^(-1/Q)
+        assert binomial_stderrs(np.mean(radii <= 2.0 ** (-1.0 / space.q)), 0.5, len(pts)) <= 3.0
+        # the horizontal coordinates' sum and t are odd statistics
+        for stat in (pts[:, :-1].sum(axis=1), pts[:, -1]):
+            assert abs(stat.mean()) <= 3.0 * stat.std(ddof=1) / math.sqrt(len(stat))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cylinder_volume_estimate(self, n):
+        # run_geometry_checks rejects from B^{2n} x [-1, 1]; its z-score
+        # against the closed-form Lebesgue volume is the statistic
+        rep = run_geometry_checks(heis_space(n), triples=10, seed=2000 + n, mc_count=100_000)
+        assert rep.mc_volume_expected == heis_space(n).unit_ball_lebesgue
+        assert rep.mc_volume_stderrs <= 3.0
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_determinism_and_prefix_stability(self, n):
+        space = heis_space(n)
+        big = exact_ball_sample(space, 20_000, 9)
+        assert np.array_equal(big, exact_ball_sample(space, 20_000, 9))
+        assert np.array_equal(big[:1_000], exact_ball_sample(space, 1_000, 9))
+        assert not np.array_equal(big[:1_000], exact_ball_sample(space, 1_000, 10))
+
+    def test_rejects_bad_count(self, space1):
+        with pytest.raises(ValueError):
+            exact_ball_sample(space1, 0, 1)
+        with pytest.raises(ValueError):
+            run_geometry_checks(space1, triples=10, mc_count=0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_sphere_moment_matches_box_sampler(self, n):
+        space = heis_space(n)
+        exact = sphere_project_array(exact_ball_sample(space, 200_000, 32), n)[:, -1] ** 2
+        box = mc_sphere_sample(space, 200_000, 31).coords[:, -1] ** 2
+        se = math.hypot(exact.std(ddof=1), box.std(ddof=1)) / math.sqrt(200_000)
+        assert abs(exact.mean() - box.mean()) <= 3.0 * se
