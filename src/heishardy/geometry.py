@@ -12,6 +12,11 @@ the coordinate-space Lebesgue volume of the unit gauge ball
 {x : |x|_h <= 1}.  Both closed forms are exposed on HeisSpace
 (`omega_big` and `unit_ball_lebesgue`); the volume check of
 run_geometry_checks estimates the latter at any n.
+
+Every seeded draw of the package starts from _stream(seed, tag), the
+counter-based random stream keyed (seed mod 2^64, tag); _gaussian_rows
+turns one such stream into fixed-width rows of normals and a uniform, so
+row i depends only on (seed, tag, i).
 """
 
 from __future__ import annotations
@@ -228,6 +233,30 @@ def ball_volume(space: HeisSpace, r: float) -> float:
     return space.omega_big * r**space.q
 
 
+# --- seeded streams -----------------------------------------------------------
+
+
+def _stream(seed: int, tag: int) -> np.random.Generator:
+    """The Philox stream keyed (seed mod 2^64, tag); tags keep the package's draws apart."""
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed & 0xFFFFFFFFFFFFFFFF, tag], dtype=np.uint64)))
+
+
+def _gaussian_rows(count: int, k: int, seed: int, tag: int) -> tuple[np.ndarray, np.ndarray]:
+    """k standard normals and one uniform on [-1, 1) per row, from the stream (seed, tag).
+
+    Box-Muller keeps the uniforms per row fixed (Generator.standard_normal
+    and Generator.beta consume a variable number), so row i depends only on
+    (seed, tag, i).
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    h = (k + 1) // 2
+    w = _stream(seed, tag).random((count, 2 * h + 1))
+    rad, ang = np.sqrt(-2.0 * np.log1p(-w[:, :h])), 2.0 * math.pi * w[:, h:2 * h]
+    return np.hstack([rad * np.cos(ang), rad * np.sin(ang)])[:, :k], 2.0 * w[:, -1] - 1.0
+
+
 # --- bulk property suite ----------------------------------------------------
 
 
@@ -278,10 +307,8 @@ def run_geometry_checks(
     cylinder B^{2n} x [-1, 1] that fall in the ball, whose expectation
     (n/2) B(n/2, 3/2) is 0.79 at n = 1 and 0.46 at n = 6.
     """
-    from .quadrature import _gaussian_rows  # local import avoids a cycle
-
     n, d = space.n, space.dim
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0x47454F], dtype=np.uint64)))
+    rng = _stream(seed, 0x47454F)  # "GEO"
     x, y, z = (rng.uniform(-10.0, 10.0, size=(triples, d)) for _ in range(3))
 
     lhs = group_mul_array(group_mul_array(x, y, n), z, n)

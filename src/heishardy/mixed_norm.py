@@ -96,7 +96,7 @@ def radial_norm_with_error(
     p: float,
     p_bar: float,
     space: HeisSpace,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = QuadratureSpec(),
 ) -> QuadResult:
     """Mixed norm omega_small^{1/pbar} (int |f|^p r^{Q-1} dr)^{1/p} of a radial f.
 
@@ -106,7 +106,6 @@ def radial_norm_with_error(
     allowance for the tolerance of any quadratures nested inside f's
     evaluations (operator outputs), both mapped through the 1/p power.
     """
-    spec = spec or QuadratureSpec()
     res = integrate_radial(abs_power_profile(f, p), space, spec=spec)
     if res.value <= 0.0:
         return QuadResult(0.0, res.error)
@@ -137,7 +136,7 @@ def mixed_norm_separable(
     p: float,
     p_bar: float,
     space: HeisSpace,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = QuadratureSpec(),
     mc_count: int = 20_000,
     seed: int = 0,
 ) -> NormEstimate:
@@ -149,7 +148,6 @@ def mixed_norm_separable(
     """
     if f.is_radial:
         return NormEstimate(radial_norm_with_error(f.radial, p, p_bar, space, spec).value, 0.0)
-    spec = spec or QuadratureSpec()
     if f.radial.is_zero:
         return NormEstimate(0.0, 0.0)
     radial_int = integrate_radial(abs_power_profile(f.radial, p), space, spec=spec)
@@ -188,14 +186,14 @@ class RadializationCheck:
     mc_side: float
     mc_stderr: float
 
-    def agrees(self, n_sigma: float = 3.0, slack: float = 1e-9) -> bool:
-        return abs(self.quadrature_side - self.mc_side) <= n_sigma * self.mc_stderr + slack
+    def agrees(self, n_sigma: float = 3.0) -> bool:
+        return abs(self.quadrature_side - self.mc_side) <= n_sigma * self.mc_stderr + 1e-9
 
 
 def hardy_radialization_identity_check(
     f: SeparableFunction,
     space: HeisSpace,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = QuadratureSpec(),
     mc_count: int = 50_000,
     seed: int = 0,
     radius: float = 1.0,
@@ -207,7 +205,6 @@ def hardy_radialization_identity_check(
     uniform sample of the gauge ball of that radius (the ball average IS
     the Hardy value there).  mc_stderr combines both sides' errors.
     """
-    spec = spec or QuadratureSpec()
     h0 = float(hardy(f.radial, space, spec).eval(radius))  # a zero radial part maps to the zero profile
     mean_h, se_h = (1.0, 0.0) if f.is_radial else _sphere_mean(f.angular, space, mc_count, seed + 1)
 

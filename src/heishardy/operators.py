@@ -79,7 +79,7 @@ class WeightFunction:
             t = np.exp(np.maximum(v, -745.0))
         return np.asarray(self.eval(t), dtype=float)
 
-    def moment(self, exponent: float, spec: QuadratureSpec | None = None) -> float:
+    def moment(self, exponent: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
         """int_0^1 t^exponent w(t) dt, exact for the power family."""
         rate = exponent + self.zero_exponent + 1.0
         if rate <= 0:
@@ -90,7 +90,7 @@ class WeightFunction:
             return self.c / rate
         res = certified_log_integral(
             lambda v: self.eval_log(v) * np.exp((exponent + 1.0) * v),
-            -math.inf, 0.0, rate_lo=rate, rate_hi=1.0, spec=spec or QuadratureSpec(),
+            -math.inf, 0.0, rate_lo=rate, rate_hi=1.0, spec=spec,
         )
         return res.value
 
@@ -151,7 +151,7 @@ def _mellin(
     f: RadialProfile,
     w: WeightFunction,
     space: HeisSpace,
-    spec: QuadratureSpec | None,
+    spec: QuadratureSpec,
     dual: bool,
 ) -> RadialProfile:
     """The one operator routine: f against a weight kernel in v = log(s / r).
@@ -181,13 +181,12 @@ def _mellin(
       1e-6 at a tie for the logarithm.  The output lives on (0, sup_hi),
       kinked at sup_lo, which is therefore a breakpoint.
     """
-    spec = (spec or QuadratureSpec()).inner()
+    spec = spec.inner()
     q = float(space.q)
     if f.is_zero:
         return zero_profile()
     sup_lo, sup_hi = f.support
-    log_lo = math.log(sup_lo) if sup_lo > 0.0 else -math.inf
-    log_hi = math.log(sup_hi) if math.isfinite(sup_hi) else math.inf
+    log_lo, log_hi = f.log_support
     # a power weight's exponent is folded into the one exp, which keeps the
     # factors in float range even on slowly converging windows
     power = w.family == "power"
@@ -238,7 +237,7 @@ def _mellin(
     return RadialProfile(logeval, **meta)
 
 
-def hardy(f: RadialProfile, space: HeisSpace, spec: QuadratureSpec | None = None) -> RadialProfile:
+def hardy(f: RadialProfile, space: HeisSpace, spec: QuadratureSpec = QuadratureSpec()) -> RadialProfile:
     """Ball average (Q / r^Q) int_0^r f(s) s^{Q-1} ds as a lazy profile.
 
     Needs f integrable against s^{Q-1} near the origin.  The output decays
@@ -247,7 +246,7 @@ def hardy(f: RadialProfile, space: HeisSpace, spec: QuadratureSpec | None = None
     return _mellin(f, HARDY.weight_on(space), space, spec, dual=False)
 
 
-def dual_hardy(f: RadialProfile, space: HeisSpace, spec: QuadratureSpec | None = None) -> RadialProfile:
+def dual_hardy(f: RadialProfile, space: HeisSpace, spec: QuadratureSpec = QuadratureSpec()) -> RadialProfile:
     """Q int_r^inf f(s) / s ds as a lazy profile.
 
     Needs f(s)/s integrable at infinity (tail exponent < 0).  Below the
@@ -258,7 +257,7 @@ def dual_hardy(f: RadialProfile, space: HeisSpace, spec: QuadratureSpec | None =
 
 
 def weighted_hardy(
-    f: RadialProfile, w: WeightFunction, space: HeisSpace, spec: QuadratureSpec | None = None
+    f: RadialProfile, w: WeightFunction, space: HeisSpace, spec: QuadratureSpec = QuadratureSpec()
 ) -> RadialProfile:
     """int_0^1 f(t r) w(t) dt as a lazy profile.
 
@@ -270,7 +269,7 @@ def weighted_hardy(
 
 
 def weighted_cesaro(
-    f: RadialProfile, w: WeightFunction, space: HeisSpace, spec: QuadratureSpec | None = None
+    f: RadialProfile, w: WeightFunction, space: HeisSpace, spec: QuadratureSpec = QuadratureSpec()
 ) -> RadialProfile:
     """int_0^1 f(r / t) t^{-Q} w(t) dt as a lazy profile.
 
@@ -282,7 +281,7 @@ def weighted_cesaro(
 
 
 def apply_operator(
-    kind: OperatorKind, f: RadialProfile, space: HeisSpace, spec: QuadratureSpec | None = None
+    kind: OperatorKind, f: RadialProfile, space: HeisSpace, spec: QuadratureSpec = QuadratureSpec()
 ) -> RadialProfile:
     """Apply the operator `kind` to f as a lazy profile."""
     return _mellin(f, kind.weight_on(space), space, spec, kind.dual)
@@ -293,7 +292,7 @@ def duality_pairing_check(
     g: RadialProfile,
     w: WeightFunction,
     space: HeisSpace,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = QuadratureSpec(),
 ) -> tuple[float, float]:
     """Both sides of the adjointness identity between Hw and H*w.
 
@@ -302,7 +301,6 @@ def duality_pairing_check(
         rhs = omega_small * int g(r) (H*w f)(r) r^{Q-1} dr,
     each by its own nested quadrature; callers assert closeness.
     """
-    spec = spec or QuadratureSpec()
 
     def pairing(a: RadialProfile, b: RadialProfile) -> float:
         # integrate_radial raises DivergentIntegralError on divergent metadata

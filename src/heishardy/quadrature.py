@@ -27,11 +27,12 @@ DivergentIntegralError before the integrand is evaluated at all; an
 integrand that leaves float range raises NonFiniteIntegrandError.
 
 The Monte Carlo half of the module draws uniform points of the Koranyi
-unit ball from counter-based Philox streams: index i's point depends only
-on (seed, stream, i), so batches are bitwise reproducible and a batch is
-the prefix of any larger one.  exact_ball_sample draws from the ball law
-directly and serves every Monte Carlo estimate of the package, at any n.
-The box samplers mc_ball_sample and mc_sphere_sample reject from
+unit ball from the seeded streams of the geometry module (geometry._stream
+and its fixed-width rows, geometry._gaussian_rows): index i's point depends
+only on (seed mod 2^64, stream, i), so batches are bitwise reproducible and
+a batch is the prefix of any larger one.  exact_ball_sample draws from the
+ball law directly and serves every Monte Carlo estimate of the package, at
+any n.  The box samplers mc_ball_sample and mc_sphere_sample reject from
 [-1, 1]^{2n+1} and report their acceptance rate, 1.5e-4 at n = 6.
 """
 
@@ -43,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import HeisSpace, koranyi_norm_array, sphere_project_array
+from .geometry import HeisSpace, _gaussian_rows, _stream, koranyi_norm_array, sphere_project_array
 
 __all__ = [
     "DivergentIntegralError",
@@ -95,20 +96,16 @@ class ToleranceNotReachedError(ArithmeticError):
 class QuadratureSpec:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-14
-    max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise ValueError("tolerances must be finite and strictly positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
     def inner(self) -> "QuadratureSpec":
         """Tighter spec for quadratures nested inside another integrand."""
         return QuadratureSpec(
             rel_tol=max(self.rel_tol * 1e-2, 1e-13),
             abs_tol=max(self.abs_tol * 1e-2, 1e-18),
-            max_subdivisions=self.max_subdivisions,
         )
 
 
@@ -146,6 +143,7 @@ _WG[1::2] = [
 
 _MEMBERS = 64  # integrals per population
 _CALL_PANELS = 256  # GK15 panels per integrand call, i.e. 3,840 points
+_MAX_PANELS = 2000  # panels per integral before ToleranceNotReachedError
 
 
 def _panels(fun: Callable, lo: np.ndarray, hi: np.ndarray, member: np.ndarray, failures: dict):
@@ -344,7 +342,7 @@ def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds) -> tuple[np.nda
         edges = np.sort(np.hstack([a[:, None], inner, b[:, None]]), axis=1)
         edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan  # a set of edges, as sorted(set(...))
         value, err = _bisect(lambda x, m: fun(x, ids[live][m]), np.sort(edges, axis=1),
-                             spec.rel_tol, spec.abs_tol, spec.max_subdivisions)
+                             spec.rel_tol, spec.abs_tol, _MAX_PANELS)
         values[live], errors[live] = value, err + trunc[live]
     if failures:
         raise failures[min(failures)]
@@ -442,18 +440,17 @@ class RadialProfile:
         self.origin_exponent = float(origin_exponent)
         self.tail_exponent = float(tail_exponent)
         self.support = (float(lo), float(hi))
+        # the support in u = log r, the variable every evaluation works in
+        self.log_support = (math.log(lo) if lo > 0.0 else -math.inf,
+                            math.log(hi) if math.isfinite(hi) else math.inf)
         self.breakpoints = tuple(sorted({b for b in breakpoints if 0.0 < b < math.inf}))
         self.is_zero = is_zero
 
     def logeval(self, u, kappa: float = 0.0) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        if self.is_zero:
-            return np.zeros_like(u)
         vals = np.asarray(self._logeval(u, kappa), dtype=float)
-        lo, hi = self.support
-        if lo > 0.0 or math.isfinite(hi):
-            ulo = math.log(lo) if lo > 0.0 else -math.inf
-            uhi = math.log(hi) if math.isfinite(hi) else math.inf
+        ulo, uhi = self.log_support
+        if ulo > -math.inf or uhi < math.inf:
             vals = np.where((u >= ulo) & (u <= uhi), vals, 0.0)
         return vals
 
@@ -468,9 +465,7 @@ class RadialProfile:
 
     def log_breakpoints(self) -> tuple[float, ...]:
         pts = [math.log(b) for b in self.breakpoints]
-        for s in self.support:
-            if 0.0 < s < math.inf:
-                pts.append(math.log(s))
+        pts.extend(u for u in self.log_support if math.isfinite(u))
         return tuple(sorted(set(pts)))
 
 
@@ -591,7 +586,7 @@ def integrate_radial(
     g: RadialProfile,
     space: HeisSpace,
     interval: tuple[float, float] = (0.0, math.inf),
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = QuadratureSpec(),
 ) -> QuadResult:
     """int g(r) r^{Q-1} dr over the interval, with a certified error estimate.
 
@@ -599,19 +594,16 @@ def integrate_radial(
     and ToleranceNotReachedError (carrying the best estimate) when the
     subdivision budget runs out.
     """
-    spec = spec or QuadratureSpec()
     lo, hi = interval
     if not (0.0 <= lo < hi):
         raise ValueError(f"bad interval {interval}")
-    if g.is_zero:
-        return QuadResult(0.0, 0.0)
-    lo, hi = max(lo, g.support[0]), min(hi, g.support[1])
-    if not lo < hi:
+    # the interval clipped to g's support, in u = log r
+    u_lo = max(math.log(lo) if lo > 0.0 else -math.inf, g.log_support[0])
+    u_hi = min(math.log(hi) if math.isfinite(hi) else math.inf, g.log_support[1])
+    if g.is_zero or not u_lo < u_hi:
         return QuadResult(0.0, 0.0)
 
     q = float(space.q)
-    u_lo = math.log(lo) if lo > 0.0 else -math.inf
-    u_hi = math.log(hi) if math.isfinite(hi) else math.inf
     rate_lo = g.origin_exponent + q          # required > 0 if u_lo = -inf
     rate_hi = -(g.tail_exponent + q)         # required > 0 if u_hi = +inf
     return certified_log_integral(
@@ -628,7 +620,7 @@ def integrate_radial(
 # unfilled with probability 2e-212 at n = 3, 4.9e-6 at n = 5, 0.23 at n = 6,
 # so the package's own estimates draw from exact_ball_sample instead.
 _MC_ROUNDS = 10_000
-_BALL_TAG = 0x42414C4C  # "BALL": Philox key tag of exact_ball_sample, apart from the box rounds
+_BALL_TAG = 0x42414C4C  # "BALL": stream tag of exact_ball_sample, apart from the box rounds
 
 
 @dataclass
@@ -657,7 +649,7 @@ def mc_ball_sample(space: HeisSpace, count: int, seed: int) -> SampleBatch:
 
     The ball sits inside the box because |x|_h <= 1 forces both the
     horizontal square-sum and the last coordinate into [-1, 1].  Candidate
-    row i of round t comes from the Philox stream keyed (seed, t), so the
+    row i of round t comes from the stream _stream(seed, t), so the
     accepted point at index i depends only on (seed, t, i).  Raises
     SamplingBudgetError when some index is still unfilled after _MC_ROUNDS
     rounds, which is likely from n = 6 on.
@@ -669,9 +661,7 @@ def mc_ball_sample(space: HeisSpace, count: int, seed: int) -> SampleBatch:
     pending = np.arange(count)
     attempts = 0
     for rnd in range(_MC_ROUNDS):
-        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, rnd], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        cand = gen.random((count, d)) * 2.0 - 1.0
+        cand = _stream(seed, rnd).random((count, d)) * 2.0 - 1.0
         cand = cand[pending]
         attempts += len(pending)
         accept = koranyi_norm_array(cand) <= 1.0
@@ -703,22 +693,6 @@ def mc_sphere_sample(space: HeisSpace, count: int, seed: int) -> SampleBatch:
         coords=coords, seed=seed, acceptance_rate=ball.acceptance_rate,
         attempts=ball.attempts, kind="sphere",
     )
-
-
-def _gaussian_rows(count: int, k: int, seed: int, tag: int) -> tuple[np.ndarray, np.ndarray]:
-    """k standard normals and one uniform on [-1, 1) per row, from the stream (seed, tag).
-
-    Box-Muller keeps the uniforms per row fixed (Generator.standard_normal
-    and Generator.beta consume a variable number), so row i depends only on
-    (seed, tag, i).
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    h = (k + 1) // 2
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, tag], dtype=np.uint64)
-    w = np.random.Generator(np.random.Philox(key=key)).random((count, 2 * h + 1))
-    rad, ang = np.sqrt(-2.0 * np.log1p(-w[:, :h])), 2.0 * math.pi * w[:, h:2 * h]
-    return np.hstack([rad * np.cos(ang), rad * np.sin(ang)])[:, :k], 2.0 * w[:, -1] - 1.0
 
 
 def exact_ball_sample(space: HeisSpace, count: int, seed: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import HeisSpace
+from .geometry import HeisSpace, _stream
 from .mixed_norm import MixedExponents, radial_norm_with_error
 from .operators import OperatorKind, apply_operator
 from .quadrature import (
@@ -94,7 +94,7 @@ class RatioReport:
         return self.ratio <= self.constant * (1.0 + 1e-6 + self.error_estimate)
 
 
-def theoretical_constant(q: SharpConstantQuery, spec: QuadratureSpec | None = None) -> float:
+def theoretical_constant(q: SharpConstantQuery, spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Closed-form sharp constant for the query; exact moments for power weights.
 
     Raises UnboundedOperatorError when the defining weight moment diverges
@@ -150,10 +150,9 @@ def _ratio_report(
 
 
 def extremal_ratio(
-    q: SharpConstantQuery, eps: float, spec: QuadratureSpec | None = None
+    q: SharpConstantQuery, eps: float, spec: QuadratureSpec = QuadratureSpec()
 ) -> RatioReport:
     """Norm ratio ||T f_eps||_{p, pbar2} / ||f_eps||_{p, pbar1} by quadrature."""
-    spec = spec or QuadratureSpec()
     constant = theoretical_constant(q, spec)
     f = extremal_profile(eps, q.exps.p, q.space)
     return _ratio_report(q, f, constant, spec, eps, inner_rel_tol=spec.inner().rel_tol)
@@ -174,7 +173,7 @@ def check_eps_grid(eps_list: Sequence[float]) -> list[float]:
 def convergence_table(
     q: SharpConstantQuery,
     eps_list: Sequence[float] = DEFAULT_EPS_GRID,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = QuadratureSpec(),
 ) -> list[RatioReport]:
     """One RatioReport per epsilon, for a strictly decreasing grid in (0, 1)."""
     return [extremal_ratio(q, eps, spec) for eps in check_eps_grid(eps_list)]
@@ -216,7 +215,7 @@ def upper_bound_probe(
     q: SharpConstantQuery,
     trials: int,
     seed: int,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = QuadratureSpec(),
 ) -> RatioReport:
     """Max norm ratio over random admissible profiles; must stay below the constant.
 
@@ -227,13 +226,10 @@ def upper_bound_probe(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    spec = spec or QuadratureSpec()
     constant = theoretical_constant(q, spec)
     worst: RatioReport | None = None
     for trial in range(trials):
-        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0x9E3779B9 + trial], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        f = _random_admissible_profile(rng, q)
+        f = _random_admissible_profile(_stream(seed, 0x9E3779B9 + trial), q)
         report = _ratio_report(q, f, constant, spec, math.nan, seed=seed, trial=trial)
         if not report.sandwich_ok:
             raise SharpnessViolationError(

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,22 @@ import heishardy
 MODULES = sorted(m.name for m in pkgutil.iter_modules(heishardy.__path__, "heishardy."))
 LIBRARY = ["heishardy.geometry", "heishardy.mixed_norm", "heishardy.operators",
            "heishardy.quadrature", "heishardy.sharp_constants"]
+
+
+# each library module may import, from the package, only the modules before it
+LAYERS = ["geometry", "quadrature", "operators", "mixed_norm", "sharp_constants"]
+
+
+def _package_imports(name: str) -> set[str]:
+    """Package modules that `name` imports with `from .x import`, function bodies included."""
+    tree = ast.parse(Path(heishardy.__file__).with_name(f"{name}.py").read_text())
+    return {node.module or "__init__" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0}
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_library_imports_only_lower_layers(name):
+    assert _package_imports(name) <= set(LAYERS[:LAYERS.index(name)])
 
 
 def test_library_modules_declare_all():

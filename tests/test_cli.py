@@ -188,6 +188,11 @@ class TestGeomCheckCommand:
         assert status == EXIT_OK
         assert all(row["all_pass"] for row in json.loads(out)["results"])
 
+    def test_seed_is_taken_mod_2_64(self, capsys):
+        argv = ("geom-check", "--n", "1", "--triples", "100", "--mc-count", "1000", "--seed")
+        wrapped = run_json(capsys, *argv, "-1")["results"]
+        assert wrapped == run_json(capsys, *argv, str(2**64 - 1))["results"]
+
     def test_volume_expectations(self, capsys):
         doc = run_json(capsys, "geom-check", "--n", "1", "--triples", "1000",
                        "--mc-count", "200000", "--seed", "1")

@@ -352,8 +352,9 @@ class TestPopulationEvaluation:
         assert sum(sizes) > cap
         assert max(sizes) <= cap
 
-    def test_inner_tolerance_failure_propagates(self, space1):
-        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=3)
+    def test_inner_tolerance_failure_propagates(self, space1, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 3)
+        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
         out = hardy(exp_profile(1.0), space1, spec)
         u = np.linspace(-2.0, 2.0, 10)
         with pytest.raises(ToleranceNotReachedError) as many:

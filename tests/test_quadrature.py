@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heishardy import quadrature
 from heishardy.geometry import heis_space
 from heishardy.quadrature import (
     DivergentIntegralError,
@@ -131,8 +132,9 @@ class TestDivergenceDetection:
             radial_norm_with_error(f, 2.0, 2.0, space1, QuadratureSpec())
         assert points == []
 
-    def test_tolerance_not_reached_carries_estimate(self, space1):
-        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=3)
+    def test_tolerance_not_reached_carries_estimate(self, space1, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 3)
+        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
         with pytest.raises(ToleranceNotReachedError) as exc_info:
             integrate_radial(exp_profile(2.0), space1, (0.0, INF), spec)
         err = exc_info.value
@@ -317,8 +319,6 @@ class TestSpecValidation:
             QuadratureSpec(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
 
     def test_inner_spec_is_tighter(self):
         spec = QuadratureSpec()

@@ -172,6 +172,16 @@ class TestExactBallSampler:
         with pytest.raises(ValueError):
             run_geometry_checks(space1, triples=10, mc_count=0)
 
+    @pytest.mark.parametrize("seed", [-1, 5])
+    def test_seed_is_taken_mod_2_64(self, space1, seed):
+        kw = dict(triples=100, mc_count=1000)
+        assert run_geometry_checks(space1, seed=seed, **kw) == run_geometry_checks(
+            space1, seed=seed + 2**64, **kw)
+        assert np.array_equal(exact_ball_sample(space1, 100, seed),
+                              exact_ball_sample(space1, 100, seed + 2**64))
+        box, wrapped = mc_ball_sample(space1, 100, seed), mc_ball_sample(space1, 100, seed + 2**64)
+        assert np.array_equal(box.coords, wrapped.coords) and box.attempts == wrapped.attempts
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_sphere_moment_matches_box_sampler(self, n):
         space = heis_space(n)

@@ -180,6 +180,13 @@ class TestUpperBoundProbe:
         b = upper_bound_probe(q, trials=4, seed=7, spec=spec)
         assert a.ratio == b.ratio
 
+    def test_seed_is_taken_mod_2_64(self, space1, spec):
+        q = q_of(HARDY, 2.0, 2.0, 2.0, space1)
+        a = upper_bound_probe(q, trials=2, seed=-3, spec=spec)
+        b = upper_bound_probe(q, trials=2, seed=2**64 - 3, spec=spec)
+        assert (a.ratio, a.error_estimate, a.seeds_and_tolerances["trial"]) == (
+            b.ratio, b.error_estimate, b.seeds_and_tolerances["trial"])
+
     def test_near_extremal_scores_high(self, space1, spec):
         # the epsilon = 0.001 family member achieves at least 95% of the bound
         rep = extremal_ratio(q_of(HARDY, 2.0, 2.0, 2.0, space1), 1e-3, spec)
