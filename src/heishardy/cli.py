@@ -16,7 +16,8 @@ check failure (including an integrand that left float range).  geom-check's
 Monte Carlo volume check draws exact samples, so it runs at every n.
 
 Each option is declared once, in build_parser: a type= converter that
-validates through the library, a dest, and its default.  Each subcommand
+validates through the library, a dest, and its default.  The converters are
+the only checks of a configuration: main() validates nothing.  Each subcommand
 takes only the flags its handler reads, plus --rel-tol, --abs-tol, --seed,
 --format and --out, which every report uses; any other flag exits 2.  The
 config echo is the parsed namespace: the subcommand and every flag it
@@ -156,6 +157,11 @@ def _floats(text: str) -> list[float]:
     return vals
 
 
+def _exponents(text: str) -> list[float]:
+    """Each entry must be an exponent of MixedExponents: in (1, inf)."""
+    return [MixedExponents(v, v, v).p for v in _floats(text)]
+
+
 def _group_indices(text: str) -> list[int]:
     """Each entry must build heis_space: an integer n >= 1 whose constants fit float64."""
     return [heis_space(int(v) if v.is_integer() else v).n for v in _floats(text)]
@@ -230,20 +236,23 @@ def build_parser() -> argparse.ArgumentParser:
     options = {
         "--n": dict(type=_checked(_group_indices), default=[1],
                     help="comma list of group indices n >= 1"),
-        "--p": dict(type=_checked(_floats), default=[2.0],
+        "--p": dict(type=_checked(_exponents), default=[2.0],
                     help="comma list of radial exponents p"),
-        "--pbar1": dict(type=_checked(_floats), default=[2.0],
+        "--pbar1": dict(type=_checked(_exponents), default=[2.0],
                         help="comma list of source angular exponents"),
-        "--pbar2": dict(type=_checked(_floats), default=[2.0],
+        "--pbar2": dict(type=_checked(_exponents), default=[2.0],
                         help="comma list of target angular exponents"),
         "--kind": dict(dest="kinds", metavar="KIND", type=_checked(_kinds), default=["hardy"],
                        help="comma list: hardy | dual-hardy | weighted-hardy | weighted-cesaro"),
         "--weight": dict(type=_checked(_weight), default={"family": "power", "c": 1.0, "beta": 0.0},
                          help="weight spec, e.g. power:c=1,beta=2"),
-        "--rel-tol": dict(type=float, default=1e-8),
-        "--abs-tol": dict(type=float, default=1e-14),
+        "--rel-tol": dict(type=_checked(lambda text: QuadratureSpec(rel_tol=float(text)).rel_tol),
+                          default=QuadratureSpec.rel_tol),
+        "--abs-tol": dict(type=_checked(lambda text: QuadratureSpec(abs_tol=float(text)).abs_tol),
+                          default=QuadratureSpec.abs_tol),
         "--mc-count": dict(type=_checked(_count), default=100_000),
-        "--seed": dict(type=int, help="RNG seed (default: HH_SEED env var, else 0)"),
+        "--seed": dict(type=int, default=os.environ.get("HH_SEED", "0"),
+                       help="RNG seed (default: HH_SEED env var, else 0)"),
         "--format": dict(choices=("csv", "json"), default="json"),
         "--out": dict(help="output path (default: stdout)"),
         "--eps-grid": dict(type=_checked(lambda text: check_eps_grid(_floats(text))),
@@ -367,19 +376,16 @@ def cmd_apply(cfg: argparse.Namespace) -> tuple[dict, int]:
 def cmd_norm(cfg: argparse.Namespace) -> tuple[dict, int]:
     rows = []
     f = parse_function_spec(cfg.function)
-    for n in cfg.n:
-        space = heis_space(n)
-        for p in cfg.p:
-            for pb1 in cfg.pbar1:
-                row = {"n": n, "p": p, "pbar": pb1}
-                try:
-                    row["norm"] = radial_norm_with_error(f, p, pb1, space, cfg.spec).value
-                    row["verdict"] = "finite"
-                except DivergentIntegralError as exc:
-                    row["norm"] = None
-                    row["verdict"] = "divergent norm"
-                    row["reason"] = str(exc)
-                rows.append(row)
+    for n, p, pb1 in itertools.product(cfg.n, cfg.p, cfg.pbar1):
+        row = {"n": n, "p": p, "pbar": pb1}
+        try:
+            row["norm"] = radial_norm_with_error(f, p, pb1, heis_space(n), cfg.spec).value
+            row["verdict"] = "finite"
+        except DivergentIntegralError as exc:
+            row["norm"] = None
+            row["verdict"] = "divergent norm"
+            row["reason"] = str(exc)
+        rows.append(row)
     return {"results": rows}, EXIT_OK
 
 
@@ -446,21 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         cfg = parser.parse_args(argv)
-        # the checks that span several inputs
-        if cfg.seed is None:
-            env = os.environ.get("HH_SEED", "0")
-            try:
-                cfg.seed = int(env)
-            except ValueError:
-                parser.error(f"HH_SEED must be an integer, got {env!r}")
-        try:
-            cfg.spec = QuadratureSpec(cfg.rel_tol, cfg.abs_tol)
-            # 2.0 stands in for an exponent the subcommand does not take
-            exponents = (getattr(cfg, k, [2.0]) for k in ("p", "pbar1", "pbar2"))
-            for triple in itertools.product(*exponents):
-                MixedExponents(*triple)
-        except ValueError as exc:
-            parser.error(str(exc))
+        cfg.spec = QuadratureSpec(cfg.rel_tol, cfg.abs_tol)
         report, status = cfg.run(cfg)
     except ConfigError as exc:
         return _fail("invalid configuration", exc, EXIT_CONFIG)

@@ -22,6 +22,7 @@ row i depends only on (seed, tag, i).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -52,22 +53,15 @@ class DimensionMismatchError(ValueError):
 
 
 def _gamma_exact(x: float) -> float:
-    """Gamma at integer or half-integer arguments via exact recursion.
+    """Gamma at a positive integer or half-integer, via exact factorials.
 
     Integer k >= 1: (k-1)!.  Half-integer k + 1/2: (2k)! sqrt(pi) / (4^k k!).
-    Falls back to math.gamma (Lanczos-quality, rel. error well under 1e-13)
-    for anything else.
     """
-    if x <= 0:
-        raise ValueError(f"gamma argument must be positive, got {x}")
-    two_x = 2.0 * x
-    if two_x == round(two_x):
-        m = int(round(two_x))
-        if m % 2 == 0:
-            return float(math.factorial(m // 2 - 1))
-        k = (m - 1) // 2
-        return math.factorial(2 * k) * math.sqrt(math.pi) / (4.0**k * math.factorial(k))
-    return math.gamma(x)
+    m = round(2.0 * x)
+    if m % 2 == 0:
+        return float(math.factorial(m // 2 - 1))
+    k = (m - 1) // 2
+    return math.factorial(2 * k) * math.sqrt(math.pi) / (4.0**k * math.factorial(k))
 
 
 @dataclass(frozen=True)
@@ -239,7 +233,7 @@ def ball_volume(space: HeisSpace, r: float) -> float:
 def _stream(seed: int, tag: int) -> np.random.Generator:
     """The Philox stream keyed (seed mod 2^64, tag); tags keep the package's draws apart."""
     return np.random.Generator(np.random.Philox(
-        key=np.array([seed & 0xFFFFFFFFFFFFFFFF, tag], dtype=np.uint64)))
+        key=np.array([operator.index(seed) & 0xFFFFFFFFFFFFFFFF, tag], dtype=np.uint64)))
 
 
 def _gaussian_rows(count: int, k: int, seed: int, tag: int) -> tuple[np.ndarray, np.ndarray]:

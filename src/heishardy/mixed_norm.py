@@ -59,10 +59,9 @@ class MixedExponents:
     p_bar_2: float
 
     def __post_init__(self) -> None:
-        for name in ("p", "p_bar_1", "p_bar_2"):
-            v = getattr(self, name)
+        for v in (self.p, self.p_bar_1, self.p_bar_2):
             if not (1.0 < v < math.inf):
-                raise ValueError(f"{name} must lie in (1, inf), got {v}")
+                raise ValueError(f"exponents must lie in (1, inf), got {v}")
 
     @property
     def delta(self) -> float:

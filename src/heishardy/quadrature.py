@@ -180,7 +180,7 @@ def _panels(fun: Callable, lo: np.ndarray, hi: np.ndarray, member: np.ndarray, f
 
 
 def _bisect(
-    fun: Callable, edges: np.ndarray, rel_tol: float, abs_tol: float, max_panels: int
+    fun: Callable, edges: np.ndarray, rel_tol: float, abs_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Globally adaptive GK15 bisection of the integrals m of fun(u, m), one edge row each.
 
@@ -219,7 +219,7 @@ def _bisect(
         tol = np.maximum(rel_tol * np.abs(total[act]), abs_tol)
         more = (err[act] + frozen[act] > tol) & (e_old > -np.inf)
         done[act[~more]] = True
-        full = more & (counts[act] >= max_panels)
+        full = more & (counts[act] >= _MAX_PANELS)
         for m in act[full].tolist():
             value, error = math.fsum(val[m, :counts[m]].tolist()), float(err[m] + frozen[m])
             failures[m] = ToleranceNotReachedError(
@@ -342,7 +342,7 @@ def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds) -> tuple[np.nda
         edges = np.sort(np.hstack([a[:, None], inner, b[:, None]]), axis=1)
         edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan  # a set of edges, as sorted(set(...))
         value, err = _bisect(lambda x, m: fun(x, ids[live][m]), np.sort(edges, axis=1),
-                             spec.rel_tol, spec.abs_tol, _MAX_PANELS)
+                             spec.rel_tol, spec.abs_tol)
         values[live], errors[live] = value, err + trunc[live]
     if failures:
         raise failures[min(failures)]

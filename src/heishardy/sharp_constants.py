@@ -35,6 +35,7 @@ from .quadrature import (
     DivergentIntegralError,
     QuadratureSpec,
     RadialProfile,
+    ToleranceNotReachedError,
     exp_profile,
     mixture_profile,
     power_profile,
@@ -134,10 +135,18 @@ def _ratio_report(
     epsilon: float,
     **seeds,
 ) -> RatioReport:
-    """||T f||_{p, pbar2} / ||f||_{p, pbar1} by quadrature, against `constant`."""
+    """||T f||_{p, pbar2} / ||f||_{p, pbar1} by quadrature, against `constant`.
+
+    Raises ToleranceNotReachedError when either norm comes out 0.0.
+    """
     out = apply_operator(q.kind, f, q.space, spec)
     num = radial_norm_with_error(out, q.exps.p, q.exps.p_bar_2, q.space, spec)
     den = radial_norm_with_error(f, q.exps.p, q.exps.p_bar_1, q.space, spec)
+    for name, norm in (("operator output", num), ("input", den)):
+        if norm.value == 0.0:  # missed or underflowed: no ratio to certify
+            raise ToleranceNotReachedError(
+                f"the {name} norm came out 0.0 (error {norm.error!r})",
+                estimate=0.0, error=norm.error)
     ratio = num.value / den.value
     return RatioReport(
         epsilon=epsilon,

@@ -1,10 +1,11 @@
+import csv
 import json
 import math
 import os
 
 import pytest
 
-from heishardy import cli
+from heishardy import cli, quadrature, sharp_constants
 from heishardy.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -25,6 +26,11 @@ def run_json(capsys, *argv):
     status, out, err = run_cli(capsys, *argv)
     assert status == EXIT_OK, err
     return json.loads(out)
+
+
+def csv_rows(out):
+    """The data rows of a CSV report, below its '#' provenance lines."""
+    return list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
 
 
 class TestConstantsCommand:
@@ -107,6 +113,44 @@ class TestVerifySharpCommand:
         assert [row["kind"] for row in doc["offending"]] == ["hardy", "dual_hardy"]
         assert all(row["relative_gap"] > 0.05 for row in doc["offending"])
 
+    def test_beaten_constant_exits_3_with_error_row(self, capsys, monkeypatch):
+        # at half the constant the first probe beats it and raises: the row
+        # goes to offending with the probe's error, and the grid stops there
+        real = sharp_constants.theoretical_constant
+        monkeypatch.setattr(sharp_constants, "theoretical_constant", lambda *a: 0.5 * real(*a))
+        status, out, err = run_cli(capsys, "verify-sharp", "--kind", "hardy,dual-hardy",
+                                   "--eps-grid", "0.5", "--trials", "1")
+        assert status == EXIT_NUMERIC
+        doc = json.loads(out)
+        assert doc["results"] == []
+        assert [row["kind"] for row in doc["offending"]] == ["hardy"]
+        assert "probe trial 0" in doc["offending"][0]["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    # the quadrature misses the 1e-10-wide peak of t^1e10: the output norm is 0
+    ["--kind", "whardy", "--weight", "power:c=1,beta=1e10"],
+    # the output norm underflows
+    ["--kind", "whardy", "--weight", "power:c=1e-300,beta=3"],
+    # |f|^p underflows at p = 1e10
+    ["--kind", "hardy", "--p", "1e10"],
+], ids=["missed-peak", "tiny-weight", "huge-p"])
+def test_zero_norm_exits_3(capsys, argv):
+    status, out, err = run_cli(capsys, "verify-sharp", *argv, "--trials", "1", "--eps-grid", "0.5")
+    assert status == EXIT_NUMERIC
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "numeric tolerance failure" and "0.0" in doc["reason"]
+
+
+def test_panel_budget_exhausted_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 3)
+    status, out, err = run_cli(capsys, "norm", "--function", "exp:1")
+    assert status == EXIT_NUMERIC
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "numeric tolerance failure" and doc["reason"]
+
 
 class TestApplyCommand:
     def test_hardy_power(self, capsys):
@@ -135,6 +179,14 @@ class TestApplyCommand:
         doc = run_json(capsys, "apply", "--kind", "dual-hardy", "--function",
                        "power:-400,lo=1", "--n", "1", "--radii", "1e-3")
         assert abs(doc["results"][0]["value"] - 0.01) < 1e-6
+
+    def test_divergent_input_gives_a_verdict_row(self, capsys):
+        # H(r^-10) diverges at the origin: one row for the kind, not a failure
+        doc = run_json(capsys, "apply", "--kind", "hardy", "--function", "power:-10",
+                       "--radii", "1,2")
+        [row] = doc["results"]
+        assert (row["kind"], row["n"], row["verdict"]) == ("hardy", 1, "divergent")
+        assert "origin" in row["reason"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -223,6 +275,9 @@ class TestConfigHandling:
         (("constants", "--n", "1.5"), None),
         (("constants", "--n", ""), None),
         (("constants", "--pbar2", "0.5"), None),
+        (("constants", "--pbar1", "0.5"), None),
+        (("constants", "--rel-tol", "nan"), None),
+        (("constants", "--seed", "1.5"), None),
         (("constants", "--abs-tol", "-1"), None),
         (("geom-check", "--mc-count", "0"), None),
         (("verify-sharp", "--trials", "0"), None),
@@ -247,7 +302,8 @@ class TestConfigHandling:
         (("verify-sharp", "--mc-count", "5"), None),
     ], ids=["p-1", "radii-nan", "function-c-inf", "weight-beta-nan", "rel-tol-0", "rel-tol-inf",
             "n-0", "n-160", "n-400", "rel-tol-abc", "triples-x", "format-xml", "unknown-flag",
-            "n-1.5", "n-empty", "pbar2-0.5", "abs-tol-negative", "mc-count-0", "trials-0",
+            "n-1.5", "n-empty", "pbar2-0.5", "pbar1-0.5", "rel-tol-nan", "seed-1.5",
+            "abs-tol-negative", "mc-count-0", "trials-0",
             "eps-grid-1.5", "triples-0", "geom-check-p", "kind-w-hardy", "weight-gauss",
             "weight-unknown-parameter", "seed-x", "hh-seed-x",
             "apply-p", "apply-pbar1", "apply-pbar2", "apply-mc-count", "norm-kind",
@@ -262,7 +318,10 @@ class TestConfigHandling:
         assert status == EXIT_CONFIG
         assert out == ""
         doc = json.loads(err)
-        assert doc["error"] == "invalid configuration" and doc["reason"]
+        assert doc["error"] == "invalid configuration"
+        # every reason names one of the flags given; HH_SEED is the default of --seed
+        names = [f"argument {a}: " for a in argv if a.startswith("--")] or ["argument --seed: "]
+        assert doc["reason"].startswith((*names, "unrecognized arguments: "))
 
     def test_each_subcommand_takes_only_the_flags_it_reads(self):
         every = {"-h", "--help", "--rel-tol", "--abs-tol", "--seed", "--format", "--out"}
@@ -345,6 +404,30 @@ class TestConfigEcho:
     def test_triples_echoed(self, capsys, stubbed):
         echo = run_json(capsys, "geom-check", "--triples", "7")["config"]
         assert echo["triples"] == 7
+
+
+class TestCsvOutput:
+    @pytest.mark.parametrize("argv", [
+        ("constants", "--kind", "hardy,whardy"),
+        ("norm", "--function", "exp:1", "--p", "2,3"),
+        ("apply", "--kind", "hardy,dual-hardy", "--function", "power:-10", "--radii", "2,3"),
+    ], ids=["constants", "norm", "apply-with-divergent-row"])
+    def test_flat_rows_match_json(self, argv, capsys):
+        results = run_json(capsys, *argv)["results"]
+        status, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert status == EXIT_OK
+        got = csv_rows(out)
+        assert set(got[0]) == {k for row in results for k in row}
+        text = lambda v: "" if v is None else str(v)  # noqa: E731
+        assert got == [{k: text(row.get(k)) for k in got[0]} for row in results]
+
+    def test_geom_check_prints_one_row_per_check(self, capsys):
+        argv = ("geom-check", "--n", "1,2", "--triples", "100", "--mc-count", "1000")
+        results = run_json(capsys, *argv)["results"]
+        status, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert status == EXIT_OK
+        assert csv_rows(out) == [{"n": str(row["n"]), **{k: str(v) for k, v in check.items()}}
+                                 for row in results for check in row["checks"]]
 
 
 class TestReproducibility:

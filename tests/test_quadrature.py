@@ -143,7 +143,8 @@ class TestDivergenceDetection:
 
 
 class TestBatchedAdaptive:
-    def test_one_call_for_seeded_panels_then_one_per_bisection(self):
+    def test_one_call_for_seeded_panels_then_one_per_bisection(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 2000)
         # int_0^1 u^{-1/2} du = 2: the singular end forces many bisections
         calls = []
 
@@ -153,7 +154,7 @@ class TestBatchedAdaptive:
 
         seeds = (0.25, 0.5, 0.75)
         values, errors = _bisect(lambda u, m: fun(u), np.array([[0.0, *seeds, 1.0]]),
-                                 rel_tol=1e-10, abs_tol=1e-300, max_panels=2000)
+                                 rel_tol=1e-10, abs_tol=1e-300)
         value, err = float(values[0]), float(errors[0])
         assert calls[0] == (15 * (len(seeds) + 1),)
         assert len(calls) > 2
@@ -178,12 +179,13 @@ class TestBatchedAdaptive:
             assert abs(values[k] - ik) <= 1e-15 * scale
             assert abs(errors[k] - abs(ik - ig)) <= 2e-15 * scale
 
-    def test_non_finite_node_names_its_panel(self):
+    def test_non_finite_node_names_its_panel(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 2000)
         edges = (0.0, 1.0, 2.0, 3.0, 4.0)
         bad = 2.5  # the center node of the third seeded panel [2, 3]
         fun = lambda u, m: np.where(u == bad, math.nan, 1.0)  # noqa: E731
         with pytest.raises(NonFiniteIntegrandError, match=r"\[2\.0, 3\.0\]"):
-            _bisect(fun, np.array([edges]), rel_tol=1e-8, abs_tol=1e-14, max_panels=2000)
+            _bisect(fun, np.array([edges]), rel_tol=1e-8, abs_tol=1e-14)
 
     def test_member_values_do_not_depend_on_the_call(self):
         # each member's panels are reduced on their own, so a population gives
@@ -198,17 +200,28 @@ class TestBatchedAdaptive:
                  for m in range(8)]
         assert np.array_equal(together, np.concatenate([v for v, _ in alone] + [e for _, e in alone]))
 
-    def test_lowest_failing_member_is_raised(self):
+    def test_lowest_failing_member_is_raised(self, monkeypatch):
         # member 0 (int_0^1 u^{-1/2} du) runs out of panels many sweeps after
         # member 1 meets a NaN in its seeded panels; in member order, 0 fails first
         def fun(u, m):
             return np.where(u > 1.5, math.nan, 1.0 / np.sqrt(u))
 
         edges = np.array([[0.0, 0.5, 1.0], [1.0, 2.0, 3.0]])
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 20)
         with pytest.raises(ToleranceNotReachedError):
-            _bisect(fun, edges, rel_tol=1e-14, abs_tol=1e-300, max_panels=20)
+            _bisect(fun, edges, rel_tol=1e-14, abs_tol=1e-300)
         with pytest.raises(NonFiniteIntegrandError, match=r"\[1\.0, 2\.0\]"):
-            _bisect(fun, edges[::-1].copy(), rel_tol=1e-14, abs_tol=1e-300, max_panels=20)
+            _bisect(fun, edges[::-1].copy(), rel_tol=1e-14, abs_tol=1e-300)
+
+    def test_panels_at_machine_resolution_freeze(self):
+        # a step at u = 0.3 inside a 2e-14 window: bisection reaches adjacent
+        # doubles long before a 1e-300 tolerance, so the step's panel freezes
+        # and the call returns with its error instead of running out of panels
+        edges = np.array([[0.3 - 1e-14, 0.3 + 1e-14]])
+        values, errors = _bisect(lambda u, m: (u >= 0.3).astype(float), edges,
+                                 rel_tol=1e-300, abs_tol=1e-300)
+        assert 1e-300 < errors[0]
+        assert abs(values[0] - (edges[0, 1] - 0.3)) <= errors[0]
 
     def test_underflowed_envelope_probes_count_as_zero(self):
         # int_0^inf e^{-400 u} du: the far probes underflow to 0 while

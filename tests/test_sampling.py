@@ -182,6 +182,13 @@ class TestExactBallSampler:
         box, wrapped = mc_ball_sample(space1, 100, seed), mc_ball_sample(space1, 100, seed + 2**64)
         assert np.array_equal(box.coords, wrapped.coords) and box.attempts == wrapped.attempts
 
+    def test_numpy_integer_seeds_draw_the_python_int_stream(self, space1):
+        want = exact_ball_sample(space1, 100, 5)
+        for seed in (np.int64(5), np.uint64(5)):
+            assert np.array_equal(exact_ball_sample(space1, 100, seed), want)
+        with pytest.raises(TypeError):
+            exact_ball_sample(space1, 100, 5.0)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_sphere_moment_matches_box_sampler(self, n):
         space = heis_space(n)
