@@ -33,6 +33,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from typing import Callable
 
@@ -86,64 +87,61 @@ def _parse_float(text: str, what: str) -> float:
     return val
 
 
-def _parse_params(rest: str, what: str) -> tuple[float | None, dict[str, float]]:
-    """'MAIN,key=val,...' as (the last bare number or None, {key: val})."""
-    main: float | None = None
-    kv: dict[str, float] = {}
-    for tok in rest.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+# each spec family, by (spec, family): its parameters with their defaults
+# (None: required); a bare number sets the first
+_FAMILIES = {
+    ("function", "power"): {"alpha": None, "lo": 0.0, "hi": math.inf, "c": 1.0},
+    ("function", "exp"): {"rate": None, "alpha": 0.0, "c": 1.0},
+    ("weight", "power"): {"beta": 0.0, "c": 1.0},
+}
+
+
+def _parse_part(text: str, spec: str) -> tuple[str, dict[str, float]]:
+    """'FAMILY:[BARE][,key=val...]' as (family, all its parameters); each is set at
+    most once, a bare number setting the first, and no key may be unknown or missing."""
+    family, colon, rest = (s.strip() for s in text.partition(":"))
+    params = _FAMILIES.get((spec, family))
+    if params is None or not colon:
+        known = " | ".join(f for s, f in _FAMILIES if s == spec)
+        raise ConfigError(f"{spec} part {text.strip()!r} must be FAMILY:PARAMS, FAMILY one of {known}")
+    given: dict[str, float] = {}
+    for tok in filter(None, (t.strip() for t in rest.split(","))):
         key, eq, val = tok.partition("=")
-        if eq:
-            kv[key.strip()] = _parse_float(val, f"{what} parameter {tok!r}")
-        else:
-            main = _parse_float(tok, f"{what} spec token")
-    return main, kv
+        key = key.strip() if eq else next(iter(params))
+        if key not in params:
+            raise ConfigError(f"{family} {spec} has no parameter {key!r} (expected {' | '.join(params)})")
+        if key in given:
+            raise ConfigError(f"{family} {spec} parameter {key!r} is set twice")
+        given[key] = _parse_float(val if eq else tok, f"{spec} parameter {tok!r}")
+    values = {**params, **given}
+    missing = [k for k, v in values.items() if v is None]
+    if missing:
+        raise ConfigError(f"{family} {spec} needs {missing[0]!r}: {text.strip()!r}")
+    return family, values
 
 
 def parse_weight_spec(text: str) -> tuple[float, float]:
-    """Parse 'power:c=1,beta=2' (a bare number after the colon sets beta)."""
-    if ":" not in text:
-        raise ConfigError(f"weight spec {text!r} must look like power:c=1,beta=2")
-    family, _, rest = text.partition(":")
-    if family.strip() != "power":
-        raise ConfigError(f"only power-law weights are supported, got {family!r}")
-    main, kv = _parse_params(rest, "weight")
-    unknown = sorted(kv.keys() - {"c", "beta"})
-    if unknown:
-        raise ConfigError(f"unknown weight parameter {unknown[0]!r}")
-    return kv.get("c", 1.0), kv.get("beta", 0.0 if main is None else main)
+    """Parse 'power:c=1,beta=2' as (c, beta); a bare number sets beta."""
+    _, v = _parse_part(text, "weight")
+    return v["c"], v["beta"]
 
 
 def parse_function_spec(text: str) -> RadialProfile:
     """Parse a radial function description.
 
-    Grammar: parts joined by '+'; each part is 'power:ALPHA[,lo=..,hi=..,c=..]',
-    'exp:RATE[,alpha=..,c=..]', or 'zero'.  Example:
-    'power:-3,lo=1+exp:2,alpha=1'.
+    Grammar: parts joined by '+' (not the '+' of an exponent, as in 1e+2);
+    each part is 'power:ALPHA[,lo=..,hi=..,c=..]', 'exp:RATE[,alpha=..,c=..]'
+    or 'zero'.  Example: 'power:-3,lo=1+exp:2,alpha=1'.
     """
     parts = []
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if chunk in ("", "zero"):
+    for chunk in re.split(r"(?<![\d.][eE])\+", text):
+        if chunk.strip() in ("", "zero"):
             continue
-        name, _, rest = chunk.partition(":")
-        name = name.strip()
-        main, kv = _parse_params(rest, "function")
-        if name == "power":
-            alpha = kv.get("alpha", main)
-            if alpha is None:
-                raise ConfigError(f"power part needs an exponent: {chunk!r}")
-            support = (kv.get("lo", 0.0), kv.get("hi", math.inf))
-            parts.append(power_profile(alpha, kv.get("c", 1.0), support))
-        elif name == "exp":
-            rate = kv.get("rate", main)
-            if rate is None:
-                raise ConfigError(f"exp part needs a rate: {chunk!r}")
-            parts.append(exp_profile(rate, kv.get("alpha", 0.0), kv.get("c", 1.0)))
+        family, v = _parse_part(chunk, "function")
+        if family == "power":
+            parts.append(power_profile(v["alpha"], v["c"], (v["lo"], v["hi"])))
         else:
-            raise ConfigError(f"unknown function part {name!r} (expected power | exp | zero)")
+            parts.append(exp_profile(v["rate"], v["alpha"], v["c"]))
     return mixture_profile(parts) if parts else zero_profile()
 
 
@@ -409,13 +407,7 @@ def cmd_geom_check(cfg: argparse.Namespace) -> tuple[dict, int]:
 
 
 def render_json(report: dict, cfg: argparse.Namespace) -> str:
-    payload = {
-        "config": _config(cfg),
-        "results": report["results"],
-        "provenance": _provenance(cfg),
-    }
-    if "offending" in report:
-        payload["offending"] = report["offending"]
+    payload = {"config": _config(cfg), "provenance": _provenance(cfg), **report}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -443,8 +435,8 @@ def render_csv(report: dict, cfg: argparse.Namespace) -> str:
     return buf.getvalue()
 
 
-def _fail(error: str, exc: Exception, status: int) -> int:
-    print(json.dumps({"error": error, "reason": str(exc)}), file=sys.stderr)
+def _fail(error: str, reason: object, status: int) -> int:
+    print(json.dumps({"error": error, "reason": str(reason)}), file=sys.stderr)
     return status
 
 
@@ -462,11 +454,14 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("non-finite integrand", exc, EXIT_NUMERIC)
 
     text = render_json(report, cfg) if cfg.format == "json" else render_csv(report, cfg)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if cfg.out:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+            return status
+    except OSError as exc:
+        return _fail("invalid configuration", f"argument --out: {exc}", EXIT_CONFIG)
+    sys.stdout.write(text)
     return status
 
 

@@ -18,8 +18,12 @@ propagated symbolically from the input metadata, which keeps
 improper-integral certification sound end to end.  Divergence is always
 detected from metadata up front and raised as a typed error.
 
-Non-radial inputs reach these operators only after the radialization step
-of the mixed-norm module.
+Only these radial forms are implemented.  On a separable non-radial input
+g(|x|_h) h(theta) the kinds differ: hardy and dual_hardy integrate over a
+ball or its complement, so they see h only through its sphere mean and
+radializing the input first loses nothing; weighted_hardy and
+weighted_cesaro act along dilation rays, T(g h) = (T g) h, so the angular
+factor is carried along and radialization does not describe them.
 """
 
 from __future__ import annotations
@@ -304,7 +308,7 @@ def duality_pairing_check(
 
     def pairing(a: RadialProfile, b: RadialProfile) -> float:
         # integrate_radial raises DivergentIntegralError on divergent metadata
-        return integrate_radial(product_profile(a, b), space, (0.0, math.inf), spec).value
+        return integrate_radial(product_profile(a, b), space, spec).value
 
     lhs = space.omega_small * pairing(f, weighted_hardy(g, w, space, spec))
     rhs = space.omega_small * pairing(g, weighted_cesaro(f, w, space, spec))

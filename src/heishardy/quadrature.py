@@ -585,21 +585,15 @@ def abs_power_profile(f: RadialProfile, p: float) -> RadialProfile:
 def integrate_radial(
     g: RadialProfile,
     space: HeisSpace,
-    interval: tuple[float, float] = (0.0, math.inf),
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> QuadResult:
-    """int g(r) r^{Q-1} dr over the interval, with a certified error estimate.
+    """int g(r) r^{Q-1} dr over g's support, with a certified error estimate.
 
     Raises DivergentIntegralError when decay metadata rules out convergence
     and ToleranceNotReachedError (carrying the best estimate) when the
     subdivision budget runs out.
     """
-    lo, hi = interval
-    if not (0.0 <= lo < hi):
-        raise ValueError(f"bad interval {interval}")
-    # the interval clipped to g's support, in u = log r
-    u_lo = max(math.log(lo) if lo > 0.0 else -math.inf, g.log_support[0])
-    u_hi = min(math.log(hi) if math.isfinite(hi) else math.inf, g.log_support[1])
+    u_lo, u_hi = g.log_support
     if g.is_zero or not u_lo < u_hi:
         return QuadResult(0.0, 0.0)
 

@@ -3,7 +3,9 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from heishardy import cli, quadrature, sharp_constants
 from heishardy.cli import (
@@ -14,6 +16,7 @@ from heishardy.cli import (
     parse_function_spec,
     parse_weight_spec,
 )
+from heishardy.quadrature import exp_profile, mixture_profile, power_profile
 
 
 def run_cli(capsys, *argv):
@@ -300,6 +303,26 @@ class TestConfigHandling:
         (("norm", "--mc-count", "5"), None),
         (("constants", "--mc-count", "5"), None),
         (("verify-sharp", "--mc-count", "5"), None),
+        # a spec token the grammar does not read: a key the family lacks, a
+        # key set twice, a bare number beside the key it sets
+        (("norm", "--function", "power:-3,lo=1,hii=5"), None),
+        (("norm", "--function", "exp:1,lo=2"), None),
+        (("norm", "--function", "power:-3,lo=1,lo=2"), None),
+        (("norm", "--function", "power:1,2"), None),
+        (("norm", "--function", "exp:1,rate=2"), None),
+        (("constants", "--weight", "power:c=1,beta=2,3"), None),
+        (("constants", "--weight", "power:2,beta=3"), None),
+        (("apply", "--function", "gauss:1"), None),
+        (("apply", "--function", "power:d=1"), None),
+        (("apply", "--function", "power"), None),
+        (("apply", "--function", "exp"), None),
+        (("constants", "--weight", "power"), None),
+        # values the library constructors reject
+        (("constants", "--weight", "power:c=0"), None),
+        (("apply", "--function", "power:1,lo=2,hi=1"), None),
+        (("apply", "--function", "exp:0"), None),
+        (("apply", "--radii", "0"), None),
+        (("constants", "--p", "abc"), None),
     ], ids=["p-1", "radii-nan", "function-c-inf", "weight-beta-nan", "rel-tol-0", "rel-tol-inf",
             "n-0", "n-160", "n-400", "rel-tol-abc", "triples-x", "format-xml", "unknown-flag",
             "n-1.5", "n-empty", "pbar2-0.5", "pbar1-0.5", "rel-tol-nan", "seed-1.5",
@@ -308,7 +331,11 @@ class TestConfigHandling:
             "weight-unknown-parameter", "seed-x", "hh-seed-x",
             "apply-p", "apply-pbar1", "apply-pbar2", "apply-mc-count", "norm-kind",
             "norm-weight", "norm-pbar2", "norm-mc-count", "constants-mc-count",
-            "verify-sharp-mc-count"])
+            "verify-sharp-mc-count", "function-unknown-key", "function-other-family-key",
+            "function-key-twice", "function-bare-twice", "function-bare-and-key",
+            "weight-key-and-bare", "weight-bare-and-key", "function-gauss",
+            "function-unknown-parameter", "function-power", "function-exp", "weight-no-colon",
+            "weight-c-0", "function-lo-above-hi", "function-exp-rate-0", "radii-0", "p-abc"])
     def test_bad_exponent_exits_2(self, argv, hh_seed, capsys, monkeypatch):
         if hh_seed is None:
             monkeypatch.delenv("HH_SEED", raising=False)
@@ -447,6 +474,17 @@ class TestReproducibility:
         doc = json.loads(path.read_text())
         assert doc["results"][0]["constant"] == 2.0
 
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, where):
+        path = tmp_path if where == "directory" else tmp_path / "missing" / "r.json"
+        status, out, err = run_cli(capsys, "constants", "--out", str(path))
+        assert status == EXIT_CONFIG
+        assert out == ""
+        [line] = err.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "invalid configuration"
+        assert doc["reason"].startswith("argument --out: ")
+
 
 class TestSpecParsers:
     def test_weight_spec_forms(self):
@@ -462,3 +500,80 @@ class TestSpecParsers:
 
     def test_function_spec_zero(self):
         assert parse_function_spec("zero").is_zero
+
+    def test_exponent_plus_does_not_split_parts(self, capsys):
+        argv = ("apply", "--function", "power:-3,lo=1e+2+exp:2", "--radii", "150")
+        want = ("apply", "--function", "power:-3,lo=100+exp:2", "--radii", "150")
+        assert run_json(capsys, *argv)["results"] == run_json(capsys, *want)["results"]
+
+
+# --- the spec grammar as a property ---------------------------------------------
+
+PARSERS = {"function": parse_function_spec, "weight": cli._weight}
+# values each parameter may take in a valid spec; repr writes some as 1e+22
+VALUES = {
+    "alpha": st.floats(-20.0, 20.0), "beta": st.floats(-20.0, 20.0),
+    "lo": st.floats(0.0, 2.0), "hi": st.floats(3.0, 1e30),
+    "c": st.floats(1e-3, 1e3), "rate": st.floats(1e-3, 1e3),
+}
+RADII = np.array([0.3, 1.0, 2.5, 7.0])
+
+
+@st.composite
+def spec_parts(draw, spec):
+    """(family, the values set, its text): each required key and some optional
+    ones, in any order, the bare key sometimes written as a bare number."""
+    family = draw(st.sampled_from([f for s, f in cli._FAMILIES if s == spec]))
+    params = cli._FAMILIES[spec, family]
+    bare = next(iter(params))
+    keys = draw(st.permutations([k for k, v in params.items() if v is None or draw(st.booleans())]))
+    values = {k: draw(VALUES[k]) for k in keys}
+    tokens = [repr(values[k]) if k == bare and draw(st.booleans()) else f"{k}={values[k]!r}"
+              for k in keys]
+    return family, values, f"{family}:{','.join(tokens)}"
+
+
+def built(family, v):
+    """The profile a function part names, built from the library directly."""
+    if family == "power":
+        return power_profile(v["alpha"], v.get("c", 1.0), (v.get("lo", 0.0), v.get("hi", math.inf)))
+    return exp_profile(v["rate"], v.get("alpha", 0.0), v.get("c", 1.0))
+
+
+class TestSpecGrammar:
+    @pytest.mark.parametrize("spec", sorted(PARSERS))
+    @given(text=st.text("powerexzbtaclhinfd0123456789.+-eE:,= ", max_size=40))
+    def test_any_text_parses_or_raises_value_error(self, spec, text):
+        try:
+            PARSERS[spec](text)
+        except ValueError:
+            pass
+
+    @given(st.lists(spec_parts("function"), min_size=1, max_size=3))
+    def test_valid_function_spec_is_the_profile_it_names(self, parts):
+        got = parse_function_spec("+".join(text for _, _, text in parts))
+        want = mixture_profile([built(family, v) for family, v, _ in parts])
+        assert got.eval(RADII).tobytes() == want.eval(RADII).tobytes()
+
+    @given(spec_parts("weight"))
+    def test_valid_weight_spec_is_the_weight_it_names(self, part):
+        _, v, text = part
+        assert cli._weight(text) == {"family": "power", "c": v.get("c", 1.0),
+                                     "beta": v.get("beta", 0.0)}
+
+    @pytest.mark.parametrize("spec", sorted(PARSERS))
+    @given(data=st.data())
+    def test_unknown_or_repeated_key_is_rejected(self, spec, data):
+        family, values, text = data.draw(spec_parts(spec))
+        params = cli._FAMILIES[spec, family]
+        unknown = data.draw(st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=5)
+                            .filter(lambda k: k not in params))
+        with pytest.raises(ValueError):
+            PARSERS[spec](f"{text},{unknown}=1")
+        if values:
+            key = data.draw(st.sampled_from(sorted(values)))
+            with pytest.raises(ValueError):
+                PARSERS[spec](f"{text},{key}=1")
+        if next(iter(params)) in values:
+            with pytest.raises(ValueError):
+                PARSERS[spec](f"{text},1")

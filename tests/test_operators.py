@@ -284,6 +284,10 @@ class TestOperatorKind:
         with pytest.raises(ValueError):
             OperatorKind("hilbert")
 
+    def test_fixed_weight_kind_takes_no_weight(self):
+        with pytest.raises(ValueError):
+            OperatorKind("hardy", power_weight())
+
     def test_dispatch(self, space1, spec):
         out = apply_operator(OperatorKind("weighted_hardy", power_weight(1.0, 2.0)),
                              power_profile(-1.0), space1, spec)

@@ -37,64 +37,61 @@ def gamma_over_rate(q, rate):
     return math.gamma(q) / rate**q
 
 
-# the fixed 20-case closed-form suite: (profile, space n, interval, exact value)
+# the fixed 20-case closed-form suite: (profile, space n, exact value); each
+# integral runs over its profile's support
 ORACLE_CASES = [
     # exponentials against r^{Q-1} on (0, inf): Gamma(Q) / rate^Q
-    ("exp2_n1", lambda: exp_profile(2.0), 1, (0.0, INF), gamma_over_rate(4, 2.0)),
-    ("exp1_n1", lambda: exp_profile(1.0), 1, (0.0, INF), gamma_over_rate(4, 1.0)),
-    ("exp3_n2", lambda: exp_profile(3.0), 2, (0.0, INF), gamma_over_rate(6, 3.0)),
-    ("exp_half_n1", lambda: exp_profile(0.5), 1, (0.0, INF), gamma_over_rate(4, 0.5)),
-    ("exp_poly_n1", lambda: exp_profile(2.0, exponent=1.5), 1, (0.0, INF),
-     math.gamma(5.5) / 2.0**5.5),
-    # powers on bounded intervals: (b^s - a^s)/s with s = alpha + Q
-    ("pow_bounded_1", lambda: power_profile(1.0), 1, (0.0, 1.0), 1.0 / 5.0),
-    ("pow_bounded_2", lambda: power_profile(-2.0), 1, (1.0, 3.0), (3.0**2 - 1.0) / 2.0),
-    ("pow_bounded_3", lambda: power_profile(0.0), 2, (0.5, 2.0), (2.0**6 - 0.5**6) / 6.0),
-    ("pow_bounded_4", lambda: power_profile(2.5), 1, (0.0, 2.0), 2.0**6.5 / 6.5),
+    ("exp2_n1", lambda: exp_profile(2.0), 1, gamma_over_rate(4, 2.0)),
+    ("exp1_n1", lambda: exp_profile(1.0), 1, gamma_over_rate(4, 1.0)),
+    ("exp3_n2", lambda: exp_profile(3.0), 2, gamma_over_rate(6, 3.0)),
+    ("exp_half_n1", lambda: exp_profile(0.5), 1, gamma_over_rate(4, 0.5)),
+    ("exp_poly_n1", lambda: exp_profile(2.0, exponent=1.5), 1, math.gamma(5.5) / 2.0**5.5),
+    # powers on bounded supports: (b^s - a^s)/s with s = alpha + Q
+    ("pow_bounded_1", lambda: power_profile(1.0, support=(0.0, 1.0)), 1, 1.0 / 5.0),
+    ("pow_bounded_2", lambda: power_profile(-2.0, support=(1.0, 3.0)), 1, (3.0**2 - 1.0) / 2.0),
+    ("pow_bounded_3", lambda: power_profile(0.0, support=(0.5, 2.0)), 2,
+     (2.0**6 - 0.5**6) / 6.0),
+    ("pow_bounded_4", lambda: power_profile(2.5, support=(0.0, 2.0)), 1, 2.0**6.5 / 6.5),
     # singular-at-origin but integrable
-    ("pow_singular_1", lambda: power_profile(-3.5), 1, (0.0, 1.0), 1.0 / 0.5),
-    ("pow_singular_2", lambda: power_profile(-5.5), 2, (0.0, 1.0), 2.0),
+    ("pow_singular_1", lambda: power_profile(-3.5, support=(0.0, 1.0)), 1, 1.0 / 0.5),
+    ("pow_singular_2", lambda: power_profile(-5.5, support=(0.0, 1.0)), 2, 2.0),
     # slowly decaying tails
-    ("pow_tail_slow", lambda: power_profile(-4.02, support=(1.0, INF)), 1, (0.0, INF),
-     1.0 / 0.02),
-    ("pow_tail_very_slow", lambda: power_profile(-4.002, support=(1.0, INF)), 1,
-     (0.0, INF), 1.0 / 0.002),
-    ("pow_tail_fast", lambda: power_profile(-7.0, support=(2.0, INF)), 1, (0.0, INF),
-     2.0**-3 / 3.0),
-    # support clipping: integration window wider than the support
-    ("clipped", lambda: constant_profile(1.0, support=(1.0, 2.0)), 1, (0.0, INF),
-     (2.0**4 - 1.0) / 4.0),
-    ("clipped_interval", lambda: constant_profile(3.0, support=(0.0, 1.0)), 1,
-     (0.5, 4.0), 3.0 * (1.0 - 0.5**4) / 4.0),
+    ("pow_tail_slow", lambda: power_profile(-4.02, support=(1.0, INF)), 1, 1.0 / 0.02),
+    ("pow_tail_very_slow", lambda: power_profile(-4.002, support=(1.0, INF)), 1, 1.0 / 0.002),
+    ("pow_tail_fast", lambda: power_profile(-7.0, support=(2.0, INF)), 1, 2.0**-3 / 3.0),
+    # bounded supports away from the origin
+    ("clipped", lambda: constant_profile(1.0, support=(1.0, 2.0)), 1, (2.0**4 - 1.0) / 4.0),
+    ("clipped_interval", lambda: constant_profile(3.0, support=(0.5, 1.0)), 1,
+     3.0 * (1.0 - 0.5**4) / 4.0),
     # mixtures with interior breakpoints
     ("mix_head_tail", lambda: mixture_profile([
         power_profile(1.0, support=(0.0, 1.0)),
         power_profile(-5.0, support=(1.0, INF)),
-    ]), 1, (0.0, INF), 1.0 / 5.0 + 1.0),
+    ]), 1, 1.0 / 5.0 + 1.0),
     ("mix_exp_pow", lambda: mixture_profile([
         exp_profile(1.0), power_profile(-6.0, support=(1.0, INF)),
-    ]), 1, (0.0, INF), 6.0 + 0.5),
+    ]), 1, 6.0 + 0.5),
     # scaled and zero
-    ("scaled", lambda: scaled_profile(exp_profile(2.0), 4.0), 1, (0.0, INF), 1.5),
-    ("zero", lambda: zero_profile(), 1, (0.0, INF), 0.0),
+    ("scaled", lambda: scaled_profile(exp_profile(2.0), 4.0), 1, 1.5),
+    ("zero", lambda: zero_profile(), 1, 0.0),
 ]
 
 
 class TestClosedFormSuite:
-    @pytest.mark.parametrize("name,make,n,interval,exact",
+    @pytest.mark.parametrize("name,make,n,exact",
                              ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
-    def test_matches_closed_form(self, name, make, n, interval, exact):
+    def test_matches_closed_form(self, name, make, n, exact):
         space = heis_space(n)
         spec = QuadratureSpec()
-        res = integrate_radial(make(), space, interval, spec)
+        res = integrate_radial(make(), space, spec)
         tol = max(spec.rel_tol * abs(exact), spec.abs_tol)
         assert abs(res.value - exact) <= 10 * tol, (res.value, exact)
 
-    @pytest.mark.parametrize("name,make,n,interval,exact",
+    @pytest.mark.parametrize("name,make,n,exact",
                              ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
-    def test_error_estimate_honest(self, name, make, n, interval, exact):
+    def test_error_estimate_honest(self, name, make, n, exact):
         space = heis_space(n)
-        res = integrate_radial(make(), space, interval, QuadratureSpec())
+        res = integrate_radial(make(), space, QuadratureSpec())
         assert abs(res.value - exact) <= max(10 * res.error, 1e-9 * max(abs(exact), 1.0))
 
     def test_case_count_is_twenty(self):
@@ -104,16 +101,16 @@ class TestClosedFormSuite:
 class TestDivergenceDetection:
     def test_divergent_tail_rejected(self, space1):
         with pytest.raises(DivergentIntegralError):
-            integrate_radial(power_profile(-4.0), space1, (1.0, INF), QuadratureSpec())
+            integrate_radial(power_profile(-4.0, support=(1.0, INF)), space1, QuadratureSpec())
 
     def test_divergent_origin_rejected(self, space1):
         with pytest.raises(DivergentIntegralError):
-            integrate_radial(power_profile(-4.0), space1, (0.0, 1.0), QuadratureSpec())
+            integrate_radial(power_profile(-4.0, support=(0.0, 1.0)), space1, QuadratureSpec())
 
     def test_bounded_support_ignores_tail_metadata(self, space1):
         # growing exponent but clipped support: integrable, no error
         f = power_profile(3.0, support=(0.0, 2.0))
-        res = integrate_radial(f, space1, (0.0, INF), QuadratureSpec())
+        res = integrate_radial(f, space1, QuadratureSpec())
         assert abs(res.value - 2.0**7 / 7.0) < 1e-8
 
     @pytest.mark.parametrize("tail", [-10.0, -INF], ids=["power-tail", "exp-tail"])
@@ -127,7 +124,7 @@ class TestDivergenceDetection:
 
         f = RadialProfile(lv, origin_exponent=-5.0, tail_exponent=tail)
         with pytest.raises(DivergentIntegralError):
-            integrate_radial(f, space1, (0.0, INF), QuadratureSpec())
+            integrate_radial(f, space1, QuadratureSpec())
         with pytest.raises(DivergentIntegralError):
             radial_norm_with_error(f, 2.0, 2.0, space1, QuadratureSpec())
         assert points == []
@@ -136,7 +133,7 @@ class TestDivergenceDetection:
         monkeypatch.setattr(quadrature, "_MAX_PANELS", 3)
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
         with pytest.raises(ToleranceNotReachedError) as exc_info:
-            integrate_radial(exp_profile(2.0), space1, (0.0, INF), spec)
+            integrate_radial(exp_profile(2.0), space1, spec)
         err = exc_info.value
         assert abs(err.estimate - 0.375) < 0.05
         assert err.error > 0
@@ -307,6 +304,14 @@ class TestProfileAlgebra:
         ])
         assert f.origin_exponent == 1.0
         assert f.tail_exponent == -3.0
+
+    def test_mixture_of_zero_parts_is_zero(self):
+        assert mixture_profile([zero_profile()]).is_zero
+
+    def test_product_of_disjoint_supports_is_zero(self):
+        f = product_profile(constant_profile(1.0, support=(0.0, 1.0)),
+                            constant_profile(1.0, support=(2.0, 3.0)))
+        assert f.is_zero
 
     def test_product_metadata(self):
         f = product_profile(power_profile(-1.0), exp_profile(2.0))
