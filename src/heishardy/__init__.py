@@ -12,15 +12,13 @@ reproducible command-line front end (`cli`).
 __version__ = "0.1.0"
 
 from .geometry import (
-    HeisPoint,
     HeisSpace,
     heis_space,
-    group_mul,
-    group_inv,
-    dilate,
-    koranyi_norm,
+    group_mul_array,
+    dilate_array,
+    koranyi_norm_array,
+    sphere_project_array,
     heis_distance,
-    ball_volume,
 )
 from .quadrature import (
     QuadratureSpec,

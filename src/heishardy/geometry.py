@@ -1,10 +1,12 @@
 """Heisenberg group algebra, anisotropic dilations, and the Koranyi gauge.
 
-Points of H^n live in R^{2n+1}.  The group law adds the first 2n coordinates
-componentwise and twists the last one by the standard symplectic form; the
-dilation delta_r scales the first 2n coordinates by r and the last by r^2.
-The homogeneous dimension is Q = 2n + 2, and the gauge ball B(0, r) has
-homogeneous measure omega_big * r^Q.
+A point of H^n is an array of shape (..., 2n+1): one point is (2n+1,), a
+batch has leading axes, and every kernel reads n from the last axis and
+rejects one that is even or shorter than 3.  The group law adds the first
+2n coordinates componentwise and twists the last one by the standard
+symplectic form; the dilation delta_r scales the first 2n coordinates by r
+and the last by r^2.  The homogeneous dimension is Q = 2n + 2, and the
+gauge ball B(0, r) has homogeneous measure omega_big * r^Q.
 
 A normalization note that matters for Monte Carlo work: the volume constant
 `omega_big` used throughout the operator and norm calculus is exactly twice
@@ -29,16 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DimensionMismatchError",
-    "HeisPoint",
     "HeisSpace",
     "heis_space",
-    "group_mul",
-    "group_inv",
-    "dilate",
-    "koranyi_norm",
     "heis_distance",
-    "ball_volume",
     "group_mul_array",
     "koranyi_norm_array",
     "dilate_array",
@@ -46,10 +41,6 @@ __all__ = [
     "run_geometry_checks",
     "GeometryReport",
 ]
-
-
-class DimensionMismatchError(ValueError):
-    """Points do not share the same ambient H^n."""
 
 
 def _gamma_exact(x: float) -> float:
@@ -115,43 +106,22 @@ def heis_space(n: int) -> HeisSpace:
     )
 
 
-@dataclass(frozen=True)
-class HeisPoint:
-    """A point of H^n stored as a tuple of 2n+1 finite floats."""
-
-    coords: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coords) < 3 or len(self.coords) % 2 == 0:
-            raise ValueError(
-                f"coordinate tuple must have odd length 2n+1 >= 3, got {len(self.coords)}"
-            )
-        if not all(math.isfinite(c) for c in self.coords):
-            raise ValueError("coordinates must be finite")
-
-    @property
-    def n(self) -> int:
-        return (len(self.coords) - 1) // 2
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
-
-
-def _check_same_space(x: HeisPoint, y: HeisPoint) -> int:
-    if len(x.coords) != len(y.coords):
-        raise DimensionMismatchError(
-            f"points live in different spaces: 2n+1 = {len(x.coords)} vs {len(y.coords)}"
-        )
-    return x.n
-
-
 # --- vectorized kernels -----------------------------------------------------
-#
-# Arrays have shape (..., 2n+1).  These are the workhorses behind the
-# point-level API, the samplers, and the bulk property checks.
+# The group inverse is negation: the twist term of x o (-x) cancels.
 
 
-def group_mul_array(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+def _half_dim(*points: np.ndarray) -> int:
+    """n of points of shape (..., 2n+1); ValueError unless all share one odd last axis >= 3."""
+    dims = {x.shape[-1] if x.ndim else 0 for x in points}
+    d = dims.pop()
+    if dims or d < 3 or d % 2 == 0:
+        raise ValueError(f"points need shape (..., 2n+1) with n >= 1, got {[x.shape for x in points]}")
+    return (d - 1) // 2
+
+
+def group_mul_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Group product x o y; the last coordinate gains 2 sum_j (y_j x_{n+j} - x_j y_{n+j})."""
+    n = _half_dim(x, y)
     out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=float)
     out[..., : 2 * n] = x[..., : 2 * n] + y[..., : 2 * n]
     bil = np.sum(
@@ -162,12 +132,16 @@ def group_mul_array(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
 
 
 def koranyi_norm_array(x: np.ndarray) -> np.ndarray:
-    n = (x.shape[-1] - 1) // 2
+    """Gauge |x|_h = [(sum of first 2n squares)^2 + last^2]^{1/4}."""
+    n = _half_dim(x)
     horiz = np.sum(x[..., : 2 * n] ** 2, axis=-1)
-    return (horiz**2 + x[..., 2 * n] ** 2) ** 0.25
+    # np.power: a float64 scalar's ** rounds unlike the array loop that a batch row takes
+    return np.power(horiz**2 + x[..., 2 * n] ** 2, 0.25)
 
 
-def dilate_array(r, x: np.ndarray, n: int) -> np.ndarray:
+def dilate_array(r, x: np.ndarray) -> np.ndarray:
+    """Anisotropic dilation delta_r, with r a scalar or one value per point."""
+    n = _half_dim(x)
     r = np.asarray(r, dtype=float)
     out = np.empty(np.broadcast_shapes(r.shape + (1,), x.shape), dtype=float)
     out[..., : 2 * n] = r[..., None] * x[..., : 2 * n]
@@ -175,56 +149,15 @@ def dilate_array(r, x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def sphere_project_array(x: np.ndarray, n: int) -> np.ndarray:
+def sphere_project_array(x: np.ndarray) -> np.ndarray:
     """Project nonzero points onto the unit gauge sphere via delta_{1/|x|_h}."""
     radii = koranyi_norm_array(x)
-    return dilate_array(1.0 / radii, x, n)
+    return dilate_array(1.0 / radii, x)
 
 
-# --- point-level operations -------------------------------------------------
-
-
-def group_mul(x: HeisPoint, y: HeisPoint) -> HeisPoint:
-    """Group product x o y.
-
-    First 2n coordinates add; the last picks up the symplectic twist
-    2 * sum_j (y_j x_{n+j} - x_j y_{n+j}).
-    """
-    n = _check_same_space(x, y)
-    out = group_mul_array(x.as_array(), y.as_array(), n)
-    return HeisPoint(tuple(float(c) for c in out))
-
-
-def group_inv(x: HeisPoint) -> HeisPoint:
-    """Group inverse; coordinatewise negation (the twist term cancels)."""
-    return HeisPoint(tuple(-c for c in x.coords))
-
-
-def dilate(r: float, x: HeisPoint) -> HeisPoint:
-    """Anisotropic dilation delta_r, r > 0."""
-    if not (r > 0):
-        raise ValueError(f"dilation parameter must be positive, got {r}")
-    n = x.n
-    coords = tuple(r * c for c in x.coords[: 2 * n]) + (r * r * x.coords[2 * n],)
-    return HeisPoint(coords)
-
-
-def koranyi_norm(x: HeisPoint) -> float:
-    """Gauge |x|_h = [(sum of first 2n squares)^2 + last^2]^{1/4}."""
-    return float(koranyi_norm_array(x.as_array()))
-
-
-def heis_distance(p: HeisPoint, q: HeisPoint) -> float:
+def heis_distance(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Left-invariant gauge distance d(p, q) = |q^{-1} o p|_h."""
-    _check_same_space(p, q)
-    return koranyi_norm(group_mul(group_inv(q), p))
-
-
-def ball_volume(space: HeisSpace, r: float) -> float:
-    """Homogeneous measure of the gauge ball B(0, r): omega_big * r^Q."""
-    if not (r > 0):
-        raise ValueError(f"radius must be positive, got {r}")
-    return space.omega_big * r**space.q
+    return koranyi_norm_array(group_mul_array(-q, p))
 
 
 # --- seeded streams -----------------------------------------------------------
@@ -305,24 +238,24 @@ def run_geometry_checks(
     rng = _stream(seed, 0x47454F)  # "GEO"
     x, y, z = (rng.uniform(-10.0, 10.0, size=(triples, d)) for _ in range(3))
 
-    lhs = group_mul_array(group_mul_array(x, y, n), z, n)
-    rhs = group_mul_array(x, group_mul_array(y, z, n), n)
-    assoc_err = float(np.max(np.abs(lhs - rhs)))
+    # both sides are temporaries, freed before the distance checks allocate theirs
+    assoc_err = float(np.max(np.abs(
+        group_mul_array(group_mul_array(x, y), z) - group_mul_array(x, group_mul_array(y, z)))))
 
-    inv_err = float(np.max(np.abs(group_mul_array(x, -x, n))))
+    inv_err = float(np.max(np.abs(group_mul_array(x, -x))))
 
     r = rng.uniform(0.1, 10.0, size=triples)
     norms = koranyi_norm_array(x)
-    scaled = koranyi_norm_array(dilate_array(r, x, n))
+    scaled = koranyi_norm_array(dilate_array(r, x))
     gauge_rel = float(np.max(np.abs(scaled - r * norms) / (r * norms)))
 
-    d_pq = koranyi_norm_array(group_mul_array(-y, x, n))
-    d_translated = koranyi_norm_array(group_mul_array(-group_mul_array(z, y, n), group_mul_array(z, x, n), n))
+    d_pq = heis_distance(x, y)
+    d_translated = heis_distance(group_mul_array(z, x), group_mul_array(z, y))
     nonzero = d_pq > 1e-12
     left_rel = float(np.max(np.abs(d_translated[nonzero] - d_pq[nonzero]) / d_pq[nonzero]))
 
-    d_px = koranyi_norm_array(group_mul_array(-z, x, n))
-    d_xq = koranyi_norm_array(group_mul_array(-y, z, n))
+    d_px = heis_distance(x, z)
+    d_xq = heis_distance(z, y)
     slack = d_pq - (d_px + d_xq)
     violations = int(np.sum(slack > 1e-12))
     worst = float(np.max(slack))

@@ -127,7 +127,7 @@ def _sphere_mean(
     g: Callable[[np.ndarray], np.ndarray], space: HeisSpace, mc_count: int, seed: int
 ) -> tuple[float, float]:
     """(mean, standard error) of g over uniform gauge-sphere samples."""
-    return _mc_mean(g(sphere_project_array(exact_ball_sample(space, mc_count, seed), space.n)))
+    return _mc_mean(g(sphere_project_array(exact_ball_sample(space, mc_count, seed))))
 
 
 def mixed_norm_separable(
@@ -211,7 +211,7 @@ def hardy_radialization_identity_check(
     vals = np.asarray(f.radial.eval(radius * koranyi_norm_array(pts)), dtype=float)
     if f.angular is not None:
         # dilation preserves direction, so angles come from the unit-ball points
-        vals = vals * np.asarray(f.angular(sphere_project_array(pts, space.n)), dtype=float)
+        vals = vals * np.asarray(f.angular(sphere_project_array(pts)), dtype=float)
     mc, se = _mc_mean(vals)
     return RadializationCheck(quadrature_side=h0 * mean_h, mc_side=mc,
                               mc_stderr=math.hypot(se, abs(h0) * se_h))

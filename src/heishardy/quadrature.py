@@ -320,8 +320,9 @@ def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds) -> tuple[np.nda
             hi[scan[stop]] = u[stop]
             trunc[scan[stop]] += g[stop, 0] * 2.0
             scan, u = scan[~stop], u[~stop] + 1.0
-        failures.update((m, DivergentIntegralError("no certified cutoff for exponential tail"))
-                        for m in scan.tolist())
+        failures.update((m, ToleranceNotReachedError(
+            "no certified cutoff for exponential tail", estimate=math.nan, error=math.inf))
+            for m in scan.tolist())
     else:
         far = np.isinf(hi) | (rate_hi * (hi - center) > _TRUNC_EFOLDS)
         _cut(call, np.flatnonzero(far), center, hi, rate_hi, 1.0, spec.abs_tol, trunc, failures)
@@ -392,8 +393,10 @@ def certified_log_integral(
     |fun| <= C e^{-rate_hi (u - center)} with rate_hi > 0; center is 0
     clamped into [u_lo, u_hi].  rate_hi = inf declares an exponential tail
     in r = e^u, whose upper cutoff is found by scanning for the
-    doubly-exponential collapse.  An infinite end whose rate is not
-    positive raises DivergentIntegralError before fun is evaluated.
+    doubly-exponential collapse; such a tail converges, so a scan that finds
+    no cut within 300 steps raises ToleranceNotReachedError.  An infinite
+    end whose rate is not positive raises DivergentIntegralError before fun
+    is evaluated.
     The envelope constants are estimated by probing fun near the center
     and doubling; windows are cut where the envelope bound drops below
     abs_tol/10 and the neglected mass joins the returned error estimate.
@@ -682,7 +685,7 @@ def mc_sphere_sample(space: HeisSpace, count: int, seed: int) -> SampleBatch:
     independent of the radius, whose own density is Q r^{Q-1} on [0, 1].
     """
     ball = mc_ball_sample(space, count, seed)
-    coords = sphere_project_array(ball.coords, space.n)
+    coords = sphere_project_array(ball.coords)
     return SampleBatch(
         coords=coords, seed=seed, acceptance_rate=ball.acceptance_rate,
         attempts=ball.attempts, kind="sphere",

@@ -39,3 +39,12 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_package_reexports_only_public_names():
+    # a name deleted from a module's __all__ must not linger as a re-export
+    tree = ast.parse(Path(heishardy.__file__).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            public = importlib.import_module(f"heishardy.{node.module}").__all__
+            assert [a.name for a in node.names if a.name not in public] == [], node.module

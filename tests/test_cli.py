@@ -155,6 +155,21 @@ def test_panel_budget_exhausted_exits_3(capsys, monkeypatch):
     assert doc["error"] == "numeric tolerance failure" and doc["reason"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["norm", "--function", "exp:1e-300"],
+    # the true norm, about 1e60, fits float64
+    ["norm", "--function", "exp:1e-300,alpha=-1.9", "--p", "2"],
+    ["apply", "--kind", "dual-hardy", "--function", "exp:1e-300", "--radii", "1"],
+], ids=["norm", "norm-finite", "apply"])
+def test_exp_tail_without_cutoff_exits_3(capsys, argv):
+    # an exponential tail converges, so a cutoff scan that runs out is no divergence verdict
+    status, out, err = run_cli(capsys, *argv)
+    assert status == EXIT_NUMERIC
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "numeric tolerance failure" and "exponential tail" in doc["reason"]
+
+
 class TestApplyCommand:
     def test_hardy_power(self, capsys):
         doc = run_json(capsys, "apply", "--kind", "hardy", "--function", "power:1",

@@ -6,105 +6,99 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heishardy.geometry import (
-    DimensionMismatchError,
     GeometryReport,
-    HeisPoint,
-    ball_volume,
-    dilate,
-    group_inv,
-    group_mul,
+    dilate_array,
     group_mul_array,
     heis_distance,
     heis_space,
-    koranyi_norm,
     koranyi_norm_array,
+    sphere_project_array,
 )
 
 from _oracles import omega_closed_form
 
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+point3 = st.tuples(coord, coord, coord).map(np.array)
 
 
 def pt3(a, b, c):
-    return HeisPoint((float(a), float(b), float(c)))
+    return np.array([a, b, c], dtype=float)
 
 
 class TestGroupLaw:
     def test_hand_evaluated_product(self):
-        assert group_mul(pt3(1, 0, 0), pt3(0, 1, 0)).coords == (1.0, 1.0, -2.0)
+        assert group_mul_array(pt3(1, 0, 0), pt3(0, 1, 0)).tolist() == [1.0, 1.0, -2.0]
 
     def test_identity_element(self):
-        assert group_mul(pt3(0, 0, 0), pt3(0.3, -1.2, 7.0)).coords == (0.3, -1.2, 7.0)
+        assert group_mul_array(pt3(0, 0, 0), pt3(0.3, -1.2, 7.0)).tolist() == [0.3, -1.2, 7.0]
 
     def test_non_commutativity_witness(self):
-        assert group_mul(pt3(0, 1, 0), pt3(1, 0, 0)).coords == (1.0, 1.0, 2.0)
+        assert group_mul_array(pt3(0, 1, 0), pt3(1, 0, 0)).tolist() == [1.0, 1.0, 2.0]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            group_mul(pt3(1, 0, 0), HeisPoint((1.0, 0.0, 0.0, 0.0, 0.0)))
+        for kernel in (group_mul_array, heis_distance):
+            with pytest.raises(ValueError):
+                kernel(pt3(1, 0, 0), np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+            with pytest.raises(ValueError):
+                kernel(np.zeros((4, 5)), pt3(1, 0, 0))
+            with pytest.raises(ValueError):  # shapes that broadcast
+                kernel(np.zeros(5), np.zeros(1))
 
-    @given(st.tuples(coord, coord, coord), st.tuples(coord, coord, coord),
-           st.tuples(coord, coord, coord))
+    @given(point3, point3, point3)
     @settings(max_examples=200, deadline=None)
-    def test_associativity(self, a, b, c):
-        x, y, z = HeisPoint(a), HeisPoint(b), HeisPoint(c)
-        lhs = group_mul(group_mul(x, y), z)
-        rhs = group_mul(x, group_mul(y, z))
-        assert max(abs(l - r) for l, r in zip(lhs.coords, rhs.coords)) <= 1e-12
+    def test_associativity(self, x, y, z):
+        lhs = group_mul_array(group_mul_array(x, y), z)
+        rhs = group_mul_array(x, group_mul_array(y, z))
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 class TestInverse:
+    """The inverse of x is -x."""
+
     def test_negation_formula(self):
-        assert group_inv(pt3(1, 2, 3)).coords == (-1.0, -2.0, -3.0)
+        x = pt3(1, 2, 3)
+        assert group_mul_array(x, -x).tolist() == [0.0, 0.0, 0.0]
+        assert group_mul_array(-x, x).tolist() == [0.0, 0.0, 0.0]
 
     def test_origin_self_inverse(self):
-        assert group_inv(pt3(0, 0, 0)).coords == (-0.0, -0.0, -0.0)
+        assert group_mul_array(pt3(0, 0, 0), -pt3(0, 0, 0)).tolist() == [0.0, 0.0, 0.0]
 
-    @given(st.tuples(coord, coord, coord))
+    @given(point3)
     @settings(max_examples=200, deadline=None)
-    def test_defining_property(self, a):
-        x = HeisPoint(a)
-        prod = group_mul(x, group_inv(x))
+    def test_defining_property(self, x):
         # the symplectic terms cancel exactly in floating point
-        assert max(abs(c) for c in prod.coords) <= 1e-15
+        assert np.max(np.abs(group_mul_array(x, -x))) <= 1e-15
 
 
 class TestDilation:
     def test_formula(self):
-        assert dilate(2.0, pt3(1, 1, 1)).coords == (2.0, 2.0, 4.0)
+        assert dilate_array(2.0, pt3(1, 1, 1)).tolist() == [2.0, 2.0, 4.0]
 
     def test_identity(self):
-        assert dilate(1.0, pt3(0.5, -3, 2)).coords == (0.5, -3.0, 2.0)
+        assert dilate_array(1.0, pt3(0.5, -3, 2)).tolist() == [0.5, -3.0, 2.0]
 
     def test_semigroup(self):
-        out = dilate(0.5, dilate(4.0, pt3(1, 1, 1)))
-        assert out.coords == (2.0, 2.0, 4.0)
+        out = dilate_array(0.5, dilate_array(4.0, pt3(1, 1, 1)))
+        assert out.tolist() == [2.0, 2.0, 4.0]
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            dilate(0.0, pt3(1, 0, 0))
-        with pytest.raises(ValueError):
-            dilate(-1.0, pt3(1, 0, 0))
-
-    @given(st.tuples(coord, coord, coord), st.floats(min_value=0.1, max_value=10.0))
+    @given(point3, st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=200, deadline=None)
-    def test_gauge_homogeneity(self, a, r):
-        x = HeisPoint(a)
-        nx = koranyi_norm(x)
+    def test_gauge_homogeneity(self, x, r):
+        nx = koranyi_norm_array(x)
         if nx < 1e-6:
             return
-        assert abs(koranyi_norm(dilate(r, x)) - r * nx) <= 1e-12 * r * nx
+        assert abs(koranyi_norm_array(dilate_array(r, x)) - r * nx) <= 1e-12 * r * nx
 
 
 class TestKoranyiNorm:
     def test_horizontal_point(self):
-        assert abs(koranyi_norm(pt3(1, 1, 0)) - math.sqrt(2)) < 1e-15
+        assert abs(koranyi_norm_array(pt3(1, 1, 0)) - math.sqrt(2)) < 1e-15
 
     def test_center_point(self):
-        assert koranyi_norm(pt3(0, 0, 1)) == 1.0
+        assert koranyi_norm_array(pt3(0, 0, 1)) == 1.0
 
     def test_origin(self):
-        assert koranyi_norm(pt3(0, 0, 0)) == 0.0
+        assert koranyi_norm_array(pt3(0, 0, 0)) == 0.0
 
 
 class TestDistance:
@@ -120,10 +114,8 @@ class TestDistance:
         for n in (1, 2):
             d = 2 * n + 1
             z, p, q = (rng.uniform(-10, 10, (10_000, d)) for _ in range(3))
-            base = koranyi_norm_array(group_mul_array(-q, p, n))
-            moved = koranyi_norm_array(
-                group_mul_array(-group_mul_array(z, q, n), group_mul_array(z, p, n), n)
-            )
+            base = heis_distance(p, q)
+            moved = heis_distance(group_mul_array(z, p), group_mul_array(z, q))
             mask = base > 1e-9
             rel = np.abs(moved[mask] - base[mask]) / base[mask]
             assert rel.max() <= 1e-10
@@ -133,10 +125,39 @@ class TestDistance:
         for n in (1, 2):
             d = 2 * n + 1
             p, x, q = (rng.uniform(-10, 10, (100_000, d)) for _ in range(3))
-            d_pq = koranyi_norm_array(group_mul_array(-q, p, n))
-            d_px = koranyi_norm_array(group_mul_array(-x, p, n))
-            d_xq = koranyi_norm_array(group_mul_array(-q, x, n))
+            d_pq, d_px, d_xq = heis_distance(p, q), heis_distance(p, x), heis_distance(x, q)
             assert int(np.sum(d_pq > d_px + d_xq + 1e-12)) == 0
+
+
+class TestOnePointOrBatch:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_row_of_a_batch_is_the_kernel_at_that_point(self, n):
+        rng = np.random.default_rng(100 + n)
+        x, y = (rng.uniform(-10, 10, (64, 2 * n + 1)) for _ in range(2))
+        r = rng.uniform(0.1, 10.0, 64)
+        batch = (group_mul_array(x, y), group_mul_array(x, y[0]), koranyi_norm_array(x),
+                 dilate_array(r, x), dilate_array(r[0], x), sphere_project_array(x),
+                 heis_distance(x, y))
+        for i in range(64):
+            one = (group_mul_array(x[i], y[i]), group_mul_array(x[i], y[0]),
+                   koranyi_norm_array(x[i]), dilate_array(r[i], x[i]), dilate_array(r[0], x[i]),
+                   sphere_project_array(x[i]), heis_distance(x[i], y[i]))
+            for b, o in zip(batch, one):
+                assert np.shape(o) == np.shape(b)[1:]
+                assert np.array_equal(b[i], o)
+
+
+class TestShapeValidation:
+    """n comes from the last axis, which must be odd and at least 3."""
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 4])
+    def test_rejects_bad_last_axis(self, d):
+        for x in (np.zeros(d), np.zeros((5, d))):
+            for kernel in (koranyi_norm_array, sphere_project_array,
+                           lambda x: group_mul_array(x, x), lambda x: dilate_array(2.0, x),
+                           lambda x: heis_distance(x, x)):
+                with pytest.raises(ValueError):
+                    kernel(x)
 
 
 class TestSpaceConstants:
@@ -198,30 +219,3 @@ class TestGeometryReport:
             rep = self._report(**{field: bad})
             assert not rep.all_pass, field
             assert [row["pass"] for row in rep.rows()].count(False) == 1
-
-
-class TestBallVolume:
-    def test_unit_ball_n1(self, space1):
-        assert abs(ball_volume(space1, 1.0) - math.pi**2) < 1e-12
-
-    def test_unit_ball_n2(self, space2):
-        assert abs(ball_volume(space2, 1.0) - 4 * math.pi**2 / 3) < 1e-12
-
-    def test_scaling(self, space1):
-        assert abs(ball_volume(space1, 2.0) - math.pi**2 * 16) < 1e-10
-
-    def test_rejects_bad_radius(self, space1):
-        with pytest.raises(ValueError):
-            ball_volume(space1, 0.0)
-
-
-class TestHeisPointValidation:
-    def test_rejects_even_length(self):
-        with pytest.raises(ValueError):
-            HeisPoint((1.0, 2.0))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            HeisPoint((1.0, math.nan, 0.0))
-        with pytest.raises(ValueError):
-            HeisPoint((math.inf, 0.0, 0.0))

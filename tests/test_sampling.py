@@ -77,7 +77,7 @@ class TestBallSampler:
     def test_radius_angle_independence(self, space1):
         batch = mc_ball_sample(space1, 100_000, 31)
         radii = batch.radii()
-        theta = dilate_array(1.0 / radii, batch.coords, space1.n)
+        theta = dilate_array(1.0 / radii, batch.coords)
         for stat in (theta[:, 0], np.sign(theta[:, 0]), theta[:, 2]):
             corr = np.corrcoef(radii, stat)[0, 1]
             assert abs(corr) <= 3.0 / math.sqrt(len(batch))
@@ -88,7 +88,7 @@ class TestBallSampler:
         batch = mc_ball_sample(space1, 500_000, 12)
         r = 1.7
         vol_unit = batch.acceptance_rate * 2.0**space1.dim
-        dilated = dilate_array(r, batch.coords, space1.n)
+        dilated = dilate_array(r, batch.coords)
         # dilated points fill delta_r(B); their bounding box is the dilated box
         assert np.max(koranyi_norm_array(dilated)) <= r * (1 + 1e-12)
         vol_scaled_expected = r**space1.q * space1.unit_ball_lebesgue
@@ -192,7 +192,7 @@ class TestExactBallSampler:
     @pytest.mark.parametrize("n", [1, 2])
     def test_sphere_moment_matches_box_sampler(self, n):
         space = heis_space(n)
-        exact = sphere_project_array(exact_ball_sample(space, 200_000, 32), n)[:, -1] ** 2
+        exact = sphere_project_array(exact_ball_sample(space, 200_000, 32))[:, -1] ** 2
         box = mc_sphere_sample(space, 200_000, 31).coords[:, -1] ** 2
         se = math.hypot(exact.std(ddof=1), box.std(ddof=1)) / math.sqrt(200_000)
         assert abs(exact.mean() - box.mean()) <= 3.0 * se
