@@ -377,7 +377,12 @@ def cmd_norm(cfg: argparse.Namespace) -> tuple[dict, int]:
     for n, p, pb1 in itertools.product(cfg.n, cfg.p, cfg.pbar1):
         row = {"n": n, "p": p, "pbar": pb1}
         try:
-            row["norm"] = radial_norm_with_error(f, p, pb1, heis_space(n), cfg.spec).value
+            norm = radial_norm_with_error(f, p, pb1, heis_space(n), cfg.spec)
+            if norm.value == 0.0 and not f.is_zero:  # missed or underflowed: a 100% error
+                raise ToleranceNotReachedError(
+                    f"the norm of a non-zero function came out 0.0 (error {norm.error!r})",
+                    estimate=0.0, error=norm.error)
+            row["norm"] = norm.value
             row["verdict"] = "finite"
         except DivergentIntegralError as exc:
             row["norm"] = None

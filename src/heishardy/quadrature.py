@@ -7,7 +7,9 @@ integrals at once, each with its own window and seeds and exactly the
 steps it would take alone, and evaluates each step of all of them in one
 integrand call fun(u, member) (every seeded panel, then the two halves of
 each member's worst panel), so integrands must be elementwise in their
-array argument.  Working in u has three payoffs at once:
+array argument.  A population holds up to _MEMBERS = 256 integrals: its
+fixed cost per step is paid once for all of them, and its dense members x
+panels arrays grow with it.  Working in u has three payoffs at once:
 
 * power-law endpoint singularities at r -> 0 become plain exponential
   decay toward u = -infinity,
@@ -141,7 +143,7 @@ _WG[1::2] = [
 ]
 
 
-_MEMBERS = 64  # integrals per population
+_MEMBERS = 256  # integrals per population
 _CALL_PANELS = 256  # GK15 panels per integrand call, i.e. 3,840 points
 _MAX_PANELS = 2000  # panels per integral before ToleranceNotReachedError
 
@@ -262,8 +264,12 @@ def _ladder(a: np.ndarray, b: np.ndarray, cap_near: float, cap_far: float) -> np
     """
     width = b - a
     step = np.minimum(np.maximum(cap_near, width / 64.0), width) / 2.0
+    far = np.maximum(cap_far, width / 64.0)
+    # d = ceil(log2(far/step)) doublings reach the far cap and ceil(width/far) far
+    # steps then cross the window, so k columns hold every seed (two spare for rounding)
+    k = int(min(np.max(np.ceil(np.log2(far / step)) + np.ceil(width / far)) + 2, 160))
     # steps double (exactly) up to the far cap; seeds are their running sums from a, in order
-    steps = np.minimum(step[:, None] * 2.0 ** np.arange(160), np.maximum(cap_far, width / 64.0)[:, None])
+    steps = np.minimum(step[:, None] * 2.0 ** np.arange(k), far[:, None])
     x = np.cumsum(np.hstack([a[:, None], steps]), axis=1)[:, 1:]
     inside = x < b[:, None]
     return np.where(inside, x, np.nan)[:, :inside.sum(axis=1).max()]
@@ -359,8 +365,9 @@ def _integrals(
     The engine behind certified_log_integral: each member takes exactly the
     steps of one such integral, with seeds[m] (nan-padded) as extra panel
     edges; fun is elementwise in u, and m names each point's member.
-    Populations hold at most _MEMBERS members.  An empty window gives 0;
-    the first failing member, in index order, raises its error.
+    Populations hold at most _MEMBERS (256) members; a member's values are
+    bitwise the same in any population, alone included.  An empty window
+    gives 0; the first failing member, in index order, raises its error.
     """
     if np.isinf(hi).any() and not rate_hi > 0:
         raise DivergentIntegralError(f"non-decaying upper tail (rate {rate_hi} <= 0); divergent integral")
@@ -477,18 +484,24 @@ def power_profile(
     coeff: float = 1.0,
     support: tuple[float, float] = (0.0, math.inf),
 ) -> RadialProfile:
-    """coeff * r^exponent, optionally truncated to `support`."""
+    """coeff * r^exponent, optionally truncated to `support`; zero_profile() when coeff is 0."""
 
     def lv(u, kappa):
         return coeff * np.exp((exponent + kappa) * u)
 
-    return RadialProfile(lv, origin_exponent=exponent, tail_exponent=exponent, support=support)
+    profile = RadialProfile(lv, origin_exponent=exponent, tail_exponent=exponent, support=support)
+    return zero_profile() if coeff == 0.0 else profile  # the support is checked either way
 
 
 def exp_profile(rate: float, exponent: float = 0.0, coeff: float = 1.0) -> RadialProfile:
-    """coeff * r^exponent * e^{-rate * r} with rate > 0; its tail exponent is -inf."""
+    """coeff * r^exponent * e^{-rate * r} with rate > 0; its tail exponent is -inf.
+
+    zero_profile() when coeff is 0.
+    """
     if not rate > 0:
         raise ValueError("decay rate must be positive")
+    if coeff == 0.0:
+        return zero_profile()
 
     def lv(u, kappa):
         arg = (exponent + kappa) * u - rate * np.exp(u)

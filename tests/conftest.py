@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+from heishardy import operators, quadrature
 from heishardy.geometry import heis_space
 from heishardy.quadrature import QuadratureSpec
 
@@ -22,3 +23,28 @@ def space2():
 @pytest.fixture(scope="session")
 def spec():
     return QuadratureSpec()
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Deterministic work counts of the quadrature engine, filled as the test runs.
+
+    panels: GK15 panels evaluated; sweeps: quadrature._panels calls, one per
+    step of a population; inner_integrals: the integrals of operator-output
+    evaluations, which reach the engine through operators._integrals.
+    """
+    counts = {"panels": 0, "inner_integrals": 0, "sweeps": 0}
+    panels, integrals = quadrature._panels, quadrature._integrals
+
+    def counted_panels(fun, lo, *args):
+        counts["panels"] += len(lo)
+        counts["sweeps"] += 1
+        return panels(fun, lo, *args)
+
+    def counted_integrals(fun, lo, *args):
+        counts["inner_integrals"] += len(lo)
+        return integrals(fun, lo, *args)
+
+    monkeypatch.setattr(quadrature, "_panels", counted_panels)
+    monkeypatch.setattr(operators, "_integrals", counted_integrals)
+    return counts

@@ -146,6 +146,24 @@ def test_zero_norm_exits_3(capsys, argv):
     assert doc["error"] == "numeric tolerance failure" and "0.0" in doc["reason"]
 
 
+def test_underflowed_norm_of_a_nonzero_function_exits_3(capsys):
+    # int |e^{-r}|^p r^3 dr = 6/p^4 = 6e-40 at p = 1e10 is below abs_tol: it reads 0
+    # while the norm, its 1/p-th power times 2 pi, is about 6.28
+    status, out, err = run_cli(capsys, "norm", "--p", "1e10")
+    assert status == EXIT_NUMERIC
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "numeric tolerance failure" and "0.0" in doc["reason"]
+
+
+@pytest.mark.parametrize("function", ["power:1,hi=1,c=0", "power:1,c=0"])
+def test_zero_coefficient_norm_is_zero(capsys, function):
+    # a zero coefficient makes the zero profile, whose norm is 0 whatever its exponent
+    doc = run_json(capsys, "norm", "--function", function)
+    assert doc["results"][0]["norm"] == 0.0
+    assert doc["results"][0]["verdict"] == "finite"
+
+
 def test_panel_budget_exhausted_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 3)
     status, out, err = run_cli(capsys, "norm", "--function", "exp:1")

@@ -343,8 +343,20 @@ class TestPopulationEvaluation:
         u = np.linspace(-3.0, 3.0, 64)
         together = out.logeval(u, 2.0)
         alone = np.array([out.logeval(np.array([ui]), 2.0)[0] for ui in u])
-        assert np.all(np.abs(together - alone) <= 4e-16 * np.abs(alone))
+        assert np.array_equal(together, alone)
         assert np.any(together != 0.0)
+
+    @pytest.mark.parametrize("op", ["hardy", "dual_hardy"])
+    def test_population_size_changes_no_value(self, op, space1, spec, monkeypatch):
+        # 700 radii run as 700, 11 or 3 populations: every member takes its own steps
+        out = self.OPERATORS[op](self.INPUTS["mixture"](), space1, spec)
+        u = np.linspace(-4.0, 4.0, 700)
+        values = []
+        for members in (1, 64, 256):
+            monkeypatch.setattr(quadrature, "_MEMBERS", members)
+            values.append(out.logeval(u, 2.0))
+        assert np.array_equal(values[0], values[1]) and np.array_equal(values[0], values[2])
+        assert np.all(values[0] > 0.0)
 
     @pytest.mark.parametrize("op,inp", [("hardy", "mixture"), ("dual_hardy", "exp")])
     def test_integrand_calls_stay_under_the_point_cap(self, op, inp, space1, spec):

@@ -16,6 +16,7 @@ from heishardy.quadrature import (
     _WG,
     _WK,
     _bisect,
+    _ladder,
     _panels,
     abs_power_profile,
     certified_log_integral,
@@ -255,6 +256,34 @@ class TestBatchedAdaptive:
         res = certified_log_integral(lambda u: 1e300 * np.exp(-u), 0.0, 100.0,
                                      rate_lo=1.0, rate_hi=1.0, spec=QuadratureSpec())
         assert abs(res.value - 1e300 * -math.expm1(-100.0)) <= 1e-8 * 1e300
+
+
+def _ladder_160(a, b, cap_near, cap_far):
+    """The seed ladder built on all 160 columns, trimmed after: _ladder's reference."""
+    width = b - a
+    step = np.minimum(np.maximum(cap_near, width / 64.0), width) / 2.0
+    steps = np.minimum(step[:, None] * 2.0 ** np.arange(160), np.maximum(cap_far, width / 64.0)[:, None])
+    x = np.cumsum(np.hstack([a[:, None], steps]), axis=1)[:, 1:]
+    inside = x < b[:, None]
+    return np.where(inside, x, np.nan)[:, :inside.sum(axis=1).max()]
+
+
+def _log_uniform(lo, hi):
+    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+class TestLadder:
+    @given(windows=st.lists(st.tuples(st.floats(min_value=-1e3, max_value=1e3), _log_uniform(1e-9, 1e5)),
+                            min_size=1, max_size=4),
+           caps=st.tuples(_log_uniform(1e-7, 1e3), _log_uniform(1e-7, 1e3)).map(sorted))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_160_column_build_bitwise(self, windows, caps):
+        # the window-sized build adds the same steps in the same order
+        a = np.array([w[0] for w in windows])
+        b = a + np.array([w[1] for w in windows])
+        got, want = _ladder(a, b, *caps), _ladder_160(a, b, *caps)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestProfileAlgebra:

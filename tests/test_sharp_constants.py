@@ -111,6 +111,18 @@ class TestExtremalRatio:
         want = weighted_cesaro_extremal_ratio(4.0, 2.0, 0.01, 4.0)
         assert abs(rep.ratio - want) <= 1e-6 * want
 
+    @pytest.mark.parametrize("kind,panels,integrals,sweeps", [
+        (HARDY, 19_224, 2_001, 50),
+        (OperatorKind("weighted_cesaro", power_weight(1.0, 4.0)), 18_187, 1_992, 40),
+    ], ids=["hardy", "weighted_cesaro"])
+    def test_work_counts(self, kind, panels, integrals, sweeps, space1, spec, work_counts):
+        # panels and integrals are the engine's work, pinned; sweeps (integrand
+        # calls) fall as populations grow, so only their ceiling is pinned
+        extremal_ratio(q_of(kind, 2.0, 2.0, 2.0, space1), 0.01, spec)
+        assert work_counts["panels"] == panels
+        assert work_counts["inner_integrals"] == integrals
+        assert work_counts["sweeps"] <= sweeps
+
     def test_mixed_exponents_scale_by_omega_delta(self, space1, spec):
         base = extremal_ratio(q_of(HARDY, 2.0, 2.0, 2.0, space1), 0.01, spec)
         mixed = extremal_ratio(q_of(HARDY, 2.0, 4.0, 2.0, space1), 0.01, spec)
