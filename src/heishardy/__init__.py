@@ -4,9 +4,9 @@ verification on Heisenberg groups.
 The package is organized around six pieces: group geometry and gauge metric
 (`geometry`), certified radial quadrature plus seeded Monte Carlo sampling
 (`quadrature`), the four Hardy-type operators (`operators`), mixed
-radial-angular norms and radialization (`mixed_norm`), sharp-constant
-computation and convergence verification (`sharp_constants`), and a
-reproducible command-line front end (`cli`).
+radial-angular norms and radialization (`mixed_norm`), sharp constants and
+the per-query verdict `verify` (`sharp_constants`), and a reproducible
+command-line front end (`cli`).
 """
 
 __version__ = "0.1.0"
@@ -43,4 +43,5 @@ from .sharp_constants import (
     extremal_ratio,
     convergence_table,
     upper_bound_probe,
+    verify,
 )

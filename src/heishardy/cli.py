@@ -3,8 +3,8 @@
 Subcommands
 -----------
 constants     table of sharp operator-norm constants over a parameter grid
-verify-sharp  extremal-family convergence tables plus randomized upper-bound
-              probes, with pass/fail exit status
+verify-sharp  sharp_constants.verify on every grid point: convergence table,
+              upper-bound probes and the verdict, which the CLI only renders
 apply         evaluate an operator on a named radial function at given radii
 norm          mixed radial-angular norm of a named radial function
 geom-check    randomized verification of the group geometry and gauge metric
@@ -12,8 +12,9 @@ geom-check    randomized verification of the group geometry and gauge metric
 Every report carries a provenance block (config echo, seed, tolerances,
 package version) and is byte-identical across runs with the same
 configuration.  Exit status: 0 success, 2 invalid configuration, 3 numeric
-check failure (including an integrand that left float range).  geom-check's
-Monte Carlo volume check draws exact samples, so it runs at every n.
+check failure (a failing verify-sharp row, an integrand that left float
+range, or a divergence that no row reports).  geom-check's Monte Carlo
+volume check draws exact samples, so it runs at every n.
 
 Each option is declared once, in build_parser: a type= converter that
 validates through the library, a dest, and its default.  The converters are
@@ -55,21 +56,18 @@ from .quadrature import (
 from .sharp_constants import (
     DEFAULT_EPS_GRID,
     SharpConstantQuery,
-    SharpnessViolationError,
     UnboundedOperatorError,
     check_eps_grid,
-    convergence_table,
     theoretical_constant,
-    upper_bound_probe,
+    verify,
 )
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# the grid keys of a result row, and the fields of one convergence-table entry
+# the grid keys of a result row
 _GRID = ("kind", "n", "p", "pbar1", "pbar2")
-_TABLE = ("epsilon", "ratio", "constant", "relative_gap", "error_estimate")
 
 
 class ConfigError(ValueError):
@@ -320,38 +318,15 @@ def cmd_constants(cfg: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_verify_sharp(cfg: argparse.Namespace) -> tuple[dict, int]:
-    rows = []
-    offending = []
+    rows, offending = [], []
     for q, base in _grid(cfg):
-        try:
-            table = convergence_table(q, cfg.eps_grid, cfg.spec)
-            # a probe that beats the constant raises; one that returns is within it
-            probe = upper_bound_probe(q, cfg.trials, cfg.seed, cfg.spec)
-        except UnboundedOperatorError:
-            rows.append({**base, "verdict": "unbounded"})
-            continue
-        except SharpnessViolationError as exc:
-            offending.append({**base, "error": str(exc)})
-            break
-        final = table[-1]
-        sandwich_ok = all(r.sandwich_ok for r in table)
-        converged = final.relative_gap <= 0.05
-        rows.append({
-            **base,
-            "verdict": "bounded",
-            "constant": final.constant,
-            "table": [{k: getattr(r, k) for k in _TABLE} for r in table],
-            "probe_worst_ratio": probe.ratio,
-            "probe_trials": cfg.trials,
-            "sandwich_ok": sandwich_ok,
-            "converged": converged,
-        })
-        if not (sandwich_ok and converged):
-            offending.append({**base, "relative_gap": final.relative_gap})
-    report = {"results": rows}
-    if offending:
-        report["offending"] = offending
-    return report, EXIT_NUMERIC if offending else EXIT_OK
+        row, failed = verify(q, cfg.eps_grid, cfg.trials, cfg.seed, cfg.spec)
+        rows.append({**base, **row})
+        if failed is not None:
+            offending.append({**base, **failed})
+    if not offending:
+        return {"results": rows}, EXIT_OK
+    return {"results": rows, "offending": offending}, EXIT_NUMERIC
 
 
 def cmd_apply(cfg: argparse.Namespace) -> tuple[dict, int]:
@@ -457,6 +432,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("numeric tolerance failure", exc, EXIT_NUMERIC)
     except NonFiniteIntegrandError as exc:
         return _fail("non-finite integrand", exc, EXIT_NUMERIC)
+    except DivergentIntegralError as exc:  # e.g. an epsilon that Q/p + epsilon rounds away
+        return _fail("divergent integral", exc, EXIT_NUMERIC)
 
     text = render_json(report, cfg) if cfg.format == "json" else render_csv(report, cfg)
     try:

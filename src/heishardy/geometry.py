@@ -221,10 +221,7 @@ class GeometryReport:
 
 
 def run_geometry_checks(
-    space: HeisSpace,
-    triples: int = 100_000,
-    seed: int = 42,
-    mc_count: int = 1_000_000,
+    space: HeisSpace, *, triples: int, mc_count: int, seed: int = 42
 ) -> GeometryReport:
     """Randomized verification of the group axioms and gauge metric laws.
 

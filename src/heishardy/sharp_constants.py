@@ -17,7 +17,9 @@ has operator-norm ratio approaching the constant as eps -> 0; ratios are
 computed end to end by certified quadrature and packaged with the constant
 into RatioReports.  From above, randomized admissible profiles (mixtures
 of truncated powers and exponential bumps, metadata-admissible by
-construction) must never beat the constant beyond tolerance.
+construction) must never beat the constant beyond tolerance.  `verify`
+answers the package's question for one query: it owns the verdict on both
+probes, and a beaten constant fails its row instead of raising.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .quadrature import (
 
 __all__ = [
     "UnboundedOperatorError",
-    "SharpnessViolationError",
     "SharpConstantQuery",
     "RatioReport",
     "theoretical_constant",
@@ -52,18 +53,17 @@ __all__ = [
     "check_eps_grid",
     "convergence_table",
     "upper_bound_probe",
+    "verify",
     "DEFAULT_EPS_GRID",
 ]
 
 DEFAULT_EPS_GRID = (0.1, 0.03, 0.01, 0.003, 0.001)
+# the fields of one convergence-table entry in a verify row
+_TABLE = ("epsilon", "ratio", "constant", "relative_gap", "error_estimate")
 
 
 class UnboundedOperatorError(ArithmeticError):
     """The defining weight moment diverges: no finite operator norm."""
-
-
-class SharpnessViolationError(AssertionError):
-    """A probed ratio exceeded the theoretical constant beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -226,12 +226,12 @@ def upper_bound_probe(
     seed: int,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> RatioReport:
-    """Max norm ratio over random admissible profiles; must stay below the constant.
+    """The worst norm ratio over random admissible profiles (epsilon NaN).
 
-    Returns the worst-case RatioReport (epsilon is NaN for probes).  Raises
-    SharpnessViolationError if any report fails `sandwich_ok`: a ratio
-    beyond constant * (1 + 1e-6) plus the computed quadrature allowance,
-    which the boundedness theorems rule out, or a NaN ratio.
+    Returns the first trial report that fails `sandwich_ok` (a ratio beyond
+    constant * (1 + 1e-6) plus the computed quadrature allowance, which the
+    boundedness theorems rule out, or a NaN ratio), else the report of the
+    largest ratio.  The caller judges the returned report by `sandwich_ok`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -241,10 +241,41 @@ def upper_bound_probe(
         f = _random_admissible_profile(_stream(seed, 0x9E3779B9 + trial), q)
         report = _ratio_report(q, f, constant, spec, math.nan, seed=seed, trial=trial)
         if not report.sandwich_ok:
-            raise SharpnessViolationError(
-                f"probe trial {trial} (seed {seed}) gave ratio {report.ratio!r} above "
-                f"constant {constant!r} beyond tolerance"
-            )
+            return report
         if worst is None or report.ratio > worst.ratio:
             worst = report
     return worst
+
+
+def verify(
+    q: SharpConstantQuery, eps_grid: Sequence[float], trials: int, seed: int, spec: QuadratureSpec
+) -> tuple[dict, dict | None]:
+    """The verdict on one query: its verify-sharp row and its offending fields, or None.
+
+    The row holds the convergence table over eps_grid and the probe of
+    `trials` random profiles.  It passes when every table ratio and the
+    probe are sandwich_ok and the final gap is at most 0.05.  A failing
+    row's offending fields give that gap, plus an `error` naming the trial
+    and seed of a probe that beat the constant.  An unbounded operator is
+    the passing row {"verdict": "unbounded"}.
+    """
+    try:
+        table = convergence_table(q, eps_grid, spec)
+        probe = upper_bound_probe(q, trials, seed, spec)
+    except UnboundedOperatorError:
+        return {"verdict": "unbounded"}, None
+    final = table[-1]
+    sandwich_ok = all(r.sandwich_ok for r in (*table, probe))
+    converged = final.relative_gap <= 0.05
+    row = {"verdict": "bounded", "constant": final.constant,
+           "table": [{k: getattr(r, k) for k in _TABLE} for r in table],
+           "probe_worst_ratio": probe.ratio, "probe_trials": trials,
+           "sandwich_ok": sandwich_ok, "converged": converged}
+    if sandwich_ok and converged:
+        return row, None
+    offending = {"relative_gap": final.relative_gap}
+    if not probe.sandwich_ok:
+        offending["error"] = (
+            f"probe trial {probe.seeds_and_tolerances['trial']} (seed {seed}) gave ratio "
+            f"{probe.ratio!r} above constant {probe.constant!r} beyond tolerance")
+    return row, offending

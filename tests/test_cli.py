@@ -117,17 +117,43 @@ class TestVerifySharpCommand:
         assert all(row["relative_gap"] > 0.05 for row in doc["offending"])
 
     def test_beaten_constant_exits_3_with_error_row(self, capsys, monkeypatch):
-        # at half the constant the first probe beats it and raises: the row
-        # goes to offending with the probe's error, and the grid stops there
+        # at half the constant the first probe of each row beats it: every row is
+        # rendered with sandwich_ok false and goes to offending with the probe's error
         real = sharp_constants.theoretical_constant
         monkeypatch.setattr(sharp_constants, "theoretical_constant", lambda *a: 0.5 * real(*a))
         status, out, err = run_cli(capsys, "verify-sharp", "--kind", "hardy,dual-hardy",
                                    "--eps-grid", "0.5", "--trials", "1")
         assert status == EXIT_NUMERIC
         doc = json.loads(out)
-        assert doc["results"] == []
-        assert [row["kind"] for row in doc["offending"]] == ["hardy"]
-        assert "probe trial 0" in doc["offending"][0]["error"]
+        assert [(row["kind"], row["sandwich_ok"]) for row in doc["results"]] == [
+            ("hardy", False), ("dual_hardy", False)]
+        assert [row["kind"] for row in doc["offending"]] == ["hardy", "dual_hardy"]
+        assert all("probe trial 0 (seed 0)" in row["error"] for row in doc["offending"])
+
+    def test_rows_and_verdicts_are_the_librarys(self, capsys, monkeypatch):
+        # the CLI renders what verify returns: one failing row of two is the one offending
+        def stub(q, eps_grid, trials, seed, spec):
+            failed = {"relative_gap": 0.5} if q.kind.dual else None
+            return {"verdict": "bounded", "stub": q.kind.tag}, failed
+
+        monkeypatch.setattr(cli, "verify", stub)
+        status, out, err = run_cli(capsys, "verify-sharp", "--kind", "hardy,dual-hardy")
+        assert status == EXIT_NUMERIC
+        doc = json.loads(out)
+        assert [row["stub"] for row in doc["results"]] == ["hardy", "dual_hardy"]
+        assert doc["offending"] == [{"kind": "dual_hardy", "n": 1, "p": 2.0, "pbar1": 2.0,
+                                     "pbar2": 2.0, "relative_gap": 0.5}]
+
+    @pytest.mark.parametrize("kind", ["hardy", "dual-hardy", "whardy", "wcesaro"])
+    def test_epsilon_below_float_resolution_exits_3(self, capsys, kind):
+        # at n = 1, p = 2 the exponent Q/p + 1e-16 rounds to Q/p: the extremal
+        # norm diverges, and the divergence is a numeric failure, not a traceback
+        status, out, err = run_cli(capsys, "verify-sharp", "--kind", kind, "--weight", "power:4",
+                                   "--eps-grid", "1e-16", "--trials", "1")
+        assert status == EXIT_NUMERIC
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "divergent integral" and "divergent" in doc["reason"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from heishardy import sharp_constants
 from heishardy.geometry import heis_space
 from heishardy.mixed_norm import MixedExponents
 from heishardy.operators import DUAL_HARDY, HARDY, OperatorKind, power_weight
@@ -17,6 +18,7 @@ from heishardy.sharp_constants import (
     extremal_ratio,
     theoretical_constant,
     upper_bound_probe,
+    verify,
 )
 
 from _oracles import (
@@ -228,6 +230,36 @@ class TestUpperBoundProbe:
     def test_rejects_bad_trials(self, space1, spec):
         with pytest.raises(ValueError):
             upper_bound_probe(q_of(HARDY, 2.0, 2.0, 2.0, space1), 0, 1, spec)
+
+    def test_beaten_constant_returns_the_failing_trial(self, space1, spec, monkeypatch):
+        real = sharp_constants.theoretical_constant
+        monkeypatch.setattr(sharp_constants, "theoretical_constant", lambda *a: 0.5 * real(*a))
+        report = upper_bound_probe(q_of(HARDY, 2.0, 2.0, 2.0, space1), 3, 11, spec)
+        assert report.seeds_and_tolerances["trial"] == 0
+        assert not report.sandwich_ok
+
+
+class TestVerify:
+    def test_true_constant_passes(self, space1, spec):
+        row, failed = verify(q_of(HARDY, 2.0, 2.0, 2.0, space1), (0.1, 0.01), 2, 0, spec)
+        assert failed is None
+        assert row["verdict"] == "bounded" and row["sandwich_ok"] and row["converged"]
+        assert [e["epsilon"] for e in row["table"]] == [0.1, 0.01]
+        assert row["probe_trials"] == 2
+
+    def test_unbounded_operator_passes(self, space1, spec):
+        kind = OperatorKind("weighted_hardy", power_weight(1.0, 0.0))
+        assert verify(q_of(kind, 2.0, 2.0, 2.0, space1), (0.1,), 1, 0, spec) == (
+            {"verdict": "unbounded"}, None)
+
+    def test_halved_constant_fails_every_query(self, space1, spec, monkeypatch):
+        real = sharp_constants.theoretical_constant
+        monkeypatch.setattr(sharp_constants, "theoretical_constant", lambda *a: 0.5 * real(*a))
+        for kind in (HARDY, DUAL_HARDY):
+            for p in (2.0, 5.0):
+                row, failed = verify(q_of(kind, p, 2.0, 2.0, space1), (0.1, 0.01), 2, 0, spec)
+                assert not row["sandwich_ok"]
+                assert "probe trial 0 (seed 0)" in failed["error"]
 
 
 class TestRatioReportInvariants:
