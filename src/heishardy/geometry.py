@@ -221,7 +221,7 @@ class GeometryReport:
 
 
 def run_geometry_checks(
-    space: HeisSpace, *, triples: int, mc_count: int, seed: int = 42
+    space: HeisSpace, *, triples: int, mc_count: int, seed: int
 ) -> GeometryReport:
     """Randomized verification of the group axioms and gauge metric laws.
 

@@ -31,6 +31,7 @@ from .quadrature import (
     QuadratureSpec,
     QuadResult,
     RadialProfile,
+    ToleranceNotReachedError,
     abs_power_profile,
     exact_ball_sample,
     integrate_radial,
@@ -99,7 +100,8 @@ def radial_norm_with_error(
 ) -> QuadResult:
     """Mixed norm omega_small^{1/pbar} (int |f|^p r^{Q-1} dr)^{1/p} of a radial f.
 
-    Raises DivergentIntegralError when f's decay metadata rules the norm out.
+    Raises DivergentIntegralError when f's decay metadata rules the norm out,
+    and ToleranceNotReachedError when a non-zero f's norm comes out 0.0.
 
     The returned error combines the outer quadrature certificate with an
     allowance for the tolerance of any quadratures nested inside f's
@@ -107,7 +109,10 @@ def radial_norm_with_error(
     """
     res = integrate_radial(abs_power_profile(f, p), space, spec=spec)
     if res.value <= 0.0:
-        return QuadResult(0.0, res.error)
+        if f.is_zero:
+            return QuadResult(0.0, res.error)
+        raise ToleranceNotReachedError(f"the norm of a non-zero function came out 0.0 "
+                                       f"(error {res.error!r})", estimate=0.0, error=res.error)
     prefactor = space.omega_small ** (1.0 / p_bar)
     value = prefactor * res.value ** (1.0 / p)
     rel = res.error / res.value + 2.0 * spec.inner().rel_tol
@@ -141,23 +146,19 @@ def mixed_norm_separable(
 ) -> NormEstimate:
     """Mixed norm of a separable function with Monte Carlo standard error.
 
-    Separability factorizes the norm as A^{1/pbar} times the radial factor;
-    A is the angular pbar-moment estimated over gauge-sphere points.  Radial
-    f short-circuits to the deterministic path with zero standard error.
+    Separability factorizes the norm as M^{1/pbar} times the radial part's
+    norm from radial_norm_with_error, whose errors it raises; M is the mean
+    of |h|^pbar over gauge-sphere points.  Radial f is the radial norm with
+    zero standard error.
     """
+    radial = radial_norm_with_error(f.radial, p, p_bar, space, spec).value
     if f.is_radial:
-        return NormEstimate(radial_norm_with_error(f.radial, p, p_bar, space, spec).value, 0.0)
-    if f.radial.is_zero:
-        return NormEstimate(0.0, 0.0)
-    radial_int = integrate_radial(abs_power_profile(f.radial, p), space, spec=spec)
-    radial_factor = radial_int.value ** (1.0 / p)
-    # A = int |h|^pbar dtheta = omega_small * (sphere mean of |h|^pbar)
+        return NormEstimate(radial, 0.0)
     mean, se = _sphere_mean(lambda x: np.abs(np.asarray(f.angular(x), dtype=float)) ** p_bar,
                             space, mc_count, seed)
-    a_val, a_se = space.omega_small * mean, space.omega_small * se
-    value = a_val ** (1.0 / p_bar) * radial_factor
-    stderr = value * a_se / (p_bar * a_val) if a_val > 0 else a_se * radial_factor
-    return NormEstimate(value, stderr)
+    value = mean ** (1.0 / p_bar) * radial
+    # a zero mean has only zero samples, so no standard error
+    return NormEstimate(value, value * se / (p_bar * mean) if mean > 0 else 0.0)
 
 
 def radialize(

@@ -22,7 +22,7 @@ panels arrays grow with it.  Working in u has three payoffs at once:
 
 Truncation is always driven by declared decay exponents, never by blind
 sampling: the neglected mass is bounded by a closed-form power-law (or
-exponential) tail estimate pushed below abs_tol/10, with the bound's
+exponential) tail estimate pushed below abs_tol/20, with the bound's
 constant estimated by probing the integrand and doubling.  A divergent
 integral is recognized from the same exponents and raised as
 DivergentIntegralError before the integrand is evaluated at all; an
@@ -398,7 +398,7 @@ def certified_log_integral(
     is evaluated.
     The envelope constants are estimated by probing fun near the center
     and doubling; windows are cut where the envelope bound drops below
-    abs_tol/10 and the neglected mass joins the returned error estimate.
+    abs_tol/20 and the neglected mass joins the returned error estimate.
     Finite windows far longer than the decay scale are cut the same way,
     which also keeps profile evaluations away from regions where
     individual factors of an integrand would leave float range.

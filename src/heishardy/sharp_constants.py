@@ -19,7 +19,7 @@ into RatioReports.  From above, randomized admissible profiles (mixtures
 of truncated powers and exponential bumps, metadata-admissible by
 construction) must never beat the constant beyond tolerance.  `verify`
 answers the package's question for one query: it owns the verdict on both
-probes, and a beaten constant fails its row instead of raising.
+probes, and a beaten constant or a failed quadrature fails only its row.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .mixed_norm import MixedExponents, radial_norm_with_error
 from .operators import OperatorKind, apply_operator
 from .quadrature import (
     DivergentIntegralError,
+    NonFiniteIntegrandError,
     QuadratureSpec,
     RadialProfile,
     ToleranceNotReachedError,
@@ -121,9 +122,12 @@ def theoretical_constant(q: SharpConstantQuery, spec: QuadratureSpec = Quadratur
 
 
 def extremal_profile(eps: float, p: float, space: HeisSpace) -> RadialProfile:
-    """f_eps = r^{-(Q/p + eps)} beyond radius 1, zero inside, for eps in (0, 1)."""
+    """f_eps = r^{-(Q/p + eps)} beyond radius 1, zero inside, for eps in (0, 1) not lost in Q/p."""
     if not (0.0 < eps < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
+    if space.q / p + eps == space.q / p:
+        raise DivergentIntegralError(
+            f"epsilon {eps!r} vanishes beside Q/p = {space.q / p!r}: f_eps has no finite norm")
     return power_profile(-(space.q / p + eps), support=(1.0, math.inf))
 
 
@@ -137,16 +141,11 @@ def _ratio_report(
 ) -> RatioReport:
     """||T f||_{p, pbar2} / ||f||_{p, pbar1} by quadrature, against `constant`.
 
-    Raises ToleranceNotReachedError when either norm comes out 0.0.
+    A norm that comes out 0.0 raises ToleranceNotReachedError (f is non-zero).
     """
     out = apply_operator(q.kind, f, q.space, spec)
     num = radial_norm_with_error(out, q.exps.p, q.exps.p_bar_2, q.space, spec)
     den = radial_norm_with_error(f, q.exps.p, q.exps.p_bar_1, q.space, spec)
-    for name, norm in (("operator output", num), ("input", den)):
-        if norm.value == 0.0:  # missed or underflowed: no ratio to certify
-            raise ToleranceNotReachedError(
-                f"the {name} norm came out 0.0 (error {norm.error!r})",
-                estimate=0.0, error=norm.error)
     ratio = num.value / den.value
     return RatioReport(
         epsilon=epsilon,
@@ -257,13 +256,17 @@ def verify(
     probe are sandwich_ok and the final gap is at most 0.05.  A failing
     row's offending fields give that gap, plus an `error` naming the trial
     and seed of a probe that beat the constant.  An unbounded operator is
-    the passing row {"verdict": "unbounded"}.
+    the passing row {"verdict": "unbounded"}.  A failed quadrature (tolerance,
+    non-finite integrand or divergence) is the row {"verdict": "failed",
+    "reason": msg}, and its offending fields are {"error": msg}.
     """
     try:
         table = convergence_table(q, eps_grid, spec)
         probe = upper_bound_probe(q, trials, seed, spec)
     except UnboundedOperatorError:
         return {"verdict": "unbounded"}, None
+    except (ToleranceNotReachedError, NonFiniteIntegrandError, DivergentIntegralError) as exc:
+        return {"verdict": "failed", "reason": str(exc)}, {"error": str(exc)}
     final = table[-1]
     sandwich_ok = all(r.sandwich_ok for r in (*table, probe))
     converged = final.relative_gap <= 0.05

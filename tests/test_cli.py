@@ -146,14 +146,44 @@ class TestVerifySharpCommand:
 
     @pytest.mark.parametrize("kind", ["hardy", "dual-hardy", "whardy", "wcesaro"])
     def test_epsilon_below_float_resolution_exits_3(self, capsys, kind):
-        # at n = 1, p = 2 the exponent Q/p + 1e-16 rounds to Q/p: the extremal
-        # norm diverges, and the divergence is a numeric failure, not a traceback
+        # at n = 1, p = 2 the exponent Q/p + 1e-16 rounds to Q/p: f_eps has no
+        # finite norm, and the row fails with a reason that names the epsilon
         status, out, err = run_cli(capsys, "verify-sharp", "--kind", kind, "--weight", "power:4",
                                    "--eps-grid", "1e-16", "--trials", "1")
         assert status == EXIT_NUMERIC
-        assert out == ""
-        doc = json.loads(err)
-        assert doc["error"] == "divergent integral" and "divergent" in doc["reason"]
+        doc = json.loads(out)
+        [row] = doc["results"]
+        assert row["verdict"] == "failed"
+        assert "epsilon 1e-16" in row["reason"] and "Q/p = 2.0" in row["reason"]
+        assert [r["error"] for r in doc["offending"]] == [row["reason"]]
+
+    def test_failed_quadrature_is_its_own_row(self, capsys, monkeypatch):
+        # only the dual_hardy query's quadrature fails: the hardy row keeps its
+        # table, and the failed row is the one offending
+        real = sharp_constants.extremal_ratio
+
+        def ratio(q, eps, spec):
+            if q.kind.dual:
+                raise quadrature.ToleranceNotReachedError("stub failure", estimate=0.0, error=1.0)
+            return real(q, eps, spec)
+
+        monkeypatch.setattr(sharp_constants, "extremal_ratio", ratio)
+        argv = ("verify-sharp", "--kind", "hardy,dual-hardy", "--eps-grid", "0.1,0.01", "--trials", "1")
+        status, out, err = run_cli(capsys, *argv)
+        assert status == EXIT_NUMERIC and err == ""
+        doc = json.loads(out)
+        hardy, dual = doc["results"]
+        assert hardy["kind"] == "hardy" and hardy["converged"] and len(hardy["table"]) == 2
+        assert dual == {"kind": "dual_hardy", "n": 1, "p": 2.0, "pbar1": 2.0, "pbar2": 2.0,
+                        "verdict": "failed", "reason": "stub failure"}
+        assert doc["offending"] == [{"kind": "dual_hardy", "n": 1, "p": 2.0, "pbar1": 2.0,
+                                     "pbar2": 2.0, "error": "stub failure"}]
+
+        status, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert status == EXIT_NUMERIC and err == ""
+        rows = csv_rows(out)
+        assert [r["kind"] for r in rows] == ["hardy", "hardy", "dual_hardy"]
+        assert rows[-1]["verdict"] == "failed" and rows[-1]["reason"] == "stub failure"
 
 
 @pytest.mark.parametrize("argv", [
@@ -167,9 +197,10 @@ class TestVerifySharpCommand:
 def test_zero_norm_exits_3(capsys, argv):
     status, out, err = run_cli(capsys, "verify-sharp", *argv, "--trials", "1", "--eps-grid", "0.5")
     assert status == EXIT_NUMERIC
-    assert out == ""
-    doc = json.loads(err)
-    assert doc["error"] == "numeric tolerance failure" and "0.0" in doc["reason"]
+    doc = json.loads(out)
+    [row] = doc["results"]
+    assert row["verdict"] == "failed" and "0.0" in row["reason"]
+    assert [r["error"] for r in doc["offending"]] == [row["reason"]]
 
 
 def test_underflowed_norm_of_a_nonzero_function_exits_3(capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from heishardy.geometry import heis_space
 from heishardy.mixed_norm import (
     MixedExponents,
+    NormEstimate,
     SeparableFunction,
     hardy_radialization_identity_check,
     mixed_norm_separable,
@@ -16,6 +18,7 @@ from heishardy.mixed_norm import (
 from heishardy.quadrature import (
     DivergentIntegralError,
     QuadratureSpec,
+    ToleranceNotReachedError,
     exp_profile,
     power_profile,
     scaled_profile,
@@ -73,8 +76,25 @@ class TestRadialNorm:
         space = heis_space(1)
         spec = QuadratureSpec()
         base = radial_norm_with_error(exp_profile(2.0), 2.0, 2.0, space, spec).value
-        got = radial_norm_with_error(scaled_profile(exp_profile(2.0), c), 2.0, 2.0, space, spec).value
+        try:
+            got = radial_norm_with_error(scaled_profile(exp_profile(2.0), c), 2.0, 2.0, space, spec).value
+        except ToleranceNotReachedError:
+            # |c|^p underflowed, and |f|^p with it: a non-zero f's norm came out 0.0
+            assert c != 0.0 and abs(c) ** 2.0 < sys.float_info.min
+            return
+        assert got > 0.0 or c == 0.0
         assert abs(got - abs(c) * base) <= 1e-9 * max(1.0, abs(c))
+
+    def test_underflowed_norm_raises(self, space1, spec):
+        # |f|^2 underflows at every node although the norm is about 2.13e-298
+        f = scaled_profile(exp_profile(2.0), 2.2146388385829475e-298)
+        with pytest.raises(ToleranceNotReachedError, match="came out 0.0"):
+            radial_norm_with_error(f, 2.0, 2.0, space1, spec)
+        with pytest.raises(ToleranceNotReachedError, match="came out 0.0"):
+            mixed_norm_separable(SeparableFunction(f, lambda pts: pts[:, 0]), 2.0, 2.0, space1, spec)
+        zero = SeparableFunction(zero_profile(), lambda pts: pts[:, 0])
+        assert radial_norm_with_error(zero.radial, 2.0, 2.0, space1, spec).value == 0.0
+        assert mixed_norm_separable(zero, 2.0, 2.0, space1, spec) == NormEstimate(0.0, 0.0)
 
     def test_error_estimate_present(self, space1, spec):
         res = radial_norm_with_error(exp_profile(1.0), 2.0, 2.0, space1, spec)

@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from heishardy import sharp_constants
+from heishardy import quadrature, sharp_constants
 from heishardy.geometry import heis_space
 from heishardy.mixed_norm import MixedExponents
 from heishardy.operators import DUAL_HARDY, HARDY, OperatorKind, power_weight
-from heishardy.quadrature import QuadratureSpec
+from heishardy.quadrature import (
+    DivergentIntegralError,
+    NonFiniteIntegrandError,
+    QuadratureSpec,
+    ToleranceNotReachedError,
+)
 from heishardy.sharp_constants import (
     DEFAULT_EPS_GRID,
     RatioReport,
@@ -153,6 +158,11 @@ class TestExtremalRatio:
         with pytest.raises(ValueError):
             extremal_profile(1.5, 2.0, space1)
 
+    def test_epsilon_below_float_resolution_is_named(self, space1):
+        # Q/p + 1e-16 rounds to Q/p = 2.0: no finite norm, and the reason says why
+        with pytest.raises(DivergentIntegralError, match=r"epsilon 1e-16 vanishes beside Q/p = 2.0"):
+            extremal_profile(1e-16, 2.0, space1)
+
 
 class TestConvergenceTable:
     def test_gap_column_nonincreasing(self, space1, spec):
@@ -251,6 +261,25 @@ class TestVerify:
         kind = OperatorKind("weighted_hardy", power_weight(1.0, 0.0))
         assert verify(q_of(kind, 2.0, 2.0, 2.0, space1), (0.1,), 1, 0, spec) == (
             {"verdict": "unbounded"}, None)
+
+    @pytest.mark.parametrize("error", [
+        ToleranceNotReachedError("stub failure", estimate=0.0, error=1.0),
+        NonFiniteIntegrandError("stub failure"),
+        DivergentIntegralError("stub failure"),
+    ], ids=["tolerance", "non-finite", "divergent"])
+    def test_failed_quadrature_fails_the_row(self, space1, spec, monkeypatch, error):
+        def ratio(*args):
+            raise error
+
+        monkeypatch.setattr(sharp_constants, "extremal_ratio", ratio)
+        assert verify(q_of(HARDY, 2.0, 2.0, 2.0, space1), (0.1,), 1, 0, spec) == (
+            {"verdict": "failed", "reason": "stub failure"}, {"error": "stub failure"})
+
+    def test_exhausted_panel_budget_fails_the_row(self, space1, spec, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 3)
+        row, failed = verify(q_of(HARDY, 2.0, 2.0, 2.0, space1), (0.1,), 1, 0, spec)
+        assert row["verdict"] == "failed" and row["reason"]
+        assert failed == {"error": row["reason"]}
 
     def test_halved_constant_fails_every_query(self, space1, spec, monkeypatch):
         real = sharp_constants.theoretical_constant
