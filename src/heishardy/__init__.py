@@ -31,10 +31,9 @@ from .operators import (
     OperatorKind,
     WeightFunction,
     power_weight,
-    hardy,
-    dual_hardy,
-    weighted_hardy,
-    weighted_cesaro,
+    HARDY,
+    DUAL_HARDY,
+    apply_operator,
 )
 from .mixed_norm import MixedExponents, SeparableFunction, radial_norm_with_error, radialize
 from .sharp_constants import (

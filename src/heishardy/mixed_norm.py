@@ -37,7 +37,7 @@ from .quadrature import (
     integrate_radial,
     scaled_profile,
 )
-from .operators import hardy
+from .operators import HARDY, apply_operator
 
 __all__ = [
     "MixedExponents",
@@ -205,7 +205,7 @@ def hardy_radialization_identity_check(
     uniform sample of the gauge ball of that radius (the ball average IS
     the Hardy value there).  mc_stderr combines both sides' errors.
     """
-    h0 = float(hardy(f.radial, space, spec).eval(radius))  # a zero radial part maps to the zero profile
+    h0 = float(apply_operator(HARDY, f.radial, space, spec).eval(radius))  # 0.0 for a zero radial part
     mean_h, se_h = (1.0, 0.0) if f.is_radial else _sphere_mean(f.angular, space, mc_count, seed + 1)
 
     pts = exact_ball_sample(space, mc_count, seed)

@@ -1,7 +1,8 @@
-"""The four Hardy-type operators on radial profiles.
+"""The four Hardy-type operators on radial profiles, behind one entry point.
 
-Every operator acts through its exact one-dimensional reduction, valid for
-radial functions on H^n (Q = 2n + 2):
+`apply_operator(kind, f, space, spec)` applies every operator, through its
+exact one-dimensional reduction, valid for radial functions on H^n
+(Q = 2n + 2).  The kind is HARDY, DUAL_HARDY or OperatorKind(tag, w):
 
     hardy          H f(r)   = (Q / r^Q) int_0^r f(s) s^{Q-1} ds
     dual_hardy     H* f(r)  = Q int_r^inf f(s) / s ds
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -53,10 +55,6 @@ __all__ = [
     "OperatorKind",
     "HARDY",
     "DUAL_HARDY",
-    "hardy",
-    "dual_hardy",
-    "weighted_hardy",
-    "weighted_cesaro",
     "apply_operator",
     "duality_pairing_check",
 ]
@@ -66,7 +64,7 @@ __all__ = [
 class WeightFunction:
     """Nonnegative weight on [0, 1] with its vanishing order at t = 0.
 
-    Power-law weights w(t) = c t^beta carry exact closed-form moments;
+    Power-law weights w(t) = c t^beta have exact rational moments;
     anything else integrates through the certified engine.
     """
 
@@ -83,15 +81,20 @@ class WeightFunction:
             t = np.exp(np.maximum(v, -745.0))
         return np.asarray(self.eval(t), dtype=float)
 
-    def moment(self, exponent: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
-        """int_0^1 t^exponent w(t) dt, exact for the power family."""
-        rate = exponent + self.zero_exponent + 1.0
+    def moment(self, exponent: float | Fraction, spec: QuadratureSpec = QuadratureSpec()) -> float:
+        """int_0^1 t^exponent w(t) dt, or DivergentIntegralError if exponent + beta0 + 1 <= 0.
+
+        A power weight's moment c / (exponent + beta + 1) is exact rational
+        arithmetic on the exponent as given (float or Fraction), rounded
+        once; a general weight's is a certified quadrature at float(exponent).
+        """
+        power = self.family == "power"
+        exponent = Fraction(exponent) if power else float(exponent)
+        rate = exponent + (Fraction(self.beta) if power else self.zero_exponent) + 1
         if rate <= 0:
-            raise DivergentIntegralError(
-                f"weight moment diverges: t -> 0 rate {rate} <= 0"
-            )
-        if self.family == "power":
-            return self.c / rate
+            raise DivergentIntegralError(f"weight moment diverges: t -> 0 rate {float(rate)} <= 0")
+        if power:
+            return float(Fraction(self.c) / rate)
         res = certified_log_integral(
             lambda v: self.eval_log(v) * np.exp((exponent + 1.0) * v),
             -math.inf, 0.0, rate_lo=rate, rate_hi=1.0, spec=spec,
@@ -151,16 +154,13 @@ HARDY = OperatorKind("hardy")
 DUAL_HARDY = OperatorKind("dual_hardy")
 
 
-def _mellin(
-    f: RadialProfile,
-    w: WeightFunction,
-    space: HeisSpace,
-    spec: QuadratureSpec,
-    dual: bool,
+def apply_operator(
+    kind: OperatorKind, f: RadialProfile, space: HeisSpace, spec: QuadratureSpec = QuadratureSpec()
 ) -> RadialProfile:
-    """The one operator routine: f against a weight kernel in v = log(s / r).
+    """The operator `kind` applied to f, as a lazy profile: the one operator entry point.
 
-    For w(t) = c t^beta the Hardy side (dual=False) is
+    It convolves f against the kind's weight w in v = log(s / r).  For
+    w(t) = c t^beta the Hardy side (kind.dual False) is
     Hw f(r) = c int_{v<=0} f(r e^v) e^{(beta+1) v} dv and the Cesaro side is
     H*w f(r) = c int_{v>=0} f(r e^v) e^{(Q-1-beta) v} dv; a general weight
     puts w(e^{+-v}) in place of c e^{+-beta v}.  An evaluation at the radii
@@ -184,7 +184,12 @@ def _mellin(
       min(a, beta0 + 1 - Q), with a = +inf if f vanishes near 0, lowered by
       1e-6 at a tie for the logarithm.  The output lives on (0, sup_hi),
       kinked at sup_lo, which is therefore a breakpoint.
+
+    Both checks run on metadata before any evaluation and raise
+    DivergentIntegralError: for hardy, f must be integrable against s^{Q-1}
+    near 0; for dual_hardy, f(s)/s must be integrable at infinity.
     """
+    w, dual = kind.weight_on(space), kind.dual
     spec = spec.inner()
     q = float(space.q)
     if f.is_zero:
@@ -241,56 +246,6 @@ def _mellin(
     return RadialProfile(logeval, **meta)
 
 
-def hardy(f: RadialProfile, space: HeisSpace, spec: QuadratureSpec = QuadratureSpec()) -> RadialProfile:
-    """Ball average (Q / r^Q) int_0^r f(s) s^{Q-1} ds as a lazy profile.
-
-    Needs f integrable against s^{Q-1} near the origin.  The output decays
-    no slower than r^{-Q} at infinity and inherits f's origin behavior.
-    """
-    return _mellin(f, HARDY.weight_on(space), space, spec, dual=False)
-
-
-def dual_hardy(f: RadialProfile, space: HeisSpace, spec: QuadratureSpec = QuadratureSpec()) -> RadialProfile:
-    """Q int_r^inf f(s) / s ds as a lazy profile.
-
-    Needs f(s)/s integrable at infinity (tail exponent < 0).  Below the
-    support of f the output is constant; at zero it picks up at worst a
-    logarithm, recorded as an arbitrarily small negative order.
-    """
-    return _mellin(f, DUAL_HARDY.weight_on(space), space, spec, dual=True)
-
-
-def weighted_hardy(
-    f: RadialProfile, w: WeightFunction, space: HeisSpace, spec: QuadratureSpec = QuadratureSpec()
-) -> RadialProfile:
-    """int_0^1 f(t r) w(t) dt as a lazy profile.
-
-    Needs w(t) f(t r) integrable on (0, 1), i.e. f's origin exponent plus
-    w's vanishing order above -1.  The output tail is the slower of f's own
-    tail and r^{-(beta0 + 1)} from the dilation flow crossing the weight.
-    """
-    return _mellin(f, w, space, spec, dual=False)
-
-
-def weighted_cesaro(
-    f: RadialProfile, w: WeightFunction, space: HeisSpace, spec: QuadratureSpec = QuadratureSpec()
-) -> RadialProfile:
-    """int_0^1 f(r / t) t^{-Q} w(t) dt as a lazy profile.
-
-    The t -> 0 end of the flow sweeps f's tail against t^{-Q} w(t); the
-    screening condition (weight order) - Q - (tail exponent) > -1 is
-    required and checked up front.
-    """
-    return _mellin(f, w, space, spec, dual=True)
-
-
-def apply_operator(
-    kind: OperatorKind, f: RadialProfile, space: HeisSpace, spec: QuadratureSpec = QuadratureSpec()
-) -> RadialProfile:
-    """Apply the operator `kind` to f as a lazy profile."""
-    return _mellin(f, kind.weight_on(space), space, spec, kind.dual)
-
-
 def duality_pairing_check(
     f: RadialProfile,
     g: RadialProfile,
@@ -310,6 +265,6 @@ def duality_pairing_check(
         # integrate_radial raises DivergentIntegralError on divergent metadata
         return integrate_radial(product_profile(a, b), space, spec).value
 
-    lhs = space.omega_small * pairing(f, weighted_hardy(g, w, space, spec))
-    rhs = space.omega_small * pairing(g, weighted_cesaro(f, w, space, spec))
-    return lhs, rhs
+    hw_g = apply_operator(OperatorKind("weighted_hardy", w), g, space, spec)
+    cw_f = apply_operator(OperatorKind("weighted_cesaro", w), f, space, spec)
+    return space.omega_small * pairing(f, hw_g), space.omega_small * pairing(g, cw_f)

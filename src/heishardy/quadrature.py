@@ -242,6 +242,9 @@ def _bisect(
         lo[act, c], hi[act, c], val[act, c], key[act, c] = mid, b, v[:, 1], e[:, 1]
         hi[act, k], val[act, k], key[act, k] = mid, v[:, 0], e[:, 0]
         counts[act] += 1
+    for m in np.flatnonzero(~np.isfinite(total + err)).tolist():
+        failures.setdefault(m, NonFiniteIntegrandError(
+            f"integral leaves float range (estimate {float(total[m])!r})"))
     if failures:
         raise failures[min(failures)]
     return np.array([math.fsum(val[m, :counts[m]].tolist()) for m in range(n)]), err + frozen
@@ -277,22 +280,30 @@ def _cut(call, sel, base, end, rate, sign, abs_tol, trunc, failures) -> None:
     For each member m in sel, the envelope C e^{-rate |u - base|} takes its
     constant from probing the integrand and doubling; the cut sits where the
     neglected mass, added to trunc[m], drops below abs_tol/20, but no nearer
-    than 13 units of u.  When the constant leaves float range a finite end
-    is kept whole, and an infinite one fails with NonFiniteIntegrandError.
+    than 13 units of u.  Where C or 20 C / (abs_tol rate) leaves float
+    range, an infinite end is cut by the same rule in logs and a finite end
+    is kept whole; an infinite probe leaves no cut: NonFiniteIntegrandError.
     """
     if not sel.size:
         return
     probes = call(base[sel, None] + sign * _ENVELOPE_OFFSETS, np.repeat(sel[:, None], 6, axis=1))
     # a probe that underflowed to zero bounds nothing, even where exp overflows
     c_est = 2.0 * np.max(np.where(probes == 0.0, 0.0, probes * np.exp(rate * _ENVELOPE_OFFSETS)), axis=1)
-    for m, b, c in zip(sel.tolist(), base[sel].tolist(), c_est.tolist()):
+    for m, b, c, row in zip(sel.tolist(), base[sel].tolist(), c_est.tolist(), probes):
+        log_c = None
         width = 13.0 if c == 0.0 else max(math.log(20.0 * c / (abs_tol * rate)) / rate, 13.0)
+        if width == math.inf and math.isinf(end[m]):
+            with np.errstate(divide="ignore"):
+                log_c = math.log(2.0) + float(np.max(np.log(row) + rate * _ENVELOPE_OFFSETS))
+            width = max((log_c + math.log(20.0) - math.log(abs_tol) - math.log(rate)) / rate, 13.0)
         if not math.isfinite(width) and math.isinf(end[m]):
             failures[m] = NonFiniteIntegrandError(
                 f"no finite cutoff for the decay envelope at u = {b!r} (constant {c!r})")
         elif sign * (b + sign * width) < sign * end[m]:
             end[m] = b + sign * width
-            trunc[m] += c * math.exp(-rate * width) / rate
+            # in logs, the neglected mass stays a bound: e^{-rate width} alone may underflow
+            trunc[m] += (c * math.exp(-rate * width) if log_c is None
+                         else math.exp(log_c - rate * width)) / rate
 
 
 def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds) -> tuple[np.ndarray, np.ndarray]:

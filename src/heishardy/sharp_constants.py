@@ -1,7 +1,8 @@
 """Sharp operator-norm constants and their numerical verification.
 
 The exact constants, with Delta = 1/pbar_2 - 1/pbar_1 and the angular mass
-omega_small = Q * omega_big:
+omega_small = Q * omega_big, are one formula, omega_small^Delta times a
+moment of the kind's weight (w = Q t^{Q-1} for hardy and dual_hardy):
 
     hardy            p/(p-1) * omega_small^Delta
     dual_hardy       p       * omega_small^Delta
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -97,28 +99,21 @@ class RatioReport:
 
 
 def theoretical_constant(q: SharpConstantQuery, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Closed-form sharp constant for the query; exact moments for power weights.
+    """The sharp constant omega_small^Delta * int_0^1 t^e w(t) dt, one formula for all kinds.
 
-    Raises UnboundedOperatorError when the defining weight moment diverges
-    (the operator has no finite norm for that weight).
+    e = -Q/p on the Hardy side and -Q + Q/p on the Cesaro side, exact in Q
+    and p, so a power weight's moment is exact (p/(p-1) for hardy, p for
+    dual_hardy; see WeightFunction.moment).  Raises UnboundedOperatorError
+    when the moment diverges (no finite operator norm for that weight).
     """
     exps, space = q.exps, q.space
-    omega_delta = space.omega_small ** exps.delta
-    if q.kind.weight is None:
-        # closed forms of the two moments of w = Q t^{Q-1}; the generic
-        # moment Q / (Q - Q/p) can differ from p/(p-1) in the last bit
-        if q.kind.dual:
-            return exps.p * omega_delta
-        return exps.p / (exps.p - 1.0) * omega_delta
-    # the Cesaro side pairs with the conjugate exponent
-    exponent = -space.q * (1.0 - 1.0 / exps.p) if q.kind.dual else -space.q / exps.p
+    q_over_p = Fraction(space.q) / Fraction(exps.p)
+    exponent = q_over_p - space.q if q.kind.dual else -q_over_p
     try:
-        moment = q.kind.weight.moment(exponent, spec)
+        moment = q.kind.weight_on(space).moment(exponent, spec)
     except DivergentIntegralError as exc:
-        raise UnboundedOperatorError(
-            f"unbounded operator for this weight: {exc}"
-        ) from exc
-    return omega_delta * moment
+        raise UnboundedOperatorError(f"unbounded operator for this weight: {exc}") from exc
+    return space.omega_small ** exps.delta * moment
 
 
 def extremal_profile(eps: float, p: float, space: HeisSpace) -> RadialProfile:

@@ -10,13 +10,9 @@ from heishardy.operators import (
     HARDY,
     OperatorKind,
     apply_operator,
-    dual_hardy,
     duality_pairing_check,
-    hardy,
     power_weight,
     weight_from_callable,
-    weighted_cesaro,
-    weighted_hardy,
 )
 from heishardy import quadrature
 from heishardy.quadrature import (
@@ -36,12 +32,12 @@ INF = math.inf
 
 class TestHardy:
     def test_constant_is_fixed_point(self, space1, spec):
-        out = hardy(constant_profile(1.0), space1, spec)
+        out = apply_operator(HARDY, constant_profile(1.0), space1, spec)
         for r in (0.3, 1.0, 7.5):
             assert abs(out.eval(r) - 1.0) <= 1e-9
 
     def test_linear_input(self, space1, spec):
-        out = hardy(power_profile(1.0), space1, spec)
+        out = apply_operator(HARDY, power_profile(1.0), space1, spec)
         assert abs(out.eval(2.0) - 1.6) <= 1e-9  # Q/(Q+1) * r at Q=4
 
     def test_extremal_family_formula(self, space1, spec):
@@ -51,7 +47,7 @@ class TestHardy:
         eps, p, q = 0.01, 2.0, 4.0
         a = q / p + eps
         f = power_profile(-a, support=(1.0, INF))
-        out = hardy(f, space1, spec)
+        out = apply_operator(HARDY, f, space1, spec)
         formula = q / (q - a) * (2.0 ** -a - 2.0 ** -q)
         brute = (q / 2.0**q) * quad(lambda s: s ** (-a) * s ** (q - 1), 1.0, 2.0)[0]
         assert abs(out.eval(2.0) - formula) <= 1e-9
@@ -61,76 +57,80 @@ class TestHardy:
     def test_power_eigenrelation(self, space1, spec):
         # H(s^alpha) = Q/(Q+alpha) r^alpha on alpha > -Q
         for alpha in (-2.5, -1.0, 0.5, 2.0):
-            out = hardy(power_profile(alpha), space1, spec)
+            out = apply_operator(HARDY, power_profile(alpha), space1, spec)
             for r in (0.5, 3.0):
                 want = 4.0 / (4.0 + alpha) * r**alpha
                 assert abs(out.eval(r) - want) <= 1e-8 * abs(want)
 
     def test_divergent_origin_is_typed_error(self, space1, spec):
         with pytest.raises(DivergentIntegralError):
-            hardy(power_profile(-4.0), space1, spec)
+            apply_operator(HARDY, power_profile(-4.0), space1, spec)
 
     def test_zero_passthrough(self, space1, spec):
-        assert hardy(zero_profile(), space1, spec).is_zero
+        assert apply_operator(HARDY, zero_profile(), space1, spec).is_zero
 
     def test_dilation_covariance(self, space1, spec):
         # (H f_lambda)(r) = (H f)(lambda r) for f_lambda(s) = f(lambda s)
         rng = np.random.default_rng(4)
         f = exp_profile(1.0)
-        out = hardy(f, space1, spec)
+        out = apply_operator(HARDY, f, space1, spec)
         for lam in rng.uniform(0.1, 10.0, size=4):
             f_lam = exp_profile(lam)
-            out_lam = hardy(f_lam, space1, spec)
+            out_lam = apply_operator(HARDY, f_lam, space1, spec)
             for r in (0.7, 2.2):
                 assert abs(out_lam.eval(r) - out.eval(lam * r)) <= 1e-8
 
 
 class TestDualHardy:
     def test_power_eigenrelation(self, space1, spec):
-        out = dual_hardy(power_profile(-2.0), space1, spec)
+        out = apply_operator(DUAL_HARDY, power_profile(-2.0), space1, spec)
         assert abs(out.eval(2.0) - 0.5) <= 1e-9  # (Q/|alpha|) r^alpha
 
     def test_boxcar_logarithm(self, space1, spec):
-        out = dual_hardy(constant_profile(1.0, support=(1.0, 2.0)), space1, spec)
+        out = apply_operator(DUAL_HARDY, constant_profile(1.0, support=(1.0, 2.0)), space1, spec)
         want = 4.0 * math.log(2.0)
         assert abs(out.eval(0.5) - want) <= 1e-9
         assert abs(out.eval(0.01) - want) <= 1e-9  # constant below the support
 
     def test_zero_input(self, space1, spec):
-        assert dual_hardy(zero_profile(), space1, spec).is_zero
+        assert apply_operator(DUAL_HARDY, zero_profile(), space1, spec).is_zero
 
     def test_divergent_tail_is_typed_error(self, space1, spec):
         with pytest.raises(DivergentIntegralError):
-            dual_hardy(constant_profile(1.0), space1, spec)
+            apply_operator(DUAL_HARDY, constant_profile(1.0), space1, spec)
 
     def test_exponential_input(self, space1, spec):
-        out = dual_hardy(exp_profile(1.0), space1, spec)
+        out = apply_operator(DUAL_HARDY, exp_profile(1.0), space1, spec)
         brute = 4.0 * quad(lambda s: math.exp(-s) / s, 2.0, 60.0)[0]
         assert abs(out.eval(2.0) - brute) <= 1e-8
 
 
 class TestWeightedHardy:
     def test_unit_weight_on_constant(self, space1, spec):
-        out = weighted_hardy(constant_profile(2.5), power_weight(1.0, 0.0), space1, spec)
+        out = apply_operator(OperatorKind("weighted_hardy", power_weight(1.0, 0.0)),
+                             constant_profile(2.5), space1, spec)
         assert abs(out.eval(1.3) - 2.5) <= 1e-9
 
     def test_unit_weight_on_linear(self, space1, spec):
-        out = weighted_hardy(power_profile(1.0), power_weight(1.0, 0.0), space1, spec)
+        out = apply_operator(OperatorKind("weighted_hardy", power_weight(1.0, 0.0)),
+                             power_profile(1.0), space1, spec)
         assert abs(out.eval(3.0) - 1.5) <= 1e-9  # r/2
 
     def test_moment_example(self, space1, spec):
-        out = weighted_hardy(power_profile(-1.0), power_weight(1.0, 2.0), space1, spec)
+        out = apply_operator(OperatorKind("weighted_hardy", power_weight(1.0, 2.0)),
+                             power_profile(-1.0), space1, spec)
         assert abs(out.eval(2.0) - 0.25) <= 1e-9  # r^{-1}/2
 
     def test_divergent_moment_is_typed_error(self, space1, spec):
         with pytest.raises(DivergentIntegralError):
-            weighted_hardy(power_profile(-1.5), power_weight(1.0, 0.0), space1, spec)
+            apply_operator(OperatorKind("weighted_hardy", power_weight(1.0, 0.0)),
+                           power_profile(-1.5), space1, spec)
 
     def test_general_weight_matches_power(self, space1, spec):
         w_gen = weight_from_callable(lambda t: np.asarray(t) ** 2, zero_exponent=2.0)
         f = exp_profile(1.0)
-        a = weighted_hardy(f, w_gen, space1, spec)
-        b = weighted_hardy(f, power_weight(1.0, 2.0), space1, spec)
+        a = apply_operator(OperatorKind("weighted_hardy", w_gen), f, space1, spec)
+        b = apply_operator(OperatorKind("weighted_hardy", power_weight(1.0, 2.0)), f, space1, spec)
         for r in (0.5, 2.0):
             assert abs(a.eval(r) - b.eval(r)) <= 1e-8
 
@@ -138,41 +138,44 @@ class TestWeightedHardy:
 class TestWeightedCesaro:
     def test_power_closed_form(self, space1, spec):
         # gamma = 2, beta = 2, Q = 4: output r^{-2}/(gamma+beta-Q+1) = r^{-2}
-        out = weighted_cesaro(power_profile(-2.0), power_weight(1.0, 2.0), space1, spec)
+        out = apply_operator(OperatorKind("weighted_cesaro", power_weight(1.0, 2.0)),
+                             power_profile(-2.0), space1, spec)
         assert abs(out.eval(2.0) - 0.25) <= 1e-9
 
     def test_kernel_cancellation(self, space1, spec):
         # w(t) = t^Q cancels the t^{-Q} kernel: constants map to themselves
-        out = weighted_cesaro(constant_profile(3.0), power_weight(1.0, 4.0), space1, spec)
+        out = apply_operator(OperatorKind("weighted_cesaro", power_weight(1.0, 4.0)),
+                             constant_profile(3.0), space1, spec)
         assert abs(out.eval(0.7) - 3.0) <= 1e-9
 
     def test_zero_input(self, space1, spec):
-        assert weighted_cesaro(zero_profile(), power_weight(1.0, 2.0), space1, spec).is_zero
+        assert apply_operator(OperatorKind("weighted_cesaro", power_weight(1.0, 2.0)),
+                              zero_profile(), space1, spec).is_zero
 
     def test_divergent_screening_is_typed_error(self, space1, spec):
         with pytest.raises(DivergentIntegralError):
-            weighted_cesaro(constant_profile(1.0, support=(1.0, INF)),
-                            power_weight(1.0, 0.0), space1, spec)
+            apply_operator(OperatorKind("weighted_cesaro", power_weight(1.0, 0.0)),
+                           constant_profile(1.0, support=(1.0, INF)), space1, spec)
 
     def test_log_blowup_declared_at_origin(self, space1, spec):
         # w(t) = t^{Q-1} cancels the kernel: the output is log(1/r) below
         # r = 1, so it must declare a negative origin order, not 0
-        out = weighted_cesaro(constant_profile(1.0, support=(0.0, 1.0)),
-                              power_weight(1.0, 3.0), space1, spec)
+        out = apply_operator(OperatorKind("weighted_cesaro", power_weight(1.0, 3.0)),
+                             constant_profile(1.0, support=(0.0, 1.0)), space1, spec)
         assert abs(out.eval(1e-8) - math.log(1e8)) <= 1e-8
         assert out.origin_exponent < 0.0
 
 
 class TestOperatorProperties:
-    @pytest.mark.parametrize("make_op", [
-        lambda f, sp, s: hardy(f, sp, s),
-        lambda f, sp, s: dual_hardy(f, sp, s),
-        lambda f, sp, s: weighted_hardy(f, power_weight(1.0, 1.0), sp, s),
-        lambda f, sp, s: weighted_cesaro(f, power_weight(1.0, 4.0), sp, s),
+    @pytest.mark.parametrize("kind", [
+        HARDY,
+        DUAL_HARDY,
+        OperatorKind("weighted_hardy", power_weight(1.0, 1.0)),
+        OperatorKind("weighted_cesaro", power_weight(1.0, 4.0)),
     ], ids=["hardy", "dual_hardy", "weighted_hardy", "weighted_cesaro"])
-    def test_positivity(self, make_op, space1, spec):
+    def test_positivity(self, kind, space1, spec):
         f = mixture_profile([exp_profile(1.0), power_profile(-5.0, support=(1.0, INF))])
-        out = make_op(f, space1, spec)
+        out = apply_operator(kind, f, space1, spec)
         for r in (0.2, 1.0, 4.0):
             assert out.eval(r) >= 0.0
 
@@ -184,16 +187,16 @@ class TestOperatorProperties:
             exp_profile(1.0, coeff=a),
             power_profile(-5.0, coeff=b, support=(1.0, INF)),
         ])
-        lhs = hardy(combo, space1, spec)
-        f_out = hardy(f, space1, spec)
-        g_out = hardy(g, space1, spec)
+        lhs = apply_operator(HARDY, combo, space1, spec)
+        f_out = apply_operator(HARDY, f, space1, spec)
+        g_out = apply_operator(HARDY, g, space1, spec)
         for r in (0.5, 1.5, 3.0):
             want = a * f_out.eval(r) + b * g_out.eval(r)
             assert abs(lhs.eval(r) - want) <= 1e-10 * max(1.0, abs(want))
 
     def test_dual_power_eigenrelation_range(self, space1, spec):
         for alpha in (-0.5, -2.0, -3.5):
-            out = dual_hardy(power_profile(alpha), space1, spec)
+            out = apply_operator(DUAL_HARDY, power_profile(alpha), space1, spec)
             for r in (0.8, 2.5):
                 want = 4.0 / (-alpha) * r**alpha
                 assert abs(out.eval(r) - want) <= 1e-8 * abs(want)
@@ -321,13 +324,13 @@ def _recording(f, sizes):
 class TestPopulationEvaluation:
     """All radii of one evaluation run as one population of inner integrals."""
 
-    OPERATORS = {
-        "hardy": lambda f, sp, s: hardy(f, sp, s),
-        "dual_hardy": lambda f, sp, s: dual_hardy(f, sp, s),
-        "weighted_hardy": lambda f, sp, s: weighted_hardy(f, power_weight(1.0, 1.0), sp, s),
-        "weighted_cesaro": lambda f, sp, s: weighted_cesaro(f, power_weight(1.0, 4.0), sp, s),
-        "general_weight": lambda f, sp, s: weighted_cesaro(
-            f, weight_from_callable(lambda t: np.asarray(t) ** 2, zero_exponent=2.0), sp, s),
+    KINDS = {
+        "hardy": HARDY,
+        "dual_hardy": DUAL_HARDY,
+        "weighted_hardy": OperatorKind("weighted_hardy", power_weight(1.0, 1.0)),
+        "weighted_cesaro": OperatorKind("weighted_cesaro", power_weight(1.0, 4.0)),
+        "general_weight": OperatorKind("weighted_cesaro", weight_from_callable(
+            lambda t: np.asarray(t) ** 2, zero_exponent=2.0)),
     }
     INPUTS = {
         "power": lambda: power_profile(-5.0, support=(1.0, INF)),
@@ -336,10 +339,10 @@ class TestPopulationEvaluation:
                                             power_profile(-5.0, support=(1.0, INF))]),
     }
 
-    @pytest.mark.parametrize("op", OPERATORS)
+    @pytest.mark.parametrize("op", KINDS)
     @pytest.mark.parametrize("inp", INPUTS)
     def test_many_radii_match_one_at_a_time(self, op, inp, space1, spec):
-        out = self.OPERATORS[op](self.INPUTS[inp](), space1, spec)
+        out = apply_operator(self.KINDS[op], self.INPUTS[inp](), space1, spec)
         u = np.linspace(-3.0, 3.0, 64)
         together = out.logeval(u, 2.0)
         alone = np.array([out.logeval(np.array([ui]), 2.0)[0] for ui in u])
@@ -349,7 +352,7 @@ class TestPopulationEvaluation:
     @pytest.mark.parametrize("op", ["hardy", "dual_hardy"])
     def test_population_size_changes_no_value(self, op, space1, spec, monkeypatch):
         # 700 radii run as 700, 11 or 3 populations: every member takes its own steps
-        out = self.OPERATORS[op](self.INPUTS["mixture"](), space1, spec)
+        out = apply_operator(self.KINDS[op], self.INPUTS["mixture"](), space1, spec)
         u = np.linspace(-4.0, 4.0, 700)
         values = []
         for members in (1, 64, 256):
@@ -361,7 +364,7 @@ class TestPopulationEvaluation:
     @pytest.mark.parametrize("op,inp", [("hardy", "mixture"), ("dual_hardy", "exp")])
     def test_integrand_calls_stay_under_the_point_cap(self, op, inp, space1, spec):
         sizes = []
-        out = self.OPERATORS[op](_recording(self.INPUTS[inp](), sizes), space1, spec)
+        out = apply_operator(self.KINDS[op], _recording(self.INPUTS[inp](), sizes), space1, spec)
         vals = out.logeval(np.linspace(-4.0, 4.0, 1000), 0.0)
         assert np.all(np.isfinite(vals))
         cap = quadrature._CALL_PANELS * quadrature._XK.size
@@ -371,7 +374,7 @@ class TestPopulationEvaluation:
     def test_inner_tolerance_failure_propagates(self, space1, monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_PANELS", 3)
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
-        out = hardy(exp_profile(1.0), space1, spec)
+        out = apply_operator(HARDY, exp_profile(1.0), space1, spec)
         u = np.linspace(-2.0, 2.0, 10)
         with pytest.raises(ToleranceNotReachedError) as many:
             out.logeval(u, 0.0)

@@ -140,6 +140,10 @@ class TestDivergenceDetection:
         assert err.error > 0
 
 
+def _log_uniform(lo, hi):
+    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
 class TestBatchedAdaptive:
     def test_one_call_for_seeded_panels_then_one_per_bisection(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_PANELS", 2000)
@@ -246,10 +250,37 @@ class TestBatchedAdaptive:
         assert abs(res.value - 1.0) <= 1e-9
 
     def test_envelope_out_of_float_range_is_typed(self):
-        # no finite cutoff exists for a constant of 1e300 at abs_tol 1e-14
+        # probes that are themselves infinite leave no finite cutoff, and an
+        # integral of 1e309 does not fit float64
         with pytest.raises(NonFiniteIntegrandError):
-            certified_log_integral(lambda u: 1e300 * np.exp(-u), 0.0, INF,
+            certified_log_integral(lambda u: np.exp(800.0 - u), 0.0, INF,
                                    rate_lo=1.0, rate_hi=1.0, spec=QuadratureSpec())
+        with pytest.raises(NonFiniteIntegrandError, match="float range"):
+            certified_log_integral(lambda u: 1e307 * np.exp(-0.01 * u), 0.0, INF,
+                                   rate_lo=1.0, rate_hi=0.01, spec=QuadratureSpec())
+        # a constant of 1e300 overflows the cut's log argument at abs_tol 1e-14,
+        # and the cut is then taken in logs
+        res = certified_log_integral(lambda u: 1e300 * np.exp(-u), 0.0, INF,
+                                     rate_lo=1.0, rate_hi=1.0, spec=QuadratureSpec())
+        assert abs(res.value - 1e300) <= res.error
+
+    @given(c=_log_uniform(1e-300, 1e307), rate=_log_uniform(1e-2, 1e2))
+    @settings(max_examples=300, deadline=None)
+    def test_exponential_tail_within_its_error_at_any_scale(self, c, rate):
+        # c e^{-rate u} on [0, inf): the envelope cut holds wherever c / rate fits float64,
+        # and an answer beyond float64 is a typed failure
+        def integral():
+            return certified_log_integral(lambda u: c * np.exp(-rate * u), 0.0, INF,
+                                          rate_lo=1.0, rate_hi=rate, spec=QuadratureSpec())
+
+        if c / rate == INF:
+            with pytest.raises(NonFiniteIntegrandError):
+                integral()
+            return
+        res = integral()
+        # the error estimate models truncation and the rule, not float round-off,
+        # which reaches about 14 ulps here (c = 1, rate = 10^0.03125)
+        assert abs(res.value - c / rate) <= res.error + 1e-14 * (c / rate)
 
     def test_envelope_out_of_float_range_keeps_a_finite_end(self):
         # the same integrand on a finite window is integrated whole, uncut
@@ -266,10 +297,6 @@ def _ladder_160(a, b, cap_near, cap_far):
     x = np.cumsum(np.hstack([a[:, None], steps]), axis=1)[:, 1:]
     inside = x < b[:, None]
     return np.where(inside, x, np.nan)[:, :inside.sum(axis=1).max()]
-
-
-def _log_uniform(lo, hi):
-    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(lambda e: 10.0 ** e)
 
 
 class TestLadder:

@@ -1,12 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import beta as beta_fn
 
 from heishardy import quadrature, sharp_constants
 from heishardy.geometry import heis_space
 from heishardy.mixed_norm import MixedExponents
-from heishardy.operators import DUAL_HARDY, HARDY, OperatorKind, power_weight
+from heishardy.operators import DUAL_HARDY, HARDY, OperatorKind, power_weight, weight_from_callable
 from heishardy.quadrature import (
     DivergentIntegralError,
     NonFiniteIntegrandError,
@@ -76,6 +78,50 @@ class TestTheoreticalConstant:
         kind = OperatorKind("weighted_hardy", power_weight(1.0, 0.0))
         with pytest.raises(UnboundedOperatorError):
             theoretical_constant(q_of(kind, 2.0, 2.0, 2.0, space1))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_power_weight_constant_is_the_exact_moment(self, n):
+        # at pbar1 = pbar2 every power-weight constant is c / (e + beta + 1), the
+        # exact rational rounded once, with e = -Q/p (Hardy side) or -Q + Q/p
+        space = heis_space(n)
+        Q = space.q
+        for p in (1.0001, 1.5, 2.0, 3.0, 5.0, 7.0, 1e6, 1e10, 1e15):
+            q_over_p = Fraction(Q) / Fraction(p)
+            for dual, tag in ((False, "weighted_hardy"), (True, "weighted_cesaro")):
+                e = q_over_p - Q if dual else -q_over_p
+                kinds = [(DUAL_HARDY if dual else HARDY, Q, Q - 1)]
+                kinds += [(OperatorKind(tag, power_weight(c, beta)), c, beta)
+                          for c in (1.0, 2.5) for beta in (0.0, 0.5, 3.0, 4.0)]
+                for kind, c, beta in kinds:
+                    rate = e + Fraction(beta) + 1
+                    query = q_of(kind, p, 2.0, 2.0, space)
+                    if rate <= 0:
+                        with pytest.raises(UnboundedOperatorError):
+                            theoretical_constant(query)
+                    else:
+                        assert theoretical_constant(query) == float(Fraction(c) / rate), (kind, p)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_hardy_constants_keep_their_closed_forms(self, n):
+        # with Delta != 0 the moments of Q t^(Q-1) are p/(p-1) and p, bit for bit
+        space = heis_space(n)
+        for p in (1.0001, 1.5, 2.0, 3.0, 7.0, 1e6, 1e15):
+            for pb1, pb2 in ((4.0, 2.0), (2.0, 4.0), (3.0, 1.5)):
+                omega_delta = space.omega_small ** MixedExponents(p, pb1, pb2).delta
+                assert theoretical_constant(q_of(HARDY, p, pb1, pb2, space)) == (
+                    p / (p - 1.0) * omega_delta)
+                assert theoretical_constant(q_of(DUAL_HARDY, p, pb1, pb2, space)) == p * omega_delta
+
+    @pytest.mark.parametrize("p", [2.0, 5.0])
+    def test_general_weight_constant_matches_beta_function(self, p, space1, spec):
+        # w = t^3 (1-t)^2 by quadrature: int_0^1 t^(e+3) (1-t)^2 dt = B(4 + e, 3)
+        w = weight_from_callable(lambda t: np.asarray(t) ** 3 * (1.0 - np.asarray(t)) ** 2,
+                                 zero_exponent=3.0)
+        omega_delta = space1.omega_small ** MixedExponents(p, 4.0, 2.0).delta
+        for tag, e in (("weighted_hardy", -4.0 / p), ("weighted_cesaro", -4.0 + 4.0 / p)):
+            got = theoretical_constant(q_of(OperatorKind(tag, w), p, 4.0, 2.0, space1), spec)
+            want = omega_delta * beta_fn(4.0 + e, 3.0)
+            assert abs(got - want) <= 1e-8 * want, tag
 
     def test_unbounded_boundary_case(self, space2):
         # beta = Q/p - 1 exactly: logarithmic divergence of the moment
@@ -220,11 +266,11 @@ class TestUpperBoundProbe:
         # f = 1 on (0, 1]: both norms have closed forms at p = 2, Q = 4:
         # ||f||^2 = omega/4; Hf = 1 inside, r^{-4} beyond, ||Hf||^2 = omega(1/4 + 1/4)
         from heishardy.mixed_norm import radial_norm_with_error
-        from heishardy.operators import hardy
+        from heishardy.operators import apply_operator
         from heishardy.quadrature import constant_profile
 
         f = constant_profile(1.0, support=(0.0, 1.0))
-        out = hardy(f, space1, spec)
+        out = apply_operator(HARDY, f, space1, spec)
         num = radial_norm_with_error(out, 2.0, 2.0, space1, spec).value
         den = radial_norm_with_error(f, 2.0, 2.0, space1, spec).value
         assert abs(den - math.sqrt(space1.omega_small / 4.0)) <= 1e-7
