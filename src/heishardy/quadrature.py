@@ -9,7 +9,9 @@ integrand call fun(u, member) (every seeded panel, then the two halves of
 each member's worst panel), so integrands must be elementwise in their
 array argument.  A population holds up to _MEMBERS = 256 integrals: its
 fixed cost per step is paid once for all of them, and its dense members x
-panels arrays grow with it.  Working in u has three payoffs at once:
+panels arrays grow with it.  Seed panels grow from each window's centre,
+where the decay envelope peaks, in steps that start at a fraction of the
+local decay scale and double.  Working in u has three payoffs at once:
 
 * power-law endpoint singularities at r -> 0 become plain exponential
   decay toward u = -infinity,
@@ -253,16 +255,19 @@ def _bisect(
 def _ladder(a: np.ndarray, b: np.ndarray, cap_near: float, cap_far: float) -> np.ndarray:
     """Dyadic seed points growing away from a[m] toward b[m], width-capped; nan-padded rows.
 
-    The near-edge cap resolves structure on the local decay scale; the far
-    cap bounds panel widths so smooth exponential variation stays inside
-    the rule's reach on every panel.
+    The first step is half the near cap (or of the window, if narrower), so
+    structure on the local decay scale next to a[m] is resolved however
+    steep it is; steps double up to the far cap, which bounds panel widths
+    so smooth exponential variation stays inside the rule's reach on every
+    panel.  An empty window gives no seeds.
     """
     width = b - a
-    step = np.minimum(np.maximum(cap_near, width / 64.0), width) / 2.0
+    step = np.minimum(cap_near, width) / 2.0
     far = np.maximum(cap_far, width / 64.0)
     # d = ceil(log2(far/step)) doublings reach the far cap and ceil(width/far) far
     # steps then cross the window, so k columns hold every seed (two spare for rounding)
-    k = int(min(np.max(np.ceil(np.log2(far / step)) + np.ceil(width / far)) + 2, 160))
+    d = np.log2(np.divide(far, step, out=np.ones_like(far), where=step > 0.0))
+    k = int(min(np.max(np.ceil(d) + np.ceil(width / far)) + 2, 160))
     # steps double (exactly) up to the far cap; seeds are their running sums from a, in order
     steps = np.minimum(step[:, None] * 2.0 ** np.arange(k), far[:, None])
     x = np.cumsum(np.hstack([a[:, None], steps]), axis=1)[:, 1:]
@@ -289,25 +294,36 @@ def _cut(call, sel, base, end, rate, sign, abs_tol, trunc, failures) -> None:
     probes = call(base[sel, None] + sign * _ENVELOPE_OFFSETS, np.repeat(sel[:, None], 6, axis=1))
     # a probe that underflowed to zero bounds nothing, even where exp overflows
     c_est = 2.0 * np.max(np.where(probes == 0.0, 0.0, probes * np.exp(rate * _ENVELOPE_OFFSETS)), axis=1)
-    for m, b, c, row in zip(sel.tolist(), base[sel].tolist(), c_est.tolist(), probes):
-        log_c = None
-        width = 13.0 if c == 0.0 else max(math.log(20.0 * c / (abs_tol * rate)) / rate, 13.0)
-        if width == math.inf and math.isinf(end[m]):
-            with np.errstate(divide="ignore"):
-                log_c = math.log(2.0) + float(np.max(np.log(row) + rate * _ENVELOPE_OFFSETS))
-            width = max((log_c + math.log(20.0) - math.log(abs_tol) - math.log(rate)) / rate, 13.0)
-        if not math.isfinite(width) and math.isinf(end[m]):
+    # math.log and math.exp per element: np.exp differs from math.exp in the last bit
+    with np.errstate(divide="ignore"):  # abs_tol * rate may underflow: the log route takes over
+        arg = 20.0 * c_est / (abs_tol * rate)
+    width, hot = np.full(sel.size, 13.0), c_est != 0.0
+    width[hot] = np.maximum(np.array(list(map(math.log, arg[hot].tolist()))) / rate, 13.0)
+    new = base[sel] + sign * width
+    cut = np.isfinite(width) & (sign * new < sign * end[sel])
+    end[sel[cut]] = new[cut]
+    trunc[sel[cut]] += c_est[cut] * np.array(list(map(math.exp, (-rate * width[cut]).tolist()))) / rate
+    logs = ~np.isfinite(width) & np.isinf(end[sel])  # a finite end is kept whole
+    for m, b, c, row in zip(sel[logs].tolist(), base[sel[logs]].tolist(), c_est[logs].tolist(), probes[logs]):
+        with np.errstate(divide="ignore"):
+            log_c = math.log(2.0) + float(np.max(np.log(row) + rate * _ENVELOPE_OFFSETS))
+        w = max((log_c + math.log(20.0) - math.log(abs_tol) - math.log(rate)) / rate, 13.0)
+        if not math.isfinite(w):
             failures[m] = NonFiniteIntegrandError(
                 f"no finite cutoff for the decay envelope at u = {b!r} (constant {c!r})")
-        elif sign * (b + sign * width) < sign * end[m]:
-            end[m] = b + sign * width
-            # in logs, the neglected mass stays a bound: e^{-rate width} alone may underflow
-            trunc[m] += (c * math.exp(-rate * width) if log_c is None
-                         else math.exp(log_c - rate * width)) / rate
+        else:
+            end[m] = b + sign * w
+            # in logs, the neglected mass stays a bound: e^{-rate w} alone may underflow
+            trunc[m] += math.exp(log_c - rate * w) / rate
 
 
 def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """The integrals ids[m] over [lo[m], hi[m]] as one population; see _integrals."""
+    """The integrals ids[m] over [lo[m], hi[m]] as one population; see _integrals.
+
+    Each window, cut to its decay envelope, is seeded with its centre c (0
+    clamped into it), one _ladder from c out to each end and the caller's
+    seeds; _bisect refines from there.
+    """
     def call(x, m):
         return np.abs(np.asarray(fun(x.ravel(), ids[m.ravel()]), dtype=float)).reshape(x.shape)
 
@@ -342,11 +358,12 @@ def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds) -> tuple[np.nda
     values, errors = np.zeros(n), trunc.copy()
     live = (lo < hi) & (np.arange(n) < min(failures, default=n))
     if live.any():
-        a, b = lo[live], hi[live]
+        a, b, c = lo[live], hi[live], center[live]
         cap_lo = 4.0 / max(abs(rate_lo), 0.25)
         cap_hi = 2.0 if exp_decay else 4.0 / max(abs(rate_hi), 0.25)
         cap = max(cap_lo, cap_hi)
-        inner = np.hstack([_ladder(a, b, cap_lo, cap), (a + b)[:, None] - _ladder(a, b, cap_hi, cap),
+        # the envelope peaks at the centre, so each side's ladder grows away from it
+        inner = np.hstack([c[:, None], -_ladder(-c, -a, cap_lo, cap), _ladder(c, b, cap_hi, cap),
                            seeds[live]])
         inner[~((a[:, None] < inner) & (inner < b[:, None]))] = np.nan
         edges = np.sort(np.hstack([a[:, None], inner, b[:, None]]), axis=1)

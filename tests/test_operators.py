@@ -126,6 +126,16 @@ class TestWeightedHardy:
             apply_operator(OperatorKind("weighted_hardy", power_weight(1.0, 0.0)),
                            power_profile(-1.5), space1, spec)
 
+    @pytest.mark.parametrize("beta", [1e3, 1e6, 1e8, 1e10])
+    def test_steep_weight_matches_closed_form(self, beta, space1, spec):
+        # t^beta puts the inner integral's mass within about 1/beta of t = 1:
+        # int_{1/r}^1 (tr)^-2.5 t^beta dt = r^-2.5 (1 - r^-(beta-1.5)) / (beta-1.5)
+        out = apply_operator(OperatorKind("weighted_hardy", power_weight(1.0, beta)),
+                             power_profile(-2.5, support=(1.0, INF)), space1, spec)
+        for r in (1.5, 2.0, 4.0, 100.0):
+            want = r**-2.5 * -math.expm1(-(beta - 1.5) * math.log(r)) / (beta - 1.5)
+            assert abs(out.eval(r) - want) <= 1e-12 * want
+
     def test_general_weight_matches_power(self, space1, spec):
         w_gen = weight_from_callable(lambda t: np.asarray(t) ** 2, zero_exponent=2.0)
         f = exp_profile(1.0)

@@ -15,7 +15,9 @@ from heishardy.quadrature import (
     _XK,
     _WG,
     _WK,
+    _ENVELOPE_OFFSETS,
     _bisect,
+    _cut,
     _ladder,
     _panels,
     abs_power_profile,
@@ -289,10 +291,31 @@ class TestBatchedAdaptive:
         assert abs(res.value - 1e300 * -math.expm1(-100.0)) <= 1e-8 * 1e300
 
 
+_WINDOW = _log_uniform(1e-3, 50.0)
+
+
+@given(windows=st.lists(st.tuples(st.sampled_from(["lo", "hi", "both"]), _WINDOW, _WINDOW),
+                        min_size=1, max_size=4),
+       rate=_log_uniform(1.0, 1e12), c=_log_uniform(1e-3, 1e3))
+@settings(max_examples=300, deadline=None)
+def test_peak_at_the_clamped_centre_within_its_error(windows, rate, c):
+    # c e^{-rate |v|} peaks at v = 0, the clamped centre of each window, at any
+    # steepness: the seed panels must start there, or a peak far narrower than
+    # the window reads 0 with an error estimate that covers nothing.  (Away from
+    # v = 0 the nodes' own rounding, rate * ulp(v) relative, would dominate.)
+    ends = [{"lo": (-w1, 0.0), "hi": (0.0, w1), "both": (-w1, w2)}[side] for side, w1, w2 in windows]
+    lo, hi = np.array(ends).T
+    values, errors = quadrature._integrals(lambda v, m: c * np.exp(-rate * np.abs(v)), lo, hi, rate, rate,
+                                           QuadratureSpec(), np.full((len(lo), 0), np.nan))
+    want = c * (-np.expm1(rate * lo) - np.expm1(-rate * hi)) / rate
+    # as above, the estimate leaves out float round-off
+    assert np.all(np.abs(values - want) <= errors + 1e-14 * want)
+
+
 def _ladder_160(a, b, cap_near, cap_far):
     """The seed ladder built on all 160 columns, trimmed after: _ladder's reference."""
     width = b - a
-    step = np.minimum(np.maximum(cap_near, width / 64.0), width) / 2.0
+    step = np.minimum(cap_near, width) / 2.0
     steps = np.minimum(step[:, None] * 2.0 ** np.arange(160), np.maximum(cap_far, width / 64.0)[:, None])
     x = np.cumsum(np.hstack([a[:, None], steps]), axis=1)[:, 1:]
     inside = x < b[:, None]
@@ -311,6 +334,53 @@ class TestLadder:
         got, want = _ladder(a, b, *caps), _ladder_160(a, b, *caps)
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
+
+
+def _cut_loop(call, sel, base, end, rate, sign, abs_tol, trunc, failures):
+    """_cut as a scalar loop over its members: the array cut's reference."""
+    probes = call(base[sel, None] + sign * _ENVELOPE_OFFSETS, np.repeat(sel[:, None], 6, axis=1))
+    c_est = 2.0 * np.max(np.where(probes == 0.0, 0.0, probes * np.exp(rate * _ENVELOPE_OFFSETS)), axis=1)
+    for m, b, c, row in zip(sel.tolist(), base[sel].tolist(), c_est.tolist(), probes):
+        log_c = None
+        width = 13.0 if c == 0.0 else max(math.log(20.0 * c / (abs_tol * rate)) / rate, 13.0)
+        if width == INF and math.isinf(end[m]):
+            with np.errstate(divide="ignore"):
+                log_c = math.log(2.0) + float(np.max(np.log(row) + rate * _ENVELOPE_OFFSETS))
+            width = max((log_c + math.log(20.0) - math.log(abs_tol) - math.log(rate)) / rate, 13.0)
+        if not math.isfinite(width) and math.isinf(end[m]):
+            failures[m] = None
+        elif sign * (b + sign * width) < sign * end[m]:
+            end[m] = b + sign * width
+            trunc[m] += (c * math.exp(-rate * width) if log_c is None else math.exp(log_c - rate * width)) / rate
+
+
+class TestCut:
+    @given(members=st.lists(st.tuples(st.floats(min_value=-50.0, max_value=50.0),
+                                      st.floats(min_value=-3.0, max_value=3.0),
+                                      st.floats(min_value=-700.0, max_value=709.0),
+                                      st.sampled_from(["decay", "zero", "inf"]), st.booleans()),
+                            min_size=1, max_size=6),
+           rate=_log_uniform(1e-3, 1e12), abs_tol=_log_uniform(1e-30, 1e-2), sign=st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_scalar_loop_bitwise(self, members, rate, abs_tol, sign):
+        # probes of e^{log_c - rate |u - base|}, or all 0, or all inf; ends finite or infinite
+        base, span, log_c, kind, cut = (np.array(x) for x in zip(*members))
+        end0 = np.where(cut, sign * INF, base + sign * 10.0**span)
+
+        def call(x, m):
+            with np.errstate(over="ignore", under="ignore"):
+                g = np.exp(log_c[m] - rate * np.abs(x - base[m]))
+            return np.where(kind[m] == "zero", 0.0, np.where(kind[m] == "inf", INF, g))
+
+        sel = np.arange(len(members))
+        got, want = [], []
+        for fn, out in ((_cut, got), (_cut_loop, want)):
+            end, trunc, failures = end0.copy(), np.zeros(len(members)), {}
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                fn(call, sel, base, end, rate, sign, abs_tol, trunc, failures)
+            out.extend([end, trunc, sorted(failures)])
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
 
 
 class TestProfileAlgebra:
