@@ -4,14 +4,16 @@ Radial integrals of the form  int g(r) r^{Q-1} dr  over (0, infinity) are
 computed in the log-radius variable u = log r with an adaptive 15-point
 Gauss-Kronrod rule.  Integrals run as populations: one engine takes many
 integrals at once, each with its own window and seeds and exactly the
-steps it would take alone, and evaluates each step of all of them in one
-integrand call fun(u, member) (every seeded panel, then the two halves of
-each member's worst panel), so integrands must be elementwise in their
-array argument.  A population holds up to _MEMBERS = 256 integrals: its
-fixed cost per step is paid once for all of them, and its dense members x
-panels arrays grow with it.  Seed panels grow from each window's centre,
-where the decay envelope peaks, in steps that start at a fraction of the
-local decay scale and double.  Working in u has three payoffs at once:
+steps it would take alone, and evaluates each step of all of them
+together (every seeded panel, then the two halves of each member's worst
+panel) through integrand calls fun(u, member) of at most _CALL_PANELS =
+256 panels (3,840 points) each, so integrands must be elementwise in
+their array argument.  A population holds up to _MEMBERS = 3,840
+integrals, the points of one call: the inner integrals that one outer
+call asks for run as one population, which pays its fixed cost per step
+once.  Seed panels grow from each window's centre, where the decay
+envelope peaks, in steps that start at a fraction of the local decay
+scale and double.  Working in u has three payoffs at once:
 
 * power-law endpoint singularities at r -> 0 become plain exponential
   decay toward u = -infinity,
@@ -145,8 +147,9 @@ _WG[1::2] = [
 ]
 
 
-_MEMBERS = 256  # integrals per population
-_CALL_PANELS = 256  # GK15 panels per integrand call, i.e. 3,840 points
+_CALL_PANELS = 256  # GK15 panels per integrand call, i.e. 3,840 points, the cap of every call
+# integrals per population: an outer call's points make at most one population
+_MEMBERS = _CALL_PANELS * _XK.size
 _MAX_PANELS = 2000  # panels per integral before ToleranceNotReachedError
 
 
@@ -155,24 +158,39 @@ def _panels(fun: Callable, lo: np.ndarray, hi: np.ndarray, member: np.ndarray, f
 
     Panel k belongs to integral member[k] (ascending, each member's panels
     contiguous); fun sees the flat nodes and their members, at most
-    _CALL_PANELS panels per call.  Each panel reduces in a row sum of its
-    own, so a member's values are bitwise those it gets alone.  The first
-    non-finite panel fails its member in `failures`.
+    _CALL_PANELS panels per call, and each call's panels are reduced before
+    the next is made, so no population-sized node array exists.  Each panel
+    reduces in a row sum of its own, so a member's values are bitwise those
+    it gets alone.  A call's first non-finite panel fails its member in
+    `failures`.
     """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    y = np.empty((len(lo), _XK.size))
+    ik, err = np.empty(len(lo)), np.empty(len(lo))
     for k in range(0, len(lo), _CALL_PANELS):
         s = slice(k, k + _CALL_PANELS)
-        x = (mid[s, None] + half[s, None] * _XK).ravel()
-        y[s] = np.asarray(fun(x, np.repeat(member[s], _XK.size)), dtype=float).reshape(-1, _XK.size)
-    bad = ~np.isfinite(y).all(axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        failures[int(member[k])] = NonFiniteIntegrandError(
-            f"integrand not finite on panel [{float(lo[k])}, {float(hi[k])}]")
-    ik, ig = half * (y * _WK).sum(axis=1), half * (y * _WG).sum(axis=1)
-    return ik, np.abs(ik - ig)
+        half = 0.5 * (hi[s] - lo[s])
+        x = (0.5 * (lo[s] + hi[s])[:, None] + half[:, None] * _XK).ravel()
+        y = np.asarray(fun(x, np.repeat(member[s], _XK.size)), dtype=float).reshape(-1, _XK.size)
+        bad = ~np.isfinite(y).all(axis=1)
+        if bad.any():
+            j = k + int(np.argmax(bad))
+            failures.setdefault(int(member[j]), NonFiniteIntegrandError(
+                f"integrand not finite on panel [{float(lo[j])}, {float(hi[j])}]"))
+        ik[s] = half * (y * _WK).sum(axis=1)
+        err[s] = np.abs(ik[s] - half * (y * _WG).sum(axis=1))
+    return ik, err
+
+
+def _fsum_rows(val: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """math.fsum(val[m, :counts[m]]) of every row m, bitwise, where val is 0.0 past counts[m]."""
+    sums, width = np.empty(len(val)), counts.max()
+    # the rows become Python floats a block at a time: one list of all of them would
+    # outweigh the population's own arrays
+    for k in range(0, len(val), _CALL_PANELS):
+        sums[k:k + _CALL_PANELS] = list(map(math.fsum, val[k:k + _CALL_PANELS, :width].tolist()))
+    # the padding can turn a -0.0 sum to 0.0; fsum's own sign of zero comes from the used panels
+    for m in np.flatnonzero(sums == 0.0).tolist():
+        sums[m] = math.fsum(val[m, :counts[m]].tolist())
+    return sums
 
 
 def _bisect(
@@ -185,18 +203,20 @@ def _bisect(
     panel (largest error, ties to the lowest index) of every unfinished
     member and evaluates all the children in one call.  A member stops at
     its first failure; the lowest failing member's error is raised once
-    all have stopped.  Returns the values and error estimates.
+    all have stopped.  Panel rows start as wide as the seeded edges and
+    double only when a bisection needs room.  Returns the values, each the
+    math.fsum of its member's panels, and the error estimates.
     """
     n = len(edges)
     counts = np.sum(~np.isnan(edges), axis=1) - 1
     used = np.arange(edges.shape[1] - 1) < counts[:, None]
     failures = {}
-    v, e = _panels(fun, edges[:, :-1][used], edges[:, 1:][used], np.nonzero(used)[0], failures)
+    lo, hi = edges[:, :-1].copy(), edges[:, 1:].copy()  # rows of the panels, split in place
+    v, e = _panels(fun, lo[used], hi[used], np.nonzero(used)[0], failures)
 
     def wider(x, fill):  # panel rows with room for as many bisections again
         return np.hstack([x, np.full(x.shape, fill)])
 
-    lo, hi, used = wider(edges[:, :-1], np.nan), wider(edges[:, 1:], np.nan), wider(used, False)
     val = np.zeros(lo.shape)
     key = np.full(lo.shape, -np.inf)  # error of each live panel; -inf once frozen or unused
     val[used], key[used] = v, e
@@ -249,7 +269,7 @@ def _bisect(
             f"integral leaves float range (estimate {float(total[m])!r})"))
     if failures:
         raise failures[min(failures)]
-    return np.array([math.fsum(val[m, :counts[m]].tolist()) for m in range(n)]), err + frozen
+    return _fsum_rows(val, counts), err + frozen
 
 
 def _ladder(a: np.ndarray, b: np.ndarray, cap_near: float, cap_far: float) -> np.ndarray:
@@ -324,8 +344,12 @@ def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds) -> tuple[np.nda
     clamped into it), one _ladder from c out to each end and the caller's
     seeds; _bisect refines from there.
     """
-    def call(x, m):
-        return np.abs(np.asarray(fun(x.ravel(), ids[m.ravel()]), dtype=float)).reshape(x.shape)
+    def call(x, m):  # |fun| at envelope probes and tail scans, in calls no larger than _panels makes
+        x, m, y = x.ravel(), ids[m.ravel()], np.empty(x.shape)
+        cap = _CALL_PANELS * _XK.size
+        for k in range(0, x.size, cap):
+            y.flat[k:k + cap] = fun(x[k:k + cap], m[k:k + cap])
+        return np.abs(y)
 
     n = len(ids)
     center = np.minimum(np.maximum(0.0, lo), hi)
@@ -363,13 +387,15 @@ def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds) -> tuple[np.nda
         cap_hi = 2.0 if exp_decay else 4.0 / max(abs(rate_hi), 0.25)
         cap = max(cap_lo, cap_hi)
         # the envelope peaks at the centre, so each side's ladder grows away from it
-        inner = np.hstack([c[:, None], -_ladder(-c, -a, cap_lo, cap), _ladder(c, b, cap_hi, cap),
-                           seeds[live]])
+        edges = np.hstack([a[:, None], c[:, None], -_ladder(-c, -a, cap_lo, cap),
+                           _ladder(c, b, cap_hi, cap), seeds[live], b[:, None]])
+        inner = edges[:, 1:-1]
         inner[~((a[:, None] < inner) & (inner < b[:, None]))] = np.nan
-        edges = np.sort(np.hstack([a[:, None], inner, b[:, None]]), axis=1)
+        # sorted in place: a sorted copy would keep a second edge array alive through _bisect
+        edges.sort(axis=1)
         edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan  # a set of edges, as sorted(set(...))
-        value, err = _bisect(lambda x, m: fun(x, ids[live][m]), np.sort(edges, axis=1),
-                             spec.rel_tol, spec.abs_tol)
+        edges.sort(axis=1)
+        value, err = _bisect(lambda x, m: fun(x, ids[live][m]), edges, spec.rel_tol, spec.abs_tol)
         values[live], errors[live] = value, err + trunc[live]
     if failures:
         raise failures[min(failures)]
@@ -385,9 +411,11 @@ def _integrals(
     The engine behind certified_log_integral: each member takes exactly the
     steps of one such integral, with seeds[m] (nan-padded) as extra panel
     edges; fun is elementwise in u, and m names each point's member.
-    Populations hold at most _MEMBERS (256) members; a member's values are
-    bitwise the same in any population, alone included.  An empty window
-    gives 0; the first failing member, in index order, raises its error.
+    Populations hold at most _MEMBERS (3,840) members, as many as the
+    points of one integrand call, so the integrals that one outer call
+    asks for run as one population; a member's values are bitwise the same
+    in any population, alone included.  An empty window gives 0; the first
+    failing member, in index order, raises its error.
     """
     if np.isinf(hi).any() and not rate_hi > 0:
         raise DivergentIntegralError(f"non-decaying upper tail (rate {rate_hi} <= 0); divergent integral")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,14 +362,16 @@ class TestPopulationEvaluation:
 
     @pytest.mark.parametrize("op", ["hardy", "dual_hardy"])
     def test_population_size_changes_no_value(self, op, space1, spec, monkeypatch):
-        # 700 radii run as 700, 11 or 3 populations: every member takes its own steps
+        # 700 radii run as 700, 11, 3 or 1 populations: every member takes its own steps
         out = apply_operator(self.KINDS[op], self.INPUTS["mixture"](), space1, spec)
         u = np.linspace(-4.0, 4.0, 700)
         values = []
-        for members in (1, 64, 256):
+        for members in (1, 64, 256, 3840):
             monkeypatch.setattr(quadrature, "_MEMBERS", members)
             values.append(out.logeval(u, 2.0))
-        assert np.array_equal(values[0], values[1]) and np.array_equal(values[0], values[2])
+        # 4,000 radii run as two populations, and the 700 straddle their boundary
+        values.append(out.logeval(np.concatenate([np.linspace(-5.0, 5.0, 3300), u]), 2.0)[3300:])
+        assert all(np.array_equal(values[2], v) for v in values)
         assert np.all(values[0] > 0.0)
 
     @pytest.mark.parametrize("op,inp", [("hardy", "mixture"), ("dual_hardy", "exp")])
@@ -380,6 +383,34 @@ class TestPopulationEvaluation:
         cap = quadrature._CALL_PANELS * quadrature._XK.size
         assert sum(sizes) > cap
         assert max(sizes) <= cap
+
+    def test_tail_scan_calls_stay_under_the_point_cap(self, space1, spec):
+        # each of 2,000 radii scans its exponential tail for a cutoff, two points
+        # a member: the scan's first step alone would be a 4,000-point call
+        sizes = []
+        out = apply_operator(DUAL_HARDY, _recording(exp_profile(1.0), sizes), space1, spec)
+        vals = out.logeval(np.linspace(-4.0, 4.0, 2000), 0.0)
+        assert np.all(np.isfinite(vals))
+        cap = quadrature._CALL_PANELS * quadrature._XK.size
+        assert sizes[:2] == [cap, 2 * 2000 - cap]
+        assert max(sizes) <= cap
+
+    @pytest.mark.parametrize("op", ["hardy", "dual_hardy"])
+    def test_peak_memory_per_radius_does_not_grow_with_the_population(self, op, space1, spec):
+        # traced (numpy included) peak of one evaluation, per radius: 3,840 radii
+        # make one population, and must cost no more per member than 256
+        out = apply_operator(self.KINDS[op], self.INPUTS["mixture"](), space1, spec)
+
+        def peak_per_radius(k):
+            u = np.linspace(-4.0, 4.0, k)
+            tracemalloc.start()
+            try:
+                out.logeval(u, 2.0)
+                return tracemalloc.get_traced_memory()[1] / k
+            finally:
+                tracemalloc.stop()
+
+        assert peak_per_radius(3840) <= peak_per_radius(256)
 
     def test_inner_tolerance_failure_propagates(self, space1, monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_PANELS", 3)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heishardy import quadrature
 from heishardy.geometry import heis_space
@@ -18,6 +18,7 @@ from heishardy.quadrature import (
     _ENVELOPE_OFFSETS,
     _bisect,
     _cut,
+    _fsum_rows,
     _ladder,
     _panels,
     abs_power_profile,
@@ -289,6 +290,41 @@ class TestBatchedAdaptive:
         res = certified_log_integral(lambda u: 1e300 * np.exp(-u), 0.0, 100.0,
                                      rate_lo=1.0, rate_hi=1.0, spec=QuadratureSpec())
         assert abs(res.value - 1e300 * -math.expm1(-100.0)) <= 1e-8 * 1e300
+
+
+_SUMMAND = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.0 ** -1022, 1.0, -1.0, 2.0 ** -53, -(2.0 ** -53),
+                     1.0 + 2.0 ** -52, 2.0 ** 53, 1e300, -1e300]),
+    st.floats(min_value=-1e300, max_value=1e300),  # subnormals included
+)
+_ROW = st.one_of(
+    st.integers(1, 6).map(lambda k: [-0.0] * k),  # every used panel -0.0
+    # optionally followed by the negation of every panel: the row cancels to zero
+    st.tuples(st.lists(_SUMMAND, min_size=1, max_size=6), st.booleans()).map(
+        lambda t: t[0] + [-x for x in t[0]] if t[1] else t[0]),
+)
+
+
+@given(rows=st.lists(_ROW, min_size=1, max_size=5))
+@example(rows=[[-0.0, -0.0], [1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 5e-324], [1e300, 1.0, -1e300]])
+@settings(max_examples=300, deadline=None)
+def test_row_sums_are_the_fsum_of_the_used_panels_bitwise(rows):
+    # _bisect sums all members at once over zero-padded panel rows; each must be
+    # the fsum of its own panels alone, to the last bit and the sign of zero
+    counts = np.array([len(r) for r in rows])
+    val = np.zeros((len(rows), counts.max() + 3))
+    for m, r in enumerate(rows):
+        val[m, :len(r)] = r
+    want = np.array([math.fsum(val[m, :counts[m]].tolist()) for m in range(len(rows))])
+    assert _fsum_rows(val, counts).tobytes() == want.tobytes()
+
+
+def test_bisect_sums_negative_zero_panels_as_fsum_does():
+    # two members whose panels are all -0.0, on rows of different widths
+    edges = np.array([[0.0, 1.0, 2.0, np.nan], [0.0, 1.0, 2.0, 3.0]])
+    values, errors = _bisect(lambda u, m: np.full(u.shape, -0.0), edges, rel_tol=1e-8, abs_tol=1e-14)
+    assert values.tobytes() == np.array([math.fsum([-0.0] * 2), math.fsum([-0.0] * 3)]).tobytes()
+    assert np.all(errors == 0.0)
 
 
 _WINDOW = _log_uniform(1e-3, 50.0)

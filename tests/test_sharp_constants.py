@@ -165,8 +165,8 @@ class TestExtremalRatio:
         assert abs(rep.ratio - want) <= 1e-6 * want
 
     @pytest.mark.parametrize("kind,panels,integrals,sweeps", [
-        (HARDY, 7_041, 1_056, 50),
-        (OperatorKind("weighted_cesaro", power_weight(1.0, 4.0)), 8_186, 1_092, 40),
+        (HARDY, 7_041, 1_056, 11),
+        (OperatorKind("weighted_cesaro", power_weight(1.0, 4.0)), 8_186, 1_092, 8),
     ], ids=["hardy", "weighted_cesaro"])
     def test_work_counts(self, kind, panels, integrals, sweeps, space1, spec, work_counts):
         # panels and integrals are the engine's work, pinned; sweeps (integrand
