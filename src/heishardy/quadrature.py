@@ -13,7 +13,10 @@ integrals, the points of one call: the inner integrals that one outer
 call asks for run as one population, which pays its fixed cost per step
 once.  Seed panels grow from each window's centre, where the decay
 envelope peaks, in steps that start at a fraction of the local decay
-scale and double.  Working in u has three payoffs at once:
+scale and double up to 4 e-folds of their own side's decay rate, the
+span a GK15 panel integrates to round-off, so a tail decaying like
+e^{-1e-3 u} is seeded with about 15 panels rather than 64 equal ones.
+Working in u has three payoffs at once:
 
 * power-law endpoint singularities at r -> 0 become plain exponential
   decay toward u = -infinity,
@@ -279,20 +282,28 @@ def _ladder(a: np.ndarray, b: np.ndarray, cap_near: float, cap_far: float) -> np
     structure on the local decay scale next to a[m] is resolved however
     steep it is; steps double up to the far cap, which bounds panel widths
     so smooth exponential variation stays inside the rule's reach on every
-    panel.  An empty window gives no seeds.
+    panel.  The far cap is floored at a 64th of the window; an infinite one
+    leaves pure doubling.  An empty window gives no seeds.  The seeds are
+    built in one (members, k) buffer and returned as a view of it.
     """
     width = b - a
     step = np.minimum(cap_near, width) / 2.0
     far = np.maximum(cap_far, width / 64.0)
-    # d = ceil(log2(far/step)) doublings reach the far cap and ceil(width/far) far
-    # steps then cross the window, so k columns hold every seed (two spare for rounding)
-    d = np.log2(np.divide(far, step, out=np.ones_like(far), where=step > 0.0))
+    # d = ceil(log2(min(far, width)/step)) doublings reach the far cap or cross the
+    # window and ceil(width/far) far steps then cross it, so k columns hold every
+    # seed (two spare for rounding)
+    d = np.log2(np.divide(np.minimum(far, width), step, out=np.ones_like(far), where=step > 0.0))
     k = int(min(np.max(np.ceil(d) + np.ceil(width / far)) + 2, 160))
-    # steps double (exactly) up to the far cap; seeds are their running sums from a, in order
-    steps = np.minimum(step[:, None] * 2.0 ** np.arange(k), far[:, None])
-    x = np.cumsum(np.hstack([a[:, None], steps]), axis=1)[:, 1:]
+    # steps double (exactly) up to the far cap; seeds are their running sums from a, in
+    # order: a joins the first step and the sums accumulate in place
+    x = np.multiply(step[:, None], 2.0 ** np.arange(k))
+    np.minimum(x, far[:, None], out=x)
+    x[:, 0] += a
+    np.cumsum(x, axis=1, out=x)
     inside = x < b[:, None]
-    return np.where(inside, x, np.nan)[:, :inside.sum(axis=1).max()]
+    cols = inside.sum(axis=1).max()
+    np.copyto(x, np.nan, where=~inside)
+    return x[:, :cols]
 
 
 _TRUNC_EFOLDS = 45.0  # window length, in e-folds of decay, beyond which we cut
@@ -342,7 +353,11 @@ def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds) -> tuple[np.nda
 
     Each window, cut to its decay envelope, is seeded with its centre c (0
     clamped into it), one _ladder from c out to each end and the caller's
-    seeds; _bisect refines from there.
+    seeds; _bisect refines from there.  Both ladders start at a fraction of
+    their own side's decay scale (4 e-folds, at most 16 units); each grows
+    to far panels of 4 e-folds of its own side's rate, never shorter than
+    the larger of the two near caps.  A side with rate 0 only doubles, and
+    the exponential-tail side keeps the larger near cap.
     """
     def call(x, m):  # |fun| at envelope probes and tail scans, in calls no larger than _panels makes
         x, m, y = x.ravel(), ids[m.ravel()], np.empty(x.shape)
@@ -386,9 +401,13 @@ def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds) -> tuple[np.nda
         cap_lo = 4.0 / max(abs(rate_lo), 0.25)
         cap_hi = 2.0 if exp_decay else 4.0 / max(abs(rate_hi), 0.25)
         cap = max(cap_lo, cap_hi)
+        # far panels span up to 4 e-folds of their own side's decay; a side that
+        # does not decay has no such scale and only doubles
+        far_lo = max(cap, 4.0 / abs(rate_lo)) if rate_lo else math.inf
+        far_hi = cap if exp_decay else (max(cap, 4.0 / abs(rate_hi)) if rate_hi else math.inf)
         # the envelope peaks at the centre, so each side's ladder grows away from it
-        edges = np.hstack([a[:, None], c[:, None], -_ladder(-c, -a, cap_lo, cap),
-                           _ladder(c, b, cap_hi, cap), seeds[live], b[:, None]])
+        edges = np.hstack([a[:, None], c[:, None], -_ladder(-c, -a, cap_lo, far_lo),
+                           _ladder(c, b, cap_hi, far_hi), seeds[live], b[:, None]])
         inner = edges[:, 1:-1]
         inner[~((a[:, None] < inner) & (inner < b[:, None]))] = np.nan
         # sorted in place: a sorted copy would keep a second edge array alive through _bisect

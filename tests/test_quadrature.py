@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -370,6 +371,55 @@ class TestLadder:
         got, want = _ladder(a, b, *caps), _ladder_160(a, b, *caps)
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
+
+
+@given(windows=st.lists(st.tuples(st.floats(min_value=-1e3, max_value=1e3), _log_uniform(1e-9, 1e5)),
+                        min_size=1, max_size=4),
+       cap_near=_log_uniform(1e-7, 1e3))
+@settings(max_examples=200, deadline=None)
+def test_ladder_without_a_far_cap_doubles_as_the_160_column_build(windows, cap_near):
+    # a side that does not decay passes an infinite far cap: the ladder only doubles
+    a = np.array([w[0] for w in windows])
+    b = a + np.array([w[1] for w in windows])
+    got, want = _ladder(a, b, cap_near, INF), _ladder_160(a, b, cap_near, INF)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@given(rate=_log_uniform(1e-4, 0.25), a=st.floats(min_value=0.5, max_value=10.0), k=st.integers(1, 5),
+       sign=st.sampled_from([1.0, -1.0]))
+@settings(max_examples=200, deadline=None)
+def test_slow_tail_within_its_error_in_few_panels(rate, a, k, sign):
+    # e^{-rate u} (1 - e^{-a u})^k on [0, inf), or its mirror on (-inf, 0], is
+    # B(rate/a, k + 1)/a.  The window runs out to u ~ 45/rate: far seed panels
+    # spanning 4 e-folds of the slow rate cover it in a few dozen panels, where
+    # 64 equal panels of a 64th of the window took 67-81
+    want = math.exp(math.lgamma(rate / a) + math.lgamma(k + 1.0) - math.lgamma(rate / a + k + 1.0)) / a
+    panels, real = [], quadrature._panels
+
+    def counted(fun, lo, *args):
+        panels.append(len(lo))
+        return real(fun, lo, *args)
+
+    def fun(u):
+        v = sign * u
+        return np.exp(-rate * v) * (-np.expm1(-a * v)) ** k
+
+    ends, rates = ((0.0, INF), (1.0, rate)) if sign > 0 else ((-INF, 0.0), (rate, 1.0))
+    with mock.patch.object(quadrature, "_panels", counted):
+        res = certified_log_integral(fun, *ends, *rates, spec=QuadratureSpec())
+    # as elsewhere, the estimate leaves out float round-off
+    assert abs(res.value - want) <= res.error + 1e-14 * want
+    assert sum(panels) <= 40
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1000.0), (-1000.0, 0.0), (-400.0, 600.0)])
+def test_non_decaying_finite_window(lo, hi):
+    # declared rates of 0 give no decay scale: both ladders double from the centre
+    res = certified_log_integral(lambda u: np.full(u.shape, 2.0), lo, hi, rate_lo=0.0, rate_hi=0.0,
+                                 spec=QuadratureSpec())
+    want = 2.0 * (hi - lo)
+    assert abs(res.value - want) <= res.error + 1e-14 * want
 
 
 def _cut_loop(call, sel, base, end, rate, sign, abs_tol, trunc, failures):
