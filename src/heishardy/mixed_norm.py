@@ -33,8 +33,8 @@ from .quadrature import (
     RadialProfile,
     ToleranceNotReachedError,
     abs_power_profile,
+    _radial_integrals,
     exact_ball_sample,
-    integrate_radial,
     scaled_profile,
 )
 from .operators import HARDY, apply_operator
@@ -107,16 +107,24 @@ def radial_norm_with_error(
     allowance for the tolerance of any quadratures nested inside f's
     evaluations (operator outputs), both mapped through the 1/p power.
     """
-    res = integrate_radial(abs_power_profile(f, p), space, spec=spec)
-    if res.value <= 0.0:
-        if f.is_zero:
-            return QuadResult(0.0, res.error)
-        raise ToleranceNotReachedError(f"the norm of a non-zero function came out 0.0 "
-                                       f"(error {res.error!r})", estimate=0.0, error=res.error)
-    prefactor = space.omega_small ** (1.0 / p_bar)
-    value = prefactor * res.value ** (1.0 / p)
-    rel = res.error / res.value + 2.0 * spec.inner().rel_tol
-    return QuadResult(value, value * rel / p)
+    return _radial_norms([f], p, [p_bar], space, spec)[0]
+
+
+def _radial_norms(fs, p: float, p_bars, space: HeisSpace, spec: QuadratureSpec) -> list[QuadResult]:
+    """radial_norm_with_error of each fs[m] at p_bars[m], in one population: the lowest failure is raised."""
+    values, errors = _radial_integrals([abs_power_profile(f, p) for f in fs], space, spec)
+    norms = []
+    for f, p_bar, value, error in zip(fs, p_bars, values.tolist(), errors.tolist()):
+        if value <= 0.0:
+            if not f.is_zero:
+                raise ToleranceNotReachedError(f"the norm of a non-zero function came out 0.0 "
+                                               f"(error {error!r})", estimate=0.0, error=error)
+            norms.append(QuadResult(0.0, error))
+            continue
+        norm = space.omega_small ** (1.0 / p_bar) * value ** (1.0 / p)
+        rel = error / value + 2.0 * spec.inner().rel_tol
+        norms.append(QuadResult(norm, norm * rel / p))
+    return norms
 
 
 def _mc_mean(vals) -> tuple[float, float]:

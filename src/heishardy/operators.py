@@ -42,8 +42,8 @@ from .quadrature import (
     QuadratureSpec,
     RadialProfile,
     _integrals,
+    _radial_integrals,
     certified_log_integral,
-    integrate_radial,
     product_profile,
     zero_profile,
 )
@@ -258,13 +258,10 @@ def duality_pairing_check(
     Returns (lhs, rhs) with
         lhs = omega_small * int f(r) (Hw g)(r) r^{Q-1} dr
         rhs = omega_small * int g(r) (H*w f)(r) r^{Q-1} dr,
-    each by its own nested quadrature; callers assert closeness.
+    each by its own nested quadrature, the two as one outer population
+    (DivergentIntegralError on divergent metadata); callers assert closeness.
     """
-
-    def pairing(a: RadialProfile, b: RadialProfile) -> float:
-        # integrate_radial raises DivergentIntegralError on divergent metadata
-        return integrate_radial(product_profile(a, b), space, spec).value
-
     hw_g = apply_operator(OperatorKind("weighted_hardy", w), g, space, spec)
     cw_f = apply_operator(OperatorKind("weighted_cesaro", w), f, space, spec)
-    return space.omega_small * pairing(f, hw_g), space.omega_small * pairing(g, cw_f)
+    lhs, rhs = _radial_integrals([product_profile(f, hw_g), product_profile(g, cw_f)], space, spec)[0]
+    return space.omega_small * float(lhs), space.omega_small * float(rhs)

@@ -3,19 +3,22 @@
 Radial integrals of the form  int g(r) r^{Q-1} dr  over (0, infinity) are
 computed in the log-radius variable u = log r with an adaptive 15-point
 Gauss-Kronrod rule.  Integrals run as populations: one engine takes many
-integrals at once, each with its own window and seeds and exactly the
-steps it would take alone, and evaluates each step of all of them
-together (every seeded panel, then the two halves of each member's worst
-panel) through integrand calls fun(u, member) of at most _CALL_PANELS =
-256 panels (3,840 points) each, so integrands must be elementwise in
-their array argument.  A population holds up to _MEMBERS = 3,840
-integrals, the points of one call: the inner integrals that one outer
-call asks for run as one population, which pays its fixed cost per step
-once.  Seed panels grow from each window's centre, where the decay
-envelope peaks, in steps that start at a fraction of the local decay
-scale and double up to 4 e-folds of their own side's decay rate, the
-span a GK15 panel integrates to round-off, so a tail decaying like
-e^{-1e-3 u} is seeded with about 15 panels rather than 64 equal ones.
+integrals at once, each with its own window, decay rates and seeds and
+exactly the steps it would take alone, and evaluates each step of all of
+them together (the envelope probes of both ends, every seeded panel,
+then the two halves of each member's worst panel) through integrand
+calls fun(u, member) of at most _CALL_PANELS = 256 panels (3,840 points)
+each, so integrands must be elementwise in their array argument.  A
+population holds up to _MEMBERS = 3,840 integrals, the points of one
+call: the inner integrals that one outer call asks for run as one
+population, which pays its fixed cost per step once, and so do the
+numerator and denominator of a norm ratio (_radial_integrals, whose
+integrand sends each member's points to its own profile).  Seed panels
+grow from each window's centre, where the decay envelope peaks, in steps
+that start at a fraction of the local decay scale and double up to 4
+e-folds of their own side's decay rate, the span a GK15 panel integrates
+to round-off, so a tail decaying like e^{-1e-3 u} is seeded with about
+15 panels rather than 64 equal ones.
 Working in u has three payoffs at once:
 
 * power-law endpoint singularities at r -> 0 become plain exponential
@@ -173,9 +176,8 @@ def _panels(fun: Callable, lo: np.ndarray, hi: np.ndarray, member: np.ndarray, f
         half = 0.5 * (hi[s] - lo[s])
         x = (0.5 * (lo[s] + hi[s])[:, None] + half[:, None] * _XK).ravel()
         y = np.asarray(fun(x, np.repeat(member[s], _XK.size)), dtype=float).reshape(-1, _XK.size)
-        bad = ~np.isfinite(y).all(axis=1)
-        if bad.any():
-            j = k + int(np.argmax(bad))
+        if not np.isfinite(y).all():  # the bad row is looked for only when there is one
+            j = k + int(np.argmax(~np.isfinite(y).all(axis=1)))
             failures.setdefault(int(member[j]), NonFiniteIntegrandError(
                 f"integrand not finite on panel [{float(lo[j])}, {float(hi[j])}]"))
         ik[s] = half * (y * _WK).sum(axis=1)
@@ -283,8 +285,9 @@ def _ladder(a: np.ndarray, b: np.ndarray, cap_near: float, cap_far: float) -> np
     steep it is; steps double up to the far cap, which bounds panel widths
     so smooth exponential variation stays inside the rule's reach on every
     panel.  The far cap is floored at a 64th of the window; an infinite one
-    leaves pure doubling.  An empty window gives no seeds.  The seeds are
-    built in one (members, k) buffer and returned as a view of it.
+    leaves pure doubling; caps are scalars or one per row.  An empty window
+    gives no seeds.  The seeds are built in one (members, k) buffer and
+    returned as a view of it.
     """
     width = b - a
     step = np.minimum(cap_near, width) / 2.0
@@ -310,42 +313,45 @@ _TRUNC_EFOLDS = 45.0  # window length, in e-folds of decay, beyond which we cut
 _ENVELOPE_OFFSETS = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 12.0])
 
 
-def _cut(call, sel, base, end, rate, sign, abs_tol, trunc, failures) -> None:
+def _cut(probes, sel, base, end, rate, sign, abs_tol, trunc, failures) -> None:
     """Pull end[m], on side `sign` of base[m], in to where the decay envelope is negligible.
 
-    For each member m in sel, the envelope C e^{-rate |u - base|} takes its
-    constant from probing the integrand and doubling; the cut sits where the
-    neglected mass, added to trunc[m], drops below abs_tol/20, but no nearer
-    than 13 units of u.  Where C or 20 C / (abs_tol rate) leaves float
-    range, an infinite end is cut by the same rule in logs and a finite end
-    is kept whole; an infinite probe leaves no cut: NonFiniteIntegrandError.
+    For each member m in sel, the envelope C e^{-rate[m] |u - base|} takes
+    its constant from probes (|integrand| at base[m] + sign * offsets, one
+    row per member of sel) and doubling; the cut sits where the neglected
+    mass, added to trunc[m], drops below abs_tol/20, but no nearer than 13
+    units of u.  Where C or 20 C / (abs_tol rate) leaves float range, an
+    infinite end is cut by the same rule in logs and a finite end is kept
+    whole; an infinite probe leaves no cut: NonFiniteIntegrandError.
     """
     if not sel.size:
         return
-    probes = call(base[sel, None] + sign * _ENVELOPE_OFFSETS, np.repeat(sel[:, None], 6, axis=1))
+    rate = rate[sel]
     # a probe that underflowed to zero bounds nothing, even where exp overflows
-    c_est = 2.0 * np.max(np.where(probes == 0.0, 0.0, probes * np.exp(rate * _ENVELOPE_OFFSETS)), axis=1)
+    bound = np.where(probes == 0.0, 0.0, probes * np.exp(rate[:, None] * _ENVELOPE_OFFSETS))
+    c_est = 2.0 * np.max(bound, axis=1)
     # math.log and math.exp per element: np.exp differs from math.exp in the last bit
     with np.errstate(divide="ignore"):  # abs_tol * rate may underflow: the log route takes over
         arg = 20.0 * c_est / (abs_tol * rate)
     width, hot = np.full(sel.size, 13.0), c_est != 0.0
-    width[hot] = np.maximum(np.array(list(map(math.log, arg[hot].tolist()))) / rate, 13.0)
+    width[hot] = np.maximum(np.array(list(map(math.log, arg[hot].tolist()))) / rate[hot], 13.0)
     new = base[sel] + sign * width
     cut = np.isfinite(width) & (sign * new < sign * end[sel])
     end[sel[cut]] = new[cut]
-    trunc[sel[cut]] += c_est[cut] * np.array(list(map(math.exp, (-rate * width[cut]).tolist()))) / rate
+    trunc[sel[cut]] += c_est[cut] * np.array(list(map(math.exp, (-rate * width)[cut].tolist()))) / rate[cut]
     logs = ~np.isfinite(width) & np.isinf(end[sel])  # a finite end is kept whole
-    for m, b, c, row in zip(sel[logs].tolist(), base[sel[logs]].tolist(), c_est[logs].tolist(), probes[logs]):
+    for m, b, c, r, row in zip(sel[logs].tolist(), base[sel[logs]].tolist(), c_est[logs].tolist(),
+                               rate[logs].tolist(), probes[logs]):
         with np.errstate(divide="ignore"):
-            log_c = math.log(2.0) + float(np.max(np.log(row) + rate * _ENVELOPE_OFFSETS))
-        w = max((log_c + math.log(20.0) - math.log(abs_tol) - math.log(rate)) / rate, 13.0)
+            log_c = math.log(2.0) + float(np.max(np.log(row) + r * _ENVELOPE_OFFSETS))
+        w = max((log_c + math.log(20.0) - math.log(abs_tol) - math.log(r)) / r, 13.0)
         if not math.isfinite(w):
             failures[m] = NonFiniteIntegrandError(
                 f"no finite cutoff for the decay envelope at u = {b!r} (constant {c!r})")
         else:
             end[m] = b + sign * w
             # in logs, the neglected mass stays a bound: e^{-rate w} alone may underflow
-            trunc[m] += math.exp(log_c - rate * w) / rate
+            trunc[m] += math.exp(log_c - r * w) / r
 
 
 def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -353,11 +359,13 @@ def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds) -> tuple[np.nda
 
     Each window, cut to its decay envelope, is seeded with its centre c (0
     clamped into it), one _ladder from c out to each end and the caller's
-    seeds; _bisect refines from there.  Both ladders start at a fraction of
-    their own side's decay scale (4 e-folds, at most 16 units); each grows
-    to far panels of 4 e-folds of its own side's rate, never shorter than
-    the larger of the two near caps.  A side with rate 0 only doubles, and
-    the exponential-tail side keeps the larger near cap.
+    seeds; _bisect refines from there.  One call probes the envelopes of
+    both sides of every member, and one _ladder call builds both sides'
+    ladders, which start at a fraction of their own side's decay scale (4
+    e-folds, at most 16 units) and grow to far panels of 4 e-folds of their
+    own side's rate, never shorter than the larger near cap.  A side with
+    rate 0 only doubles, and the exponential-tail side keeps the larger
+    near cap.
     """
     def call(x, m):  # |fun| at envelope probes and tail scans, in calls no larger than _panels makes
         x, m, y = x.ravel(), ids[m.ravel()], np.empty(x.shape)
@@ -371,43 +379,46 @@ def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds) -> tuple[np.nda
     trunc = np.zeros(n)
     failures = {}  # member -> the error it raised; later stages skip members above the lowest
     exp_decay = rate_hi == math.inf
-    if exp_decay:
-        # a finite window needs no cut under exponential decay
-        scan = np.flatnonzero(np.isinf(hi))
-        u = center[scan] + 1.0
-        for _ in range(300):
-            if not scan.size:
-                break
-            g = call(np.column_stack([u, u + 0.5]), np.column_stack([scan, scan]))
-            stop = (g[:, 0] < spec.abs_tol / 20.0) & (
-                g[:, 1] <= g[:, 0] * math.exp(-0.5) + spec.abs_tol / 100.0)
-            hi[scan[stop]] = u[stop]
-            trunc[scan[stop]] += g[stop, 0] * 2.0
-            scan, u = scan[~stop], u[~stop] + 1.0
-        failures.update((m, ToleranceNotReachedError(
-            "no certified cutoff for exponential tail", estimate=math.nan, error=math.inf))
-            for m in scan.tolist())
-    else:
-        far = np.isinf(hi) | (rate_hi * (hi - center) > _TRUNC_EFOLDS)
-        _cut(call, np.flatnonzero(far), center, hi, rate_hi, 1.0, spec.abs_tol, trunc, failures)
-    below = np.arange(n) < min(failures, default=n)
-    far = (np.isinf(lo) | (rate_lo * (center - lo) > _TRUNC_EFOLDS)) & below
-    _cut(call, np.flatnonzero(far), np.minimum(center, hi), lo, rate_lo, -1.0, spec.abs_tol, trunc, failures)
+    # an infinite end under exponential decay is scanned for its cutoff; a finite one needs no cut
+    scan = np.flatnonzero(exp_decay & np.isinf(hi))
+    u = center[scan] + 1.0
+    for _ in range(300):
+        if not scan.size:
+            break
+        g = call(np.column_stack([u, u + 0.5]), np.column_stack([scan, scan]))
+        stop = (g[:, 0] < spec.abs_tol / 20.0) & (
+            g[:, 1] <= g[:, 0] * math.exp(-0.5) + spec.abs_tol / 100.0)
+        hi[scan[stop]] = u[stop]
+        trunc[scan[stop]] += g[stop, 0] * 2.0
+        scan, u = scan[~stop], u[~stop] + 1.0
+    failures.update((m, ToleranceNotReachedError(
+        "no certified cutoff for exponential tail", estimate=math.nan, error=math.inf))
+        for m in scan.tolist())
+    up = np.flatnonzero(~exp_decay & (np.isinf(hi) | (rate_hi * (hi - center) > _TRUNC_EFOLDS)))
+    down = np.flatnonzero((np.isinf(lo) | (rate_lo * (center - lo) > _TRUNC_EFOLDS))
+                          & (np.arange(n) < min(failures, default=n)))
+    probes = call(np.vstack([center[up, None] + _ENVELOPE_OFFSETS, center[down, None] - _ENVELOPE_OFFSETS]),
+                  np.repeat(np.concatenate([up, down])[:, None], _ENVELOPE_OFFSETS.size, axis=1))
+    _cut(probes[:up.size], up, center, hi, rate_hi, 1.0, spec.abs_tol, trunc, failures)
+    below = down < min(failures, default=n)  # the lower cut skips members above the first failure
+    _cut(probes[up.size:][below], down[below], center, lo, rate_lo, -1.0, spec.abs_tol, trunc, failures)
 
     values, errors = np.zeros(n), trunc.copy()
     live = (lo < hi) & (np.arange(n) < min(failures, default=n))
     if live.any():
         a, b, c = lo[live], hi[live], center[live]
-        cap_lo = 4.0 / max(abs(rate_lo), 0.25)
-        cap_hi = 2.0 if exp_decay else 4.0 / max(abs(rate_hi), 0.25)
-        cap = max(cap_lo, cap_hi)
+        r_lo, r_hi, exp_hi = rate_lo[live], rate_hi[live], exp_decay[live]
+        cap_lo = 4.0 / np.maximum(np.abs(r_lo), 0.25)
+        cap_hi = np.where(exp_hi, 2.0, 4.0 / np.maximum(np.abs(r_hi), 0.25))
+        cap = np.maximum(cap_lo, cap_hi)
         # far panels span up to 4 e-folds of their own side's decay; a side that
-        # does not decay has no such scale and only doubles
-        far_lo = max(cap, 4.0 / abs(rate_lo)) if rate_lo else math.inf
-        far_hi = cap if exp_decay else (max(cap, 4.0 / abs(rate_hi)) if rate_hi else math.inf)
+        # does not decay (rate 0) has no such scale and only doubles
+        far_lo = np.maximum(cap, 4.0 / np.abs(r_lo))
+        far_hi = np.where(exp_hi, cap, np.maximum(cap, 4.0 / np.abs(r_hi)))
         # the envelope peaks at the centre, so each side's ladder grows away from it
-        edges = np.hstack([a[:, None], c[:, None], -_ladder(-c, -a, cap_lo, far_lo),
-                           _ladder(c, b, cap_hi, far_hi), seeds[live], b[:, None]])
+        rungs = _ladder(np.concatenate([-c, c]), np.concatenate([-a, b]),
+                        np.concatenate([cap_lo, cap_hi]), np.concatenate([far_lo, far_hi]))
+        edges = np.hstack([a[:, None], c[:, None], -rungs[:len(a)], rungs[len(a):], seeds[live], b[:, None]])
         inner = edges[:, 1:-1]
         inner[~((a[:, None] < inner) & (inner < b[:, None]))] = np.nan
         # sorted in place: a sorted copy would keep a second edge array alive through _bisect
@@ -422,32 +433,34 @@ def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds) -> tuple[np.nda
 
 
 def _integrals(
-    fun: Callable, lo: np.ndarray, hi: np.ndarray, rate_lo: float, rate_hi: float,
-    spec: QuadratureSpec, seeds: np.ndarray,
+    fun: Callable, lo: np.ndarray, hi: np.ndarray, rate_lo, rate_hi, spec: QuadratureSpec, seeds: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Certified integrals of fun(u, m) du over [lo[m], hi[m]] for every member m at once.
 
     The engine behind certified_log_integral: each member takes exactly the
-    steps of one such integral, with seeds[m] (nan-padded) as extra panel
-    edges; fun is elementwise in u, and m names each point's member.
+    steps of one such integral, with its own rates rate_lo[m] and
+    rate_hi[m] (a scalar serves all) and seeds[m] (nan-padded) as extra
+    panel edges; fun is elementwise in u, and m names each point's member.
     Populations hold at most _MEMBERS (3,840) members, as many as the
     points of one integrand call, so the integrals that one outer call
     asks for run as one population; a member's values are bitwise the same
     in any population, alone included.  An empty window gives 0; the first
-    failing member, in index order, raises its error.
+    failing member, in index order, raises its error (a divergent one
+    before fun is evaluated at all).
     """
-    if np.isinf(hi).any() and not rate_hi > 0:
-        raise DivergentIntegralError(f"non-decaying upper tail (rate {rate_hi} <= 0); divergent integral")
-    if np.isinf(lo).any() and not rate_lo > 0:
-        raise DivergentIntegralError(f"non-decaying lower tail (rate {rate_lo} <= 0); divergent integral")
+    rate_lo, rate_hi = (np.full(len(lo), r, dtype=float) for r in (rate_lo, rate_hi))
+    up, down = np.isinf(hi) & ~(rate_hi > 0), np.isinf(lo) & ~(rate_lo > 0)
+    for m in np.flatnonzero(up | down)[:1].tolist():
+        side, rate = ("upper", float(rate_hi[m])) if up[m] else ("lower", float(rate_lo[m]))
+        raise DivergentIntegralError(f"non-decaying {side} tail (rate {rate} <= 0); divergent integral")
     values, errors = np.zeros(len(lo)), np.zeros(len(lo))
     todo = np.flatnonzero(lo < hi)
-    # over/underflow in far-out evaluations is expected and handled
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+    # over/underflow far out, and the decay scale 4/rate at rate 0, are expected and handled
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         for k in range(0, len(todo), _MEMBERS):
             ids = todo[k:k + _MEMBERS]
             values[ids], errors[ids] = _population(
-                fun, ids, lo[ids], hi[ids], rate_lo, rate_hi, spec, seeds[ids])
+                fun, ids, lo[ids], hi[ids], rate_lo[ids], rate_hi[ids], spec, seeds[ids])
     return values, errors
 
 
@@ -665,6 +678,33 @@ def abs_power_profile(f: RadialProfile, p: float) -> RadialProfile:
 # --- radial integration --------------------------------------------------------
 
 
+def _radial_integrals(gs, space: HeisSpace, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """int g(r) r^{Q-1} dr over each support of the profiles gs, as one population, with errors.
+
+    The integrand sends each member's points, in order, to that member's
+    own profile, so an operator output's points still make one inner
+    population per call.  A zero profile gives 0 with error 0.
+    """
+    q = float(space.q)
+    ends = np.array([(0.0, 0.0) if g.is_zero else g.log_support for g in gs])
+    breaks = [g.log_breakpoints() for g in gs]
+    seeds = np.array([b + (np.nan,) * (max(map(len, breaks)) - len(b)) for b in breaks])
+
+    def fun(u, m):
+        if len(gs) == 1:  # nothing to dispatch: spares a one-profile integral the masks
+            return gs[0].logeval(u, q)
+        y = np.empty(u.shape)
+        for k, g in enumerate(gs):
+            at = m == k
+            if at.any():
+                y[at] = g.logeval(u[at], q)
+        return y
+
+    # an infinite end needs a positive rate: rate_lo = origin + Q, rate_hi = -(tail + Q)
+    return _integrals(fun, ends[:, 0], ends[:, 1], [g.origin_exponent + q for g in gs],
+                      [-(g.tail_exponent + q) for g in gs], spec, seeds)
+
+
 def integrate_radial(
     g: RadialProfile,
     space: HeisSpace,
@@ -676,18 +716,8 @@ def integrate_radial(
     and ToleranceNotReachedError (carrying the best estimate) when the
     subdivision budget runs out.
     """
-    u_lo, u_hi = g.log_support
-    if g.is_zero or not u_lo < u_hi:
-        return QuadResult(0.0, 0.0)
-
-    q = float(space.q)
-    rate_lo = g.origin_exponent + q          # required > 0 if u_lo = -inf
-    rate_hi = -(g.tail_exponent + q)         # required > 0 if u_hi = +inf
-    return certified_log_integral(
-        lambda u: g.logeval(u, q),
-        u_lo, u_hi, rate_lo, rate_hi, spec,
-        seeds=g.log_breakpoints(),
-    )
+    values, errors = _radial_integrals([g], space, spec)
+    return QuadResult(float(values[0]), float(errors[0]))
 
 
 # --- Monte Carlo samplers -------------------------------------------------------

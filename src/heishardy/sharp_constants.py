@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import HeisSpace, _stream
-from .mixed_norm import MixedExponents, radial_norm_with_error
+from .mixed_norm import MixedExponents, _radial_norms
 from .operators import OperatorKind, apply_operator
 from .quadrature import (
     DivergentIntegralError,
@@ -138,9 +138,9 @@ def _ratio_report(
 
     A norm that comes out 0.0 raises ToleranceNotReachedError (f is non-zero).
     """
-    out = apply_operator(q.kind, f, q.space, spec)
-    num = radial_norm_with_error(out, q.exps.p, q.exps.p_bar_2, q.space, spec)
-    den = radial_norm_with_error(f, q.exps.p, q.exps.p_bar_1, q.space, spec)
+    # numerator and denominator share one outer population; the numerator's error comes first
+    num, den = _radial_norms([apply_operator(q.kind, f, q.space, spec), f], q.exps.p,
+                             [q.exps.p_bar_2, q.exps.p_bar_1], q.space, spec)
     ratio = num.value / den.value
     return RatioReport(
         epsilon=epsilon,

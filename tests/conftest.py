@@ -31,10 +31,11 @@ def work_counts(monkeypatch):
 
     panels: GK15 panels evaluated; sweeps: quadrature._panels calls, one per
     step of a population; inner_integrals: the integrals of operator-output
-    evaluations, which reach the engine through operators._integrals.
+    evaluations, which reach the engine through operators._integrals;
+    populations: quadrature._population calls, outer and inner alike.
     """
-    counts = {"panels": 0, "inner_integrals": 0, "sweeps": 0}
-    panels, integrals = quadrature._panels, quadrature._integrals
+    counts = {"panels": 0, "inner_integrals": 0, "sweeps": 0, "populations": 0}
+    panels, integrals, population = quadrature._panels, quadrature._integrals, quadrature._population
 
     def counted_panels(fun, lo, *args):
         counts["panels"] += len(lo)
@@ -45,6 +46,11 @@ def work_counts(monkeypatch):
         counts["inner_integrals"] += len(lo)
         return integrals(fun, lo, *args)
 
+    def counted_population(*args):
+        counts["populations"] += 1
+        return population(*args)
+
     monkeypatch.setattr(quadrature, "_panels", counted_panels)
+    monkeypatch.setattr(quadrature, "_population", counted_population)
     monkeypatch.setattr(operators, "_integrals", counted_integrals)
     return counts

@@ -7,8 +7,10 @@ from scipy.special import beta as beta_fn
 
 from heishardy import quadrature, sharp_constants
 from heishardy.geometry import heis_space
-from heishardy.mixed_norm import MixedExponents
-from heishardy.operators import DUAL_HARDY, HARDY, OperatorKind, power_weight, weight_from_callable
+from heishardy.mixed_norm import MixedExponents, radial_norm_with_error
+from heishardy.operators import (
+    DUAL_HARDY, HARDY, OperatorKind, apply_operator, power_weight, weight_from_callable,
+)
 from heishardy.quadrature import (
     DivergentIntegralError,
     NonFiniteIntegrandError,
@@ -164,17 +166,28 @@ class TestExtremalRatio:
         want = weighted_cesaro_extremal_ratio(4.0, 2.0, 0.01, 4.0)
         assert abs(rep.ratio - want) <= 1e-6 * want
 
-    @pytest.mark.parametrize("kind,panels,integrals,sweeps", [
-        (HARDY, 1_750, 291, 11),
-        (OperatorKind("weighted_cesaro", power_weight(1.0, 4.0)), 2_346, 312, 8),
-    ], ids=["hardy", "weighted_cesaro"])
-    def test_work_counts(self, kind, panels, integrals, sweeps, space1, spec, work_counts):
+    @pytest.mark.parametrize("kind,probe,panels,integrals,sweeps,populations", [
+        (HARDY, False, 1_750, 291, 10, 5),
+        (OperatorKind("weighted_cesaro", power_weight(1.0, 4.0)), False, 2_346, 312, 5, 3),
+        (HARDY, True, 1_542, 237, 3, 3),
+    ], ids=["hardy", "weighted_cesaro", "hardy-probe"])
+    def test_work_counts(self, kind, probe, panels, integrals, sweeps, populations, space1, spec,
+                         work_counts):
         # panels and integrals are the engine's work, pinned; sweeps (integrand
-        # calls) fall as populations grow, so only their ceiling is pinned
-        extremal_ratio(q_of(kind, 2.0, 2.0, 2.0, space1), 0.01, spec)
+        # calls) fall as populations grow, so only their ceiling is pinned.  A
+        # ratio's numerator and denominator share one outer population, and each
+        # population probes both envelope sides in one call: one probe trial at
+        # the loose spec runs three, the outer one and the numerator's envelope
+        # probes and seeded panels
+        q = q_of(kind, 2.0, 2.0, 2.0, space1)
+        if probe:
+            upper_bound_probe(q, 1, 0, QuadratureSpec(rel_tol=1e-4, abs_tol=1e-8))
+        else:
+            extremal_ratio(q, 0.01, spec)
         assert work_counts["panels"] == panels
         assert work_counts["inner_integrals"] == integrals
         assert work_counts["sweeps"] <= sweeps
+        assert work_counts["populations"] == populations
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("p", [2.0, 5.0])
@@ -352,6 +365,33 @@ class TestVerify:
                 row, failed = verify(q_of(kind, p, 2.0, 2.0, space1), (0.1, 0.01), 2, 0, spec)
                 assert not row["sandwich_ok"]
                 assert "probe trial 0 (seed 0)" in failed["error"]
+
+
+def _separate_ratio(q, f, spec):
+    """Ratio and error estimate from two radial_norm_with_error calls, one per norm."""
+    num = radial_norm_with_error(apply_operator(q.kind, f, q.space, spec), q.exps.p, q.exps.p_bar_2,
+                                 q.space, spec)
+    den = radial_norm_with_error(f, q.exps.p, q.exps.p_bar_1, q.space, spec)
+    return num.value / den.value, num.error / num.value + den.error / den.value
+
+
+class TestSharedPopulation:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("p", [2.0, 5.0])
+    @pytest.mark.parametrize("tag, beta", [("hardy", None), ("dual_hardy", None),
+                                           ("weighted_hardy", 3.0), ("weighted_cesaro", 4.0)])
+    def test_ratio_equals_two_separate_norms_bitwise(self, tag, beta, p, n, spec, monkeypatch):
+        # numerator and denominator run as one outer population; each must get
+        # bitwise what its own radial_norm_with_error call gives
+        kind = OperatorKind(tag, None if beta is None else power_weight(1.0, beta))
+        q = q_of(kind, p, 2.0, 4.0, heis_space(n))
+        rep = extremal_ratio(q, 0.01, spec)
+        assert (rep.ratio, rep.error_estimate) == _separate_ratio(q, extremal_profile(0.01, p, q.space), spec)
+        drawn, draw = [], sharp_constants._random_admissible_profile
+        monkeypatch.setattr(sharp_constants, "_random_admissible_profile",
+                            lambda *args: drawn.append(draw(*args)) or drawn[-1])
+        rep = upper_bound_probe(q, 1, 7, spec)
+        assert (rep.ratio, rep.error_estimate) == _separate_ratio(q, drawn[0], spec)
 
 
 class TestRatioReportInvariants:
