@@ -445,8 +445,9 @@ def _integrals(
     points of one integrand call, so the integrals that one outer call
     asks for run as one population; a member's values are bitwise the same
     in any population, alone included.  An empty window gives 0; the first
-    failing member, in index order, raises its error (a divergent one
-    before fun is evaluated at all).
+    failing member, in index order, raises its error when the population
+    ends (a divergent one before fun is evaluated at all); fun's own
+    exceptions propagate at once, whichever member's points raised them.
     """
     rate_lo, rate_hi = (np.full(len(lo), r, dtype=float) for r in (rate_lo, rate_hi))
     up, down = np.isinf(hi) & ~(rate_hi > 0), np.isinf(lo) & ~(rate_lo > 0)
@@ -691,8 +692,6 @@ def _radial_integrals(gs, space: HeisSpace, spec: QuadratureSpec) -> tuple[np.nd
     seeds = np.array([b + (np.nan,) * (max(map(len, breaks)) - len(b)) for b in breaks])
 
     def fun(u, m):
-        if len(gs) == 1:  # nothing to dispatch: spares a one-profile integral the masks
-            return gs[0].logeval(u, q)
         y = np.empty(u.shape)
         for k, g in enumerate(gs):
             at = m == k
