@@ -45,7 +45,8 @@ only on (seed mod 2^64, stream, i), so batches are bitwise reproducible and
 a batch is the prefix of any larger one.  exact_ball_sample draws from the
 ball law directly and serves every Monte Carlo estimate of the package, at
 any n.  The box samplers mc_ball_sample and mc_sphere_sample reject from
-[-1, 1]^{2n+1} and report their acceptance rate, 1.5e-4 at n = 6.
+[-1, 1]^{2n+1} in blocks of rounds, one stream per block, and report
+their acceptance rate, 1.5e-4 at n = 6.
 """
 
 from __future__ import annotations
@@ -722,10 +723,11 @@ def integrate_radial(
 # --- Monte Carlo samplers -------------------------------------------------------
 
 # Box acceptance is the ball's share of [-1, 1]^{2n+1}: 0.62 at n = 1, 0.048
-# at n = 3, 1.5e-4 at n = 6.  After this many rounds each point stays
+# at n = 3, 1.5e-4 at n = 6.  After this many candidates each point stays
 # unfilled with probability 2e-212 at n = 3, 4.9e-6 at n = 5, 0.23 at n = 6,
 # so the package's own estimates draw from exact_ball_sample instead.
 _MC_ROUNDS = 10_000
+_DRAW = 1 << 16  # uniforms per draw within a block, or one index's run if that is more
 _BALL_TAG = 0x42414C4C  # "BALL": stream tag of exact_ball_sample, apart from the box rounds
 
 
@@ -733,8 +735,8 @@ _BALL_TAG = 0x42414C4C  # "BALL": stream tag of exact_ball_sample, apart from th
 class SampleBatch:
     """Points drawn in or on the Koranyi unit ball/sphere.
 
-    coords has shape (count, 2n+1).  attempts counts every candidate the
-    rejection loop consumed, so acceptance_rate = count / attempts.
+    coords has shape (count, 2n+1).  attempts counts each point's candidates
+    up to and including its accepted one, so acceptance_rate = count / attempts.
     """
 
     coords: np.ndarray
@@ -754,25 +756,34 @@ def mc_ball_sample(space: HeisSpace, count: int, seed: int) -> SampleBatch:
     """Uniform points of {|x|_h <= 1} by rejection from the box [-1, 1]^{2n+1}.
 
     The ball sits inside the box because |x|_h <= 1 forces both the
-    horizontal square-sum and the last coordinate into [-1, 1].  Candidate
-    row i of round t comes from the stream _stream(seed, t), so the
-    accepted point at index i depends only on (seed, t, i).  Raises
-    SamplingBudgetError when some index is still unfilled after _MC_ROUNDS
-    rounds, which is likely from n = 6 on.
+    horizontal square-sum and the last coordinate into [-1, 1].  Rounds run
+    in blocks of per = ceil(2^{2n+1} / unit_ball_lebesgue), the mean count
+    of candidates per point: block b comes from _stream(seed, b), whose rows
+    the pending indices take in index order, per each, in chunks of at most
+    _DRAW uniforms (or one index) under one gauge test.  Index i keeps the
+    first accepted row of its run, so its point depends only on the seed
+    and i.  Raises SamplingBudgetError when some index is still unfilled
+    after _MC_ROUNDS candidates, which is likely from n = 6 on.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     d = space.dim
+    per = math.ceil(2.0**d / space.unit_ball_lebesgue)
     out = np.empty((count, d), dtype=float)
     pending = np.arange(count)
     attempts = 0
-    for rnd in range(_MC_ROUNDS):
-        cand = _stream(seed, rnd).random((count, d)) * 2.0 - 1.0
-        cand = cand[pending]
-        attempts += len(pending)
-        accept = koranyi_norm_array(cand) <= 1.0
-        out[pending[accept]] = cand[accept]
-        pending = pending[~accept]
+    for block, start in enumerate(range(0, _MC_ROUNDS, per)):
+        rounds, rng, left = min(per, _MC_ROUNDS - start), _stream(seed, block), []
+        step = max(1, _DRAW // (rounds * d))
+        for k in range(0, len(pending), step):
+            idx = pending[k:k + step]
+            cand = rng.random((len(idx), rounds, d)) * 2.0 - 1.0
+            accept = koranyi_norm_array(cand) <= 1.0
+            first, hit = np.argmax(accept, axis=1), accept.any(axis=1)
+            out[idx[hit]] = cand[hit, first[hit]]
+            attempts += int(np.where(hit, first + 1, rounds).sum())
+            left.append(idx[~hit])
+        pending = np.concatenate(left)
         if len(pending) == 0:
             break
     else:

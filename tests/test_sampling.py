@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from heishardy import quadrature
 from heishardy.geometry import (
+    _stream,
     dilate_array,
     heis_space,
     koranyi_norm_array,
@@ -24,6 +27,42 @@ KS_CRIT_1PCT = 1.62762
 def binomial_stderrs(est_rate, true_rate, attempts):
     se = math.sqrt(true_rate * (1.0 - true_rate) / attempts)
     return abs(est_rate - true_rate) / se
+
+
+def box_layout_reference(space, count, seed, budget):
+    """mc_ball_sample recomputed one index at a time from its documented layout.
+
+    Rounds run in blocks of per = ceil(2^d / unit_ball_lebesgue); block b,
+    cut short at the budget, comes from _stream(seed, b), and each index
+    still pending takes a contiguous run of the block's rows, in index order.
+    Returns the points (NaN where unfilled), the candidates up to and
+    including each accepted one (all of them for an unfilled index), and the
+    number of unfilled indices.
+    """
+    d = space.dim
+    per = math.ceil(2.0**d / space.unit_ball_lebesgue)
+    out, attempts, pending = np.full((count, d), np.nan), 0, list(range(count))
+    for block, start in enumerate(range(0, budget, per)):
+        rounds = min(per, budget - start)
+        rows = _stream(seed, block).random((len(pending) * rounds, d)) * 2.0 - 1.0
+        inside = koranyi_norm_array(rows) <= 1.0
+        still = []
+        for j, i in enumerate(pending):
+            hits = np.flatnonzero(inside[j * rounds:(j + 1) * rounds])
+            if hits.size:
+                out[i] = rows[j * rounds + hits[0]]
+                attempts += int(hits[0]) + 1
+            else:
+                attempts += rounds
+                still.append(i)
+        pending = still
+        if not pending:
+            break
+    return out, attempts, len(pending)
+
+
+# the bench's batch size at each n; n = 6 runs out of rounds by design
+BENCH_COUNTS = {1: 20_000, 2: 20_000, 3: 5_000, 4: 1_000, 5: 100, 6: 100}
 
 
 class TestBallSampler:
@@ -107,6 +146,54 @@ class TestBallSampler:
         # box acceptance 1.5e-4: 100 points outlast the 10,000 rounds
         with pytest.raises(SamplingBudgetError):
             mc_ball_sample(heis_space(6), 100, 7)
+
+    @pytest.mark.parametrize("n, count", [(1, 300), (3, 60), (5, 12)])
+    def test_points_follow_the_block_layout_bitwise(self, n, count):
+        space = heis_space(n)
+        batch = mc_ball_sample(space, count, 41)
+        want, attempts, unfilled = box_layout_reference(space, count, 41, quadrature._MC_ROUNDS)
+        assert unfilled == 0
+        assert np.array_equal(batch.coords, want) and batch.attempts == attempts
+
+    @pytest.mark.parametrize("budget", [3, 7])
+    def test_budget_cuts_the_last_block_short(self, monkeypatch, space2, budget):
+        # per = 5 at n = 2: a budget of 3 is one short block, 7 a full block and a cut one
+        _, _, unfilled = box_layout_reference(space2, 50, 8, budget)
+        assert 0 < unfilled < 50
+        monkeypatch.setattr(quadrature, "_MC_ROUNDS", budget)
+        with pytest.raises(SamplingBudgetError, match=f"left {unfilled} of 50 points"):
+            mc_ball_sample(space2, 50, 8)
+
+    @pytest.mark.parametrize("n, count", [(1, 20_000), (3, 1_000), (5, 100)])
+    def test_prefix_and_chunking_invariance(self, monkeypatch, n, count):
+        # each count spans more than one _DRAW chunk of a block
+        space = heis_space(n)
+        big = mc_ball_sample(space, count, 13)
+        assert np.array_equal(big.coords[:10], mc_ball_sample(space, 10, 13).coords)
+        monkeypatch.setattr(quadrature, "_DRAW", 4096)
+        rechunked = mc_ball_sample(space, count, 13)
+        assert np.array_equal(rechunked.coords, big.coords) and rechunked.attempts == big.attempts
+
+    @pytest.mark.parametrize("n, count", [(3, 20_000), (4, 2_000), (5, 200)])
+    def test_acceptance_rate_at_higher_n(self, n, count):
+        # 5 sigma, as the bench checks: a fixed-seed false alarm below 1e-6
+        space = heis_space(n)
+        batch = mc_ball_sample(space, count, 2024 + n)
+        true_rate = space.unit_ball_lebesgue / 2.0**space.dim
+        assert binomial_stderrs(batch.acceptance_rate, true_rate, batch.attempts) <= 5.0
+
+    @pytest.mark.parametrize("n", sorted(BENCH_COUNTS))
+    def test_traced_peak_stays_under_3mb(self, n):
+        space = heis_space(n)
+        tracemalloc.start()
+        try:
+            mc_ball_sample(space, BENCH_COUNTS[n], 7)
+        except SamplingBudgetError:
+            assert n == 6
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 3e6
 
 
 class TestSphereSampler:
