@@ -11,8 +11,9 @@ exact one-dimensional reduction, valid for radial functions on H^n
 
 All four are one Mellin convolution in v = log(s / r): the Hardy side
 integrates over v <= 0, the Cesaro side over v >= 0, and hardy/dual_hardy
-are the weighted kinds at w(t) = Q t^{Q-1}.  One routine implements both
-sides.  Outputs are lazily evaluated profiles: each radius evaluated is one
+are the weighted kinds at w(t) = Q t^{Q-1}.  The reflection R f(r) = f(1/r)
+swaps the two sides (Hw = R H*w' R with w'(t) = t^Q w(t)), so one Cesaro-side
+routine implements both.  Outputs are lazily evaluated profiles: each radius evaluated is one
 certified quadrature in the log domain, so the power scaling demanded by
 downstream norm integrals never overflows.  Output decay metadata is
 propagated symbolically from the input metadata, which keeps
@@ -159,91 +160,82 @@ def apply_operator(
 ) -> RadialProfile:
     """The operator `kind` applied to f, as a lazy profile: the one operator entry point.
 
-    It convolves f against the kind's weight w in v = log(s / r).  For
-    w(t) = c t^beta the Hardy side (kind.dual False) is
-    Hw f(r) = c int_{v<=0} f(r e^v) e^{(beta+1) v} dv and the Cesaro side is
-    H*w f(r) = c int_{v>=0} f(r e^v) e^{(Q-1-beta) v} dv; a general weight
-    puts w(e^{+-v}) in place of c e^{+-beta v}.  An evaluation at the radii
-    r = e^u runs one certified quadrature per radius, all of them in one
-    call of the population engine, each over the part of the
-    half-line meeting f's support, with the caller's measure power kappa
-    folded into the kernel and a power weight's c applied outside.
+    It convolves a profile g against the kind's weight w over v = log(s / r)
+    >= 0: for w(t) = c t^beta, H*w g(r) = c int_{v>=0} g(r e^v) e^{(shift-1-beta) v} dv,
+    and a general weight puts w(e^{-v}) in place of c e^{-beta v}.  The
+    Cesaro side (kind.dual) is g = f at shift = Q.  The Hardy side is g = R f,
+    R f(r) = f(1/r), at shift = 0, by the reflection Hw = R H*w' R with
+    w'(t) = t^Q w(t), whose t^Q cancels the kernel's t^{-Q}:
 
-    Soundness of the output metadata (a, b: f's origin and tail exponents;
-    beta0: the weight's order at t = 0):
-    * Hardy side: Hw f(r) <= c r^a int_0^1 t^{a+beta0} dt near 0, finite by
-      the up-front check a + beta0 + 1 > 0, so the origin order is a.  At
-      infinity f's mass below a fixed radius, swept against w, decays like
-      r^{-(beta0+1)} and the rest like f's tail (any order for a bounded
-      support).  The output lives on (sup_lo, inf).
-    * Cesaro side: H*w f(r) <= c r^b int_0^1 t^{-b-Q} w(t) dt at infinity,
-      finite by the screening check beta0 + 1 - Q - b > 0, so f's tail
-      carries over; an exponential tail (b = -inf) passes the check and
+        H*w' (R f)(rho) = int_0^1 (R f)(rho / t) t^{-Q} t^Q w(t) dt
+                        = int_0^1 f(t / rho) w(t) dt,
+        which at rho = 1/r is int_0^1 f(t r) w(t) dt = Hw f(r).
+
+    R acts in u = log r, where it is exact in floats: u -> -u and kappa ->
+    -kappa, f's log support and breakpoints negated, its origin and tail
+    exponents negated and swapped.  An evaluation at the radii r = e^u runs
+    one certified quadrature per radius, all of them in one call of the
+    population engine, each over the part of the half-line meeting g's
+    support, with the caller's measure power kappa folded into the kernel
+    and a power weight's c applied outside.
+
+    Soundness of the output metadata (a, b: g's origin and tail exponents;
+    beta0: the weight's order at t = 0; bound = beta0 + 1 - shift):
+    * H*w g(r) <= c r^b int_0^1 t^{-b-shift} w(t) dt at infinity, finite by
+      the check bound - b > 0 whenever g's support is unbounded, so the tail
+      b carries over; an exponential tail (b = -inf) passes the check and
       gives each evaluation rate_hi = inf, a scanned cutoff.  Near 0 the
-      integrand grows like e^{(a+Q-1-beta0) v} up to v = log(1/r): the origin order is
-      min(a, beta0 + 1 - Q), with a = +inf if f vanishes near 0, lowered by
-      1e-6 at a tie for the logarithm.  The output lives on (0, sup_hi),
-      kinked at sup_lo, which is therefore a breakpoint.
+      integrand grows like e^{(a+shift-1-beta0) v} up to v = log(1/r): the
+      origin order is min(a, bound), with a = +inf if g vanishes near 0,
+      lowered by 1e-6 at a tie for the logarithm.  The output lives on
+      (0, g's sup_hi) and is kinked at g's sup_lo, a breakpoint.  Reflected
+      back, a Hardy-side output keeps f's origin order, decays like
+      max(f's tail, -(beta0 + 1)), raised at a tie (H r^{-Q} = Q r^{-Q} log r
+      on r > 1), lives on (sup_lo, inf) and is kinked at sup_hi.
 
-    Both checks run on metadata before any evaluation and raise
+    The check runs on metadata before any evaluation and raises
     DivergentIntegralError: for hardy, f must be integrable against s^{Q-1}
     near 0; for dual_hardy, f(s)/s must be integrable at infinity.
     """
-    w, dual = kind.weight_on(space), kind.dual
-    spec = spec.inner()
-    q = float(space.q)
+    w, spec = kind.weight_on(space), spec.inner()
     if f.is_zero:
         return zero_profile()
     sup_lo, sup_hi = f.support
-    log_lo, log_hi = f.log_support
+    if kind.dual:  # g = f
+        shift, g, (lo, hi), breaks = float(space.q), f.logeval, f.log_support, np.array(f.log_breakpoints())
+        origin, tail = f.origin_exponent, f.tail_exponent
+    else:  # g = R f
+        shift, g, lo, hi = 0.0, (lambda u, kappa: f.logeval(-u, -kappa)), -f.log_support[1], -f.log_support[0]
+        breaks, origin, tail = -np.array(f.log_breakpoints()), -f.tail_exponent, -f.origin_exponent
+    bound = w.zero_exponent + 1.0 - shift
+    rate_hi = bound - tail
+    if math.isinf(hi) and rate_hi <= 0:
+        raise DivergentIntegralError(
+            f"Cesaro-side operator diverges at t -> 0 (screening rate {rate_hi} <= 0)" if kind.dual else
+            f"Hardy-side operator diverges at the origin "
+            f"(origin {f.origin_exponent} + weight order {w.zero_exponent} <= -1)")
+    own = origin if lo == -math.inf else math.inf
+    low = min(own, bound) - (1e-6 if own == bound else 0.0)  # the output's origin order
     # a power weight's exponent is folded into the one exp, which keeps the
     # factors in float range even on slowly converging windows
     power = w.family == "power"
-    if dual:
-        rate_lo, rate_hi = 1.0, w.zero_exponent + 1.0 - q - f.tail_exponent
-        if math.isinf(sup_hi) and rate_hi <= 0:
-            raise DivergentIntegralError(
-                f"Cesaro-side operator diverges at t -> 0 (screening rate {rate_hi} <= 0)"
-            )
-        kernel = ((lambda v, kappa: np.exp((q - 1.0 - kappa - w.beta) * v)) if power else
-                  (lambda v, kappa: w.eval_log(-v) * np.exp((q - 1.0 - kappa) * v)))
-        own = f.origin_exponent if sup_lo == 0.0 else math.inf
-        bound = w.zero_exponent + 1.0 - q
-        meta = dict(
-            origin_exponent=min(own, bound) - (1e-6 if own == bound else 0.0),
-            tail_exponent=f.tail_exponent, support=(0.0, sup_hi),
-            breakpoints=f.breakpoints + ((sup_lo,) if sup_lo > 0.0 else ()),
-        )
-    else:
-        rate_lo, rate_hi = f.origin_exponent + (w.zero_exponent + 1.0), 1.0
-        if sup_lo == 0.0 and rate_lo <= 0:
-            raise DivergentIntegralError(
-                f"Hardy-side operator diverges at the origin "
-                f"(origin {f.origin_exponent} + weight order {w.zero_exponent} <= -1)"
-            )
-        kernel = ((lambda v, kappa: np.exp((w.beta + 1.0 - kappa) * v)) if power else
-                  (lambda v, kappa: w.eval_log(v) * np.exp((1.0 - kappa) * v)))
-        tail = -math.inf if math.isfinite(sup_hi) else f.tail_exponent
-        meta = dict(
-            origin_exponent=f.origin_exponent, tail_exponent=max(tail, -(w.zero_exponent + 1.0)),
-            support=(sup_lo, math.inf), breakpoints=f.breakpoints,
-        )
+    kernel = ((lambda v, kappa: np.exp((shift - 1.0 - kappa - w.beta) * v)) if power else
+              (lambda v, kappa: w.eval_log(-v) * np.exp((shift - 1.0 - kappa) * v)))
     scale = w.c if power else 1.0
-    f_breaks = np.array(f.log_breakpoints())
 
     def logeval(u, kappa):
-        # r^kappa (T f)(r) at r = e^u: one inner integral per radius, all in one engine call
+        # r^kappa (H*w g)(r) at r = e^u: one inner integral per radius, all in one engine call
         u = np.asarray(u, dtype=float)
         flat = u.ravel()
-        if dual:
-            v_lo, v_hi = np.maximum(0.0, log_lo - flat), log_hi - flat
-        else:
-            v_lo, v_hi = log_lo - flat, np.minimum(0.0, log_hi - flat)
-        values, _ = _integrals(lambda v, m: f.logeval(flat[m] + v, kappa) * kernel(v, kappa),
-                               v_lo, v_hi, rate_lo, rate_hi, spec, f_breaks[None, :] - flat[:, None])
+        values, _ = _integrals(lambda v, m: g(flat[m] + v, kappa) * kernel(v, kappa),
+                               np.maximum(0.0, lo - flat), hi - flat, 1.0, rate_hi, spec,
+                               breaks[None, :] - flat[:, None])
         return (scale * values).reshape(u.shape)
 
-    return RadialProfile(logeval, **meta)
+    if kind.dual:
+        return RadialProfile(logeval, low, tail, (0.0, sup_hi), f.breakpoints + (sup_lo,))
+    return RadialProfile(lambda u, kappa: logeval(-np.asarray(u, dtype=float), -kappa),
+                         -tail, -low, (sup_lo, math.inf), f.breakpoints + (sup_hi,))
 
 
 def duality_pairing_check(

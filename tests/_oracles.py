@@ -89,3 +89,17 @@ def scipy_radial_integral(fn, Q: float, lo: float, hi: float) -> float:
     u_hi = math.log(hi) if math.isfinite(hi) else 50.0
     edges = np.linspace(u_lo, u_hi, 80)
     return sum(quad(fun, a, b, limit=200)[0] for a, b in zip(edges[:-1], edges[1:]))
+
+
+def hardy_truncated_power_norm(a: float, lo: float, hi: float, c: float, beta: float, Q: float, p: float) -> float:
+    """(int |Hw f|^p r^{Q-1} dr)^{1/p} for f = r^a on (lo, hi) and w(t) = c t^beta.
+
+    Hw f(r) = c r^a (min(1, hi/r)^s - (lo/r)^s) / s with s = a + beta + 1 for
+    r > lo, zero below; it is kinked at lo and at hi, where QUADPACK is split.
+    """
+    s = a + beta + 1.0
+    g = lambda r: c * r**a * (min(1.0, hi / r) ** s - (lo / r) ** s) / s
+    head = quad(lambda u: abs(g(math.exp(u))) ** p * math.exp(Q * u), math.log(lo), math.log(hi),
+                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    tail = quad(lambda r: abs(g(r)) ** p * r ** (Q - 1.0), hi, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return (head + tail) ** (1.0 / p)

@@ -312,7 +312,28 @@ class TestApplyCommand:
                        "--radii", "1,2")
         [row] = doc["results"]
         assert (row["kind"], row["n"], row["verdict"]) == ("hardy", 1, "divergent")
-        assert "origin" in row["reason"]
+        assert row["reason"] == ("Hardy-side operator diverges at the origin "
+                                 "(origin -10.0 + weight order 3.0 <= -1)")
+
+    def test_divergent_tail_gives_a_verdict_row(self, capsys):
+        # H* r = Q int_r^inf ds diverges at infinity: the screening reason, in full
+        doc = run_json(capsys, "apply", "--kind", "dual-hardy", "--function", "power:1",
+                       "--radii", "1,2")
+        [row] = doc["results"]
+        assert (row["kind"], row["n"], row["verdict"]) == ("dual_hardy", 1, "divergent")
+        assert row["reason"] == "Cesaro-side operator diverges at t -> 0 (screening rate -1.0 <= 0)"
+
+    @pytest.mark.parametrize("function,radii,values", [
+        ("power:1,hi=1e-310", "1e-311,1",
+         [7.99999999993e-312, 0.0, 3.6000000000002e-310, 0.0, 4.999999999963e-312, 0.0,
+          2.4997500000008003e-308, 0.0]),
+        ("power:-5,lo=1e300", "1e300,1e301", [0.0] * 8),
+    ], ids=["support-below-1e-310", "support-above-1e300"])
+    def test_extreme_supports_are_evaluated(self, capsys, function, radii, values):
+        # a support whose reciprocal leaves float range is reflected in log r, exactly
+        doc = run_json(capsys, "apply", "--kind", "hardy,dual-hardy,whardy,wcesaro",
+                       "--function", function, "--radii", radii)
+        assert [row["value"] for row in doc["results"]] == values
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,9 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from heishardy.geometry import heis_space, koranyi_norm_array
+from heishardy.mixed_norm import radial_norm_with_error
 from heishardy.operators import (
     DUAL_HARDY,
     HARDY,
@@ -27,6 +29,8 @@ from heishardy.quadrature import (
     power_profile,
     zero_profile,
 )
+
+from _oracles import hardy_truncated_power_norm
 
 INF = math.inf
 
@@ -69,6 +73,36 @@ class TestHardy:
 
     def test_zero_passthrough(self, space1, spec):
         assert apply_operator(HARDY, zero_profile(), space1, spec).is_zero
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_log_growth_declared_at_infinity(self, n, spec):
+        # the mirror of the Cesaro side's tie at the origin: H r^{-Q} = Q r^{-Q} log r
+        # beyond r = 1, so the output must declare a tail above -Q, not -Q
+        space = heis_space(n)
+        q = float(space.q)
+        out = apply_operator(HARDY, power_profile(-q, support=(1.0, INF)), space, spec)
+        assert out.tail_exponent > -q
+        for p in (1.5, 2.0, 5.0):
+            got = radial_norm_with_error(out, p, p, space, spec)
+            exact = (space.omega_small ** (1.0 / p)
+                     * (q**p * math.gamma(p + 1.0) / (q * (p - 1.0)) ** (p + 1.0)) ** (1.0 / p))
+            assert abs(got.value - exact) <= got.error + 1e-14 * exact
+
+    @pytest.mark.parametrize("a,lo,hi", [(0.7, 0.3, 2.7), (-1.0, 1e-9, 3.3), (0.0, 0.5, 1.7), (2.0, 0.1, 0.9)])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["hardy", "whardy"])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("p", [2.0, 5.0])
+    def test_bounded_input_norm_sees_the_kink_at_sup_hi(self, a, lo, hi, weighted, n, p, spec):
+        # H of r^a on (lo, hi) is kinked at hi as well as at lo: a norm that misses
+        # the kink at hi is off by more than its error
+        space = heis_space(n)
+        q = float(space.q)
+        kind, c, beta = ((OperatorKind("weighted_hardy", power_weight(1.0, 3.0)), 1.0, 3.0) if weighted
+                         else (HARDY, q, q - 1.0))
+        out = apply_operator(kind, power_profile(a, support=(lo, hi)), space, spec)
+        got = radial_norm_with_error(out, p, p, space, spec)
+        exact = space.omega_small ** (1.0 / p) * hardy_truncated_power_norm(a, lo, hi, c, beta, q, p)
+        assert abs(got.value - exact) <= got.error + 1e-14 * abs(exact)
 
     def test_dilation_covariance(self, space1, spec):
         # (H f_lambda)(r) = (H f)(lambda r) for f_lambda(s) = f(lambda s)
@@ -423,3 +457,136 @@ class TestPopulationEvaluation:
             out.logeval(u[:1], 0.0)
         # the first failing radius, in order, is the one reported
         assert str(many.value) == str(first.value)
+
+
+def _hardy_branch_reference(kind, f, space, spec):
+    """The Hardy side as apply_operator once computed it, kept verbatim as a reference.
+
+    It convolves f itself over v <= 0 with its own kernel, rates and
+    metadata; apply_operator now reaches the Hardy side as the reflected
+    Cesaro side, Hw = R H*w' R.
+    """
+    w = kind.weight_on(space)
+    spec = spec.inner()
+    sup_lo, sup_hi = f.support
+    log_lo, log_hi = f.log_support
+    power = w.family == "power"
+    rate_lo, rate_hi = f.origin_exponent + (w.zero_exponent + 1.0), 1.0
+    if sup_lo == 0.0 and rate_lo <= 0:
+        raise DivergentIntegralError(
+            f"Hardy-side operator diverges at the origin "
+            f"(origin {f.origin_exponent} + weight order {w.zero_exponent} <= -1)"
+        )
+    kernel = ((lambda v, kappa: np.exp((w.beta + 1.0 - kappa) * v)) if power else
+              (lambda v, kappa: w.eval_log(v) * np.exp((1.0 - kappa) * v)))
+    tail = -math.inf if math.isfinite(sup_hi) else f.tail_exponent
+    meta = dict(
+        origin_exponent=f.origin_exponent, tail_exponent=max(tail, -(w.zero_exponent + 1.0)),
+        support=(sup_lo, math.inf), breakpoints=f.breakpoints,
+    )
+    scale = w.c if power else 1.0
+    f_breaks = np.array(f.log_breakpoints())
+
+    def logeval(u, kappa):
+        u = np.asarray(u, dtype=float)
+        flat = u.ravel()
+        v_lo, v_hi = log_lo - flat, np.minimum(0.0, log_hi - flat)
+        values, _ = quadrature._integrals(lambda v, m: f.logeval(flat[m] + v, kappa) * kernel(v, kappa),
+                                          v_lo, v_hi, rate_lo, rate_hi, spec, f_breaks[None, :] - flat[:, None])
+        return (scale * values).reshape(u.shape)
+
+    return RadialProfile(logeval, **meta)
+
+
+_GENERAL_WEIGHT = weight_from_callable(lambda t: t**2 * (1.0 + t), zero_exponent=2.0)
+
+
+@st.composite
+def _hardy_side_case(draw):
+    """A head and a tail power cut at [0.3, 3] (the tail bounded or not), maybe an
+    exponential part, a Hardy-side kind and 12 radii log-uniform in [e^-4, e^4]."""
+    n = draw(st.sampled_from([1, 2]))
+    q = 2.0 * n + 2.0
+    cut = draw(st.floats(0.3, 3.0))
+    top = draw(st.one_of(st.just(INF), st.floats(cut + 0.1, 6.0)))
+    parts = [power_profile(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.2, 1.0)), support=(0.0, cut)),
+             power_profile(draw(st.floats(-q - 3.0, 1.0)), draw(st.floats(0.2, 1.0)), support=(cut, top))]
+    if draw(st.booleans()):
+        parts.append(exp_profile(draw(st.floats(0.5, 3.0)), draw(st.floats(0.0, 1.5)), draw(st.floats(0.2, 1.0))))
+    kind = draw(st.one_of(
+        st.just(HARDY), st.just(OperatorKind("weighted_hardy", _GENERAL_WEIGHT)),
+        st.floats(q - 1.5, q + 2.0).map(lambda b: OperatorKind("weighted_hardy", power_weight(1.3, b)))))
+    radii = np.exp(draw(st.lists(st.floats(-4.0, 4.0), min_size=12, max_size=12)))
+    return heis_space(n), mixture_profile(parts), kind, radii
+
+
+class TestHardySideReflection:
+    """The Hardy side, reached as R H*w' R, against the branch it replaced."""
+
+    @given(case=_hardy_side_case())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_former_hardy_branch(self, case):
+        space, f, kind, radii = case
+        spec = QuadratureSpec()
+        new, ref = apply_operator(kind, f, space, spec), _hardy_branch_reference(kind, f, space, spec)
+        got, want = new.eval(radii), ref.eval(radii)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want) + spec.inner().abs_tol)
+        assert new.origin_exponent == ref.origin_exponent
+        # at a tie with the weight's order the output grows by a logarithm: raised by 1e-6
+        bound = -(kind.weight_on(space).zero_exponent + 1.0)
+        assert (new.tail_exponent == ref.tail_exponent
+                or ref.tail_exponent == bound and new.tail_exponent == bound + 1e-6)
+        assert new.support == ref.support
+        sup_hi = f.support[1]
+        assert new.breakpoints == tuple(sorted(set(ref.breakpoints) | ({sup_hi} - {INF})))
+
+    def test_divergence_reason_is_unchanged(self, space1, spec):
+        for kind in (HARDY, OperatorKind("weighted_hardy", _GENERAL_WEIGHT)):
+            with pytest.raises(DivergentIntegralError) as new:
+                apply_operator(kind, power_profile(-10.0), space1, spec)
+            with pytest.raises(DivergentIntegralError) as ref:
+                _hardy_branch_reference(kind, power_profile(-10.0), space1, spec)
+            assert str(new.value) == str(ref.value)
+
+
+class TestCesaroSideGolden:
+    """Cesaro-side values and norms, pinned bit for bit as float.hex literals."""
+
+    RADII = np.array([0.05, 0.7, 1.0, 2.5, 9.0])
+    KINDS = {
+        "dual_hardy": DUAL_HARDY,
+        "power": OperatorKind("weighted_cesaro", power_weight(1.5, 4.0)),
+        "general": OperatorKind("weighted_cesaro", weight_from_callable(lambda t: t**4 * (1.0 + t), 4.0)),
+    }
+    # (n, kind): (values at RADII, (value, error) of the (2, 2) norm)
+    GOLDEN = {
+        (1, "dual_hardy"): (["0x1.8bac08eb2dedep+4", "0x1.3524c5c6634bfp+3", "0x1.e8639bed4ae28p+1",
+                             "0x1.2639e38978eb0p-4", "0x1.124a196fe2435p-11"],
+                            ("0x1.a67ddd598497dp+4", "0x1.ac91e3739eca8p-29")),
+        (1, "power"): (["0x1.e7352cfc46873p+0", "0x1.5a23a59c05b44p+1", "0x1.2fe5a3fc6a840p+0",
+                        "0x1.6054349ba81edp-6", "0x1.40145d7ddc713p-13"],
+                       ("0x1.c9617ef4d7a39p+2", "0x1.252e13275c116p-30")),
+        (1, "general"): (["0x1.d49521817afebp+0", "0x1.9b204d4e90dc5p+1", "0x1.7769c369ba48ap+0",
+                          "0x1.ae430b31c01e3p-6", "0x1.8402e6ae0beb2p-13"],
+                         ("0x1.0f9479a6c7755p+3", "0x1.c0abf82242c02p-30")),
+        (2, "dual_hardy"): (["0x1.28c106b062726p+5", "0x1.cfb728a994f1ep+3", "0x1.6e4ab4f1f829ep+2",
+                             "0x1.b956d54e35608p-4", "0x1.9b6f2627d3650p-11"],
+                            ("0x1.6d371eaea5fa9p+5", "0x1.2a30b9b54e20cp-24")),
+        (2, "power"): (["0x1.a18be1da90a7dp+6", "0x1.4b4d85d6a78f0p+2", "0x1.cf1fdeebcbca9p+0",
+                        "0x1.27b4932ee435dp-5", "0x1.1fed30ad2b1c4p-12"],
+                       ("0x1.01745abcf55e1p+4", "0x1.82efc4692f381p-26")),
+        (2, "general"): (["0x1.2f1801cb134ebp+6", "0x1.7770bc1cf6affp+2", "0x1.1478dbf496a6dp+1",
+                          "0x1.583ffe8ea9eecp-5", "0x1.49188280b889dp-12"],
+                         ("0x1.24a09e2f3f9c7p+4", "0x1.b51093937fbf4p-26")),
+    }
+
+    @pytest.mark.parametrize("n,kind", list(GOLDEN))
+    def test_values_and_norm_are_pinned(self, n, kind, spec):
+        f = mixture_profile([power_profile(0.5, 2.0, support=(0.0, 1.3)),
+                             power_profile(-3.5, support=(0.7, INF)), exp_profile(1.5, 0.2)])
+        space = heis_space(n)
+        out = apply_operator(self.KINDS[kind], f, space, spec)
+        values, norm = self.GOLDEN[(n, kind)]
+        assert [x.hex() for x in out.eval(self.RADII).tolist()] == values
+        got = radial_norm_with_error(out, 2.0, 2.0, space, spec)
+        assert (got.value.hex(), got.error.hex()) == norm
