@@ -231,8 +231,10 @@ def _bisect(
     err = np.cumsum(np.where(used, key, 0.0), axis=1)[:, -1]
     frozen = np.zeros(n)  # error on panels at machine resolution, not reducible
     done = np.zeros(n, dtype=bool)
+    top = int(counts.max())  # bounds every member's panel count: one more per sweep at most
     while True:
-        done[list(failures)] = True
+        if failures:
+            done[list(failures)] = True
         act = np.flatnonzero(~done)
         if not act.size:
             break
@@ -241,13 +243,14 @@ def _bisect(
         tol = np.maximum(rel_tol * np.abs(total[act]), abs_tol)
         more = (err[act] + frozen[act] > tol) & (e_old > -np.inf)
         done[act[~more]] = True
-        full = more & (counts[act] >= _MAX_PANELS)
-        for m in act[full].tolist():
-            value, error = math.fsum(val[m, :counts[m]].tolist()), float(err[m] + frozen[m])
-            failures[m] = ToleranceNotReachedError(
-                f"tolerance not reached after {int(counts[m])} panels "
-                f"(estimate {value!r}, error {error!r})", estimate=value, error=error)
-        more &= ~full
+        if top >= _MAX_PANELS:
+            full = more & (counts[act] >= _MAX_PANELS)
+            for m in act[full].tolist():
+                value, error = math.fsum(val[m, :counts[m]].tolist()), float(err[m] + frozen[m])
+                failures[m] = ToleranceNotReachedError(
+                    f"tolerance not reached after {int(counts[m])} panels "
+                    f"(estimate {value!r}, error {error!r})", estimate=value, error=error)
+            more &= ~full
         act, k, e_old = act[more], k[more], e_old[more]
         a, b = lo[act, k], hi[act, k]
         mid = 0.5 * (a + b)
@@ -259,7 +262,7 @@ def _bisect(
             act, k, e_old, a, b, mid = (x[~flat] for x in (act, k, e_old, a, b, mid))
         if not act.size:
             continue
-        if counts[act].max() >= lo.shape[1]:
+        if top >= lo.shape[1] and counts[act].max() >= lo.shape[1]:
             lo, hi, val, key = wider(lo, np.nan), wider(hi, np.nan), wider(val, 0.0), wider(key, -np.inf)
         ends = np.stack([a, mid, b], axis=1)
         v, e = (x.reshape(-1, 2) for x in _panels(
@@ -270,6 +273,7 @@ def _bisect(
         lo[act, c], hi[act, c], val[act, c], key[act, c] = mid, b, v[:, 1], e[:, 1]
         hi[act, k], val[act, k], key[act, k] = mid, v[:, 0], e[:, 0]
         counts[act] += 1
+        top += 1
     for m in np.flatnonzero(~np.isfinite(total + err)).tolist():
         failures.setdefault(m, NonFiniteIntegrandError(
             f"integral leaves float range (estimate {float(total[m])!r})"))
@@ -382,27 +386,29 @@ def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds) -> tuple[np.nda
     exp_decay = rate_hi == math.inf
     # an infinite end under exponential decay is scanned for its cutoff; a finite one needs no cut
     scan = np.flatnonzero(exp_decay & np.isinf(hi))
-    u = center[scan] + 1.0
-    for _ in range(300):
-        if not scan.size:
-            break
-        g = call(np.column_stack([u, u + 0.5]), np.column_stack([scan, scan]))
-        stop = (g[:, 0] < spec.abs_tol / 20.0) & (
-            g[:, 1] <= g[:, 0] * math.exp(-0.5) + spec.abs_tol / 100.0)
-        hi[scan[stop]] = u[stop]
-        trunc[scan[stop]] += g[stop, 0] * 2.0
-        scan, u = scan[~stop], u[~stop] + 1.0
-    failures.update((m, ToleranceNotReachedError(
-        "no certified cutoff for exponential tail", estimate=math.nan, error=math.inf))
-        for m in scan.tolist())
+    if scan.size:
+        u = center[scan] + 1.0
+        for _ in range(300):
+            g = call(np.column_stack([u, u + 0.5]), np.column_stack([scan, scan]))
+            stop = (g[:, 0] < spec.abs_tol / 20.0) & (
+                g[:, 1] <= g[:, 0] * math.exp(-0.5) + spec.abs_tol / 100.0)
+            hi[scan[stop]] = u[stop]
+            trunc[scan[stop]] += g[stop, 0] * 2.0
+            scan, u = scan[~stop], u[~stop] + 1.0
+            if not scan.size:
+                break
+        failures.update((m, ToleranceNotReachedError(
+            "no certified cutoff for exponential tail", estimate=math.nan, error=math.inf))
+            for m in scan.tolist())
     up = np.flatnonzero(~exp_decay & (np.isinf(hi) | (rate_hi * (hi - center) > _TRUNC_EFOLDS)))
     down = np.flatnonzero((np.isinf(lo) | (rate_lo * (center - lo) > _TRUNC_EFOLDS))
                           & (np.arange(n) < min(failures, default=n)))
-    probes = call(np.vstack([center[up, None] + _ENVELOPE_OFFSETS, center[down, None] - _ENVELOPE_OFFSETS]),
-                  np.repeat(np.concatenate([up, down])[:, None], _ENVELOPE_OFFSETS.size, axis=1))
-    _cut(probes[:up.size], up, center, hi, rate_hi, 1.0, spec.abs_tol, trunc, failures)
-    below = down < min(failures, default=n)  # the lower cut skips members above the first failure
-    _cut(probes[up.size:][below], down[below], center, lo, rate_lo, -1.0, spec.abs_tol, trunc, failures)
+    if up.size or down.size:
+        probes = call(np.vstack([center[up, None] + _ENVELOPE_OFFSETS, center[down, None] - _ENVELOPE_OFFSETS]),
+                      np.repeat(np.concatenate([up, down])[:, None], _ENVELOPE_OFFSETS.size, axis=1))
+        _cut(probes[:up.size], up, center, hi, rate_hi, 1.0, spec.abs_tol, trunc, failures)
+        below = down < min(failures, default=n)  # the lower cut skips members above the first failure
+        _cut(probes[up.size:][below], down[below], center, lo, rate_lo, -1.0, spec.abs_tol, trunc, failures)
 
     values, errors = np.zeros(n), trunc.copy()
     live = (lo < hi) & (np.arange(n) < min(failures, default=n))
@@ -426,7 +432,8 @@ def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds) -> tuple[np.nda
         edges.sort(axis=1)
         edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan  # a set of edges, as sorted(set(...))
         edges.sort(axis=1)
-        value, err = _bisect(lambda x, m: fun(x, ids[live][m]), edges, spec.rel_tol, spec.abs_tol)
+        live_ids = ids[live]
+        value, err = _bisect(lambda x, m: fun(x, live_ids[m]), edges, spec.rel_tol, spec.abs_tol)
         values[live], errors[live] = value, err + trunc[live]
     if failures:
         raise failures[min(failures)]
