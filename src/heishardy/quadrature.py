@@ -15,10 +15,10 @@ population, which pays its fixed cost per step once, and so do the
 numerator and denominator of a norm ratio (_radial_integrals, whose
 integrand sends each member's points to its own profile).  Seed panels
 grow from each window's centre, where the decay envelope peaks, in steps
-that start at a fraction of the local decay scale and double up to 4
-e-folds of their own side's decay rate, the span a GK15 panel integrates
-to round-off, so a tail decaying like e^{-1e-3 u} is seeded with about
-15 panels rather than 64 equal ones.
+that start at a fraction of the local decay scale and double up to
+_far_span(rel_tol) e-folds of their own side's decay rate (4 at rel_tol
+1e-11, 6.9 at 1e-8, 16.8 at 1e-4), so a tail decaying like e^{-1e-3 u}
+is seeded with 13-18 panels rather than 64 equal ones.
 Working in u has three payoffs at once:
 
 * power-law endpoint singularities at r -> 0 become plain exponential
@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -230,8 +231,7 @@ def _bisect(
     total = np.cumsum(val, axis=1)[:, -1]
     err = np.cumsum(np.where(used, key, 0.0), axis=1)[:, -1]
     frozen = np.zeros(n)  # error on panels at machine resolution, not reducible
-    done = np.zeros(n, dtype=bool)
-    top = int(counts.max())  # bounds every member's panel count: one more per sweep at most
+    done, top = np.zeros(n, dtype=bool), int(counts.max())  # top bounds every member's panel count
     while True:
         if failures:
             done[list(failures)] = True
@@ -314,6 +314,19 @@ def _ladder(a: np.ndarray, b: np.ndarray, cap_near: float, cap_far: float) -> np
     return x[:, :cols]
 
 
+@lru_cache(maxsize=64)
+def _far_span(rel_tol: float) -> float:
+    """Far seed panel span in e-folds: the largest in [4, 40] (to 4e-11) over which one GK15
+    panel of e^{-x} from its peak has |K15 - G7| <= rel_tol K15; 4 at rel_tol <= 1.02e-11."""
+    lo, hi = 4.0, 40.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        y = np.exp(-(0.5 * mid + 0.5 * mid * _XK))  # the nodes as _panels places them
+        k = 0.5 * mid * (y * _WK).sum()
+        lo, hi = (mid, hi) if abs(k - 0.5 * mid * (y * _WG).sum()) <= rel_tol * k else (lo, mid)
+    return lo
+
+
 _TRUNC_EFOLDS = 45.0  # window length, in e-folds of decay, beyond which we cut
 _ENVELOPE_OFFSETS = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 12.0])
 
@@ -359,7 +372,7 @@ def _cut(probes, sel, base, end, rate, sign, abs_tol, trunc, failures) -> None:
             trunc[m] += math.exp(log_c - r * w) / r
 
 
-def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds) -> tuple[np.ndarray, np.ndarray]:
+def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds, far) -> tuple[np.ndarray, np.ndarray]:
     """The integrals ids[m] over [lo[m], hi[m]] as one population; see _integrals.
 
     Each window, cut to its decay envelope, is seeded with its centre c (0
@@ -367,10 +380,10 @@ def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds) -> tuple[np.nda
     seeds; _bisect refines from there.  One call probes the envelopes of
     both sides of every member, and one _ladder call builds both sides'
     ladders, which start at a fraction of their own side's decay scale (4
-    e-folds, at most 16 units) and grow to far panels of 4 e-folds of their
-    own side's rate, never shorter than the larger near cap.  A side with
-    rate 0 only doubles, and the exponential-tail side keeps the larger
-    near cap.
+    e-folds, at most 16 units) and grow to far panels of `far` e-folds
+    (_far_span of spec.rel_tol) of their own side's rate, never shorter than
+    the larger near cap.  A side with rate 0 only doubles, and the
+    exponential-tail side keeps the larger near cap.
     """
     def call(x, m):  # |fun| at envelope probes and tail scans, in calls no larger than _panels makes
         x, m, y = x.ravel(), ids[m.ravel()], np.empty(x.shape)
@@ -413,15 +426,15 @@ def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds) -> tuple[np.nda
     values, errors = np.zeros(n), trunc.copy()
     live = (lo < hi) & (np.arange(n) < min(failures, default=n))
     if live.any():
-        a, b, c = lo[live], hi[live], center[live]
+        a, b, c, live_ids = lo[live], hi[live], center[live], ids[live]
         r_lo, r_hi, exp_hi = rate_lo[live], rate_hi[live], exp_decay[live]
         cap_lo = 4.0 / np.maximum(np.abs(r_lo), 0.25)
         cap_hi = np.where(exp_hi, 2.0, 4.0 / np.maximum(np.abs(r_hi), 0.25))
         cap = np.maximum(cap_lo, cap_hi)
-        # far panels span up to 4 e-folds of their own side's decay; a side that
+        # far panels span up to `far` e-folds of their own side's decay; a side that
         # does not decay (rate 0) has no such scale and only doubles
-        far_lo = np.maximum(cap, 4.0 / np.abs(r_lo))
-        far_hi = np.where(exp_hi, cap, np.maximum(cap, 4.0 / np.abs(r_hi)))
+        far_lo = np.maximum(cap, far / np.abs(r_lo))
+        far_hi = np.where(exp_hi, cap, np.maximum(cap, far / np.abs(r_hi)))
         # the envelope peaks at the centre, so each side's ladder grows away from it
         rungs = _ladder(np.concatenate([-c, c]), np.concatenate([-a, b]),
                         np.concatenate([cap_lo, cap_hi]), np.concatenate([far_lo, far_hi]))
@@ -432,7 +445,6 @@ def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds) -> tuple[np.nda
         edges.sort(axis=1)
         edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan  # a set of edges, as sorted(set(...))
         edges.sort(axis=1)
-        live_ids = ids[live]
         value, err = _bisect(lambda x, m: fun(x, live_ids[m]), edges, spec.rel_tol, spec.abs_tol)
         values[live], errors[live] = value, err + trunc[live]
     if failures:
@@ -463,13 +475,13 @@ def _integrals(
         side, rate = ("upper", float(rate_hi[m])) if up[m] else ("lower", float(rate_lo[m]))
         raise DivergentIntegralError(f"non-decaying {side} tail (rate {rate} <= 0); divergent integral")
     values, errors = np.zeros(len(lo)), np.zeros(len(lo))
-    todo = np.flatnonzero(lo < hi)
+    todo, far = np.flatnonzero(lo < hi), _far_span(spec.rel_tol)
     # over/underflow far out, and the decay scale 4/rate at rate 0, are expected and handled
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         for k in range(0, len(todo), _MEMBERS):
             ids = todo[k:k + _MEMBERS]
             values[ids], errors[ids] = _population(
-                fun, ids, lo[ids], hi[ids], rate_lo[ids], rate_hi[ids], spec, seeds[ids])
+                fun, ids, lo[ids], hi[ids], rate_lo[ids], rate_hi[ids], spec, seeds[ids], far)
     return values, errors
 
 

@@ -167,9 +167,9 @@ class TestExtremalRatio:
         assert abs(rep.ratio - want) <= 1e-6 * want
 
     @pytest.mark.parametrize("kind,probe,panels,integrals,sweeps,populations", [
-        (HARDY, False, 1_750, 291, 10, 5),
-        (OperatorKind("weighted_cesaro", power_weight(1.0, 4.0)), False, 2_346, 312, 5, 3),
-        (HARDY, True, 1_542, 237, 3, 3),
+        (HARDY, False, 1_365, 231, 10, 5),
+        (OperatorKind("weighted_cesaro", power_weight(1.0, 4.0)), False, 1_921, 252, 5, 3),
+        (HARDY, True, 1_053, 162, 3, 3),
     ], ids=["hardy", "weighted_cesaro", "hardy-probe"])
     def test_work_counts(self, kind, probe, panels, integrals, sweeps, populations, space1, spec,
                          work_counts):
@@ -195,7 +195,8 @@ class TestExtremalRatio:
                                            ("weighted_hardy", 3.0), ("weighted_cesaro", 4.0)])
     def test_widest_windows_match_oracle_within_their_error(self, tag, beta, p, n, spec):
         # at eps = 1e-4 the norm integrands decay like e^{-p eps u}: windows run out
-        # to u ~ 2e5, where far seed panels span up to 4 e-folds of that slow rate
+        # to u ~ 2e5, where far seed panels span up to 6.9 e-folds of that slow rate
+        # outside and 4.8 inside (_far_span of rel_tol 1e-8 and 1e-10)
         kind = OperatorKind(tag, None if beta is None else power_weight(1.0, beta))
         space = heis_space(n)
         rep = extremal_ratio(q_of(kind, p, 2.0, 2.0, space), 1e-4, spec)
@@ -316,6 +317,23 @@ class TestUpperBoundProbe:
     def test_rejects_bad_trials(self, space1, spec):
         with pytest.raises(ValueError):
             upper_bound_probe(q_of(HARDY, 2.0, 2.0, 2.0, space1), 0, 1, spec)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("p", [2.0, 5.0])
+    @pytest.mark.parametrize("tag, beta", [("hardy", None), ("dual_hardy", None),
+                                           ("weighted_hardy", 3.0), ("weighted_cesaro", 4.0)])
+    def test_loose_probes_agree_with_tight_ones(self, tag, beta, p, n):
+        # at (1e-4, 1e-8) far seed panels span 16.8 e-folds outside and 10.4 inside;
+        # at rel_tol 1e-11 they span 4 at both levels.  The same trials must agree
+        # within both error bars, and stay below the constant
+        kind = OperatorKind(tag, None if beta is None else power_weight(1.0, beta))
+        q = q_of(kind, p, 2.0, 2.0, heis_space(n))
+        for seed in range(4):
+            loose = upper_bound_probe(q, 1, seed, QuadratureSpec(rel_tol=1e-4, abs_tol=1e-8))
+            tight = upper_bound_probe(q, 1, seed, QuadratureSpec(rel_tol=1e-11, abs_tol=1e-8))
+            assert loose.sandwich_ok and tight.sandwich_ok
+            assert abs(loose.ratio - tight.ratio) <= (loose.error_estimate * loose.ratio
+                                                      + tight.error_estimate * tight.ratio)
 
     def test_beaten_constant_returns_the_failing_trial(self, space1, spec, monkeypatch):
         real = sharp_constants.theoretical_constant
