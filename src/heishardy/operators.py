@@ -192,6 +192,19 @@ def apply_operator(
       back, a Hardy-side output keeps f's origin order, decays like
       max(f's tail, -(beta0 + 1)), raised at a tie (H r^{-Q} = Q r^{-Q} log r
       on r > 1), lives on (sup_lo, inf) and is kinked at sup_hi.
+    * At a finite hi with 0 < rate_hi < inf the output falls to 0 at hi:
+      its window [0, hi - u] shrinks to nothing, so it goes like
+      1 - e^{-rate_hi (hi - u)} (exactly, for a power input) and changes
+      scale within about 1 / rate_hi of hi.  Five breakpoints at
+      u = hi - 2^k / rate_hi, k = 0..4, grade that layer one doubling per
+      panel, so an integral over the output is seeded through it instead
+      of bisecting into it sweep by sweep; past 16 / rate_hi the layer term
+      is e^{-16} ~ 1e-7 of the output and the integral's own seed ladders
+      take over.  As radii they are sup_hi e^{-2^k / rate_hi}, or
+      sup_lo e^{2^k / rate_hi} on the Hardy side; those out of float range
+      are dropped.  A window that does not decay away from hi
+      (rate_hi <= 0) has no such scale and no layer.  Breakpoints only
+      seed integrals over the output; its values do not depend on them.
 
     The check runs on metadata before any evaluation and raises
     DivergentIntegralError: for hardy, f must be integrable against s^{Q-1}
@@ -232,10 +245,16 @@ def apply_operator(
                                breaks[None, :] - flat[:, None])
         return (scale * values).reshape(u.shape)
 
+    # the edge layer below a finite hi: the radii of u = hi - 2^k / rate_hi, k = 0..4
+    layer = ()
+    if math.isfinite(hi) and 0.0 < rate_hi < math.inf:
+        edge, sign = (sup_hi, -1.0) if kind.dual else (sup_lo, 1.0)
+        with np.errstate(over="ignore", under="ignore"):  # radii out of float range are dropped
+            layer = tuple((edge * np.exp(sign * 2.0 ** np.arange(5) / rate_hi)).tolist())
     if kind.dual:
-        return RadialProfile(logeval, low, tail, (0.0, sup_hi), f.breakpoints + (sup_lo,))
+        return RadialProfile(logeval, low, tail, (0.0, sup_hi), f.breakpoints + (sup_lo,) + layer)
     return RadialProfile(lambda u, kappa: logeval(-np.asarray(u, dtype=float), -kappa),
-                         -tail, -low, (sup_lo, math.inf), f.breakpoints + (sup_hi,))
+                         -tail, -low, (sup_lo, math.inf), f.breakpoints + (sup_hi,) + layer)
 
 
 def duality_pairing_check(

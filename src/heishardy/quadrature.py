@@ -529,7 +529,10 @@ class RadialProfile:
     r -> infinity; tail_exponent = -inf declares an exponential tail
     e^{-c r} that beats every power.  `support` clips the function to an
     interval; outside it the profile evaluates to zero, and a bounded
-    support makes the tail exponent irrelevant.
+    support makes the tail exponent irrelevant.  `breakpoints` mark radii
+    where the local scale changes, both kinks and the edge layer where an
+    operator output falls to 0 at a support edge; every integral over the
+    profile takes them, with the finite support edges, as seed panel edges.
 
     Evaluation goes through ``logeval(u, kappa) = f(e^u) * e^{kappa u}`` so
     measure powers can be folded in without overflow at extreme radii.

@@ -103,3 +103,20 @@ def hardy_truncated_power_norm(a: float, lo: float, hi: float, c: float, beta: f
                 epsabs=0.0, epsrel=1e-13, limit=200)[0]
     tail = quad(lambda r: abs(g(r)) ** p * r ** (Q - 1.0), hi, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
     return (head + tail) ** (1.0 / p)
+
+
+def cesaro_truncated_power_norm(a: float, lo: float, hi: float, c: float, beta: float, Q: float, p: float) -> float:
+    """(int |H*w f|^p r^{Q-1} dr)^{1/p} for f = r^a on (lo, hi) and w(t) = c t^beta.
+
+    H*w f(r) = c r^a (min(1, r/lo)^s - (r/hi)^s) / s with s = beta - Q - a + 1
+    for r < hi, zero beyond.  Below lo it is the pure power
+    c (lo^-s - hi^-s) / s * r^{beta - Q + 1}, integrated in closed form;
+    QUADPACK takes (lo, hi), where the output falls to 0 at hi.
+    """
+    s = beta - Q - a + 1.0
+    e = p * (beta - Q + 1.0) + Q
+    head = abs(c * (lo ** -s - hi ** -s) / s) ** p * lo**e / e
+    g = lambda r: c * r**a * (1.0 - (r / hi) ** s) / s
+    body = quad(lambda u: abs(g(math.exp(u))) ** p * math.exp(Q * u), math.log(lo), math.log(hi),
+                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return (head + body) ** (1.0 / p)

@@ -30,7 +30,7 @@ from heishardy.quadrature import (
     zero_profile,
 )
 
-from _oracles import hardy_truncated_power_norm
+from _oracles import cesaro_truncated_power_norm, hardy_truncated_power_norm
 
 INF = math.inf
 
@@ -209,6 +209,74 @@ class TestWeightedCesaro:
                              constant_profile(1.0, support=(0.0, 1.0)), space1, spec)
         assert abs(out.eval(1e-8) - math.log(1e8)) <= 1e-8
         assert out.origin_exponent < 0.0
+
+    @pytest.mark.parametrize("a,lo,hi", [(0.7, 0.3, 2.7), (-1.0, 0.5, 1.7), (-2.0, 0.1, 0.9),
+                                         (-0.5, 1.0, math.exp(5.0))])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["dual_hardy", "wcesaro"])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("p", [2.0, 5.0])
+    def test_bounded_input_norm_sees_the_edge_at_sup_hi(self, a, lo, hi, weighted, n, p, spec):
+        # H*w of r^a on (lo, hi) falls to 0 at hi across a layer of width 1/(beta - Q - a + 1)
+        # and is kinked at lo; below lo it is a pure power
+        space = heis_space(n)
+        q = float(space.q)
+        kind, c, beta = ((OperatorKind("weighted_cesaro", power_weight(1.0, 6.0)), 1.0, 6.0) if weighted
+                         else (DUAL_HARDY, q, q - 1.0))
+        out = apply_operator(kind, power_profile(a, support=(lo, hi)), space, spec)
+        got = radial_norm_with_error(out, p, p, space, spec)
+        exact = space.omega_small ** (1.0 / p) * cesaro_truncated_power_norm(a, lo, hi, c, beta, q, p)
+        assert abs(got.value - exact) <= got.error + 1e-14 * abs(exact)
+
+
+class TestEdgeLayer:
+    """Breakpoints of the layer where an output falls to 0 at its input's support edge."""
+
+    @staticmethod
+    def layer(edge, rate, sign):
+        return [edge * math.exp(sign * 2.0**k / rate) for k in range(5)]
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["hardy", "whardy"])
+    def test_hardy_side_output_carries_the_layer_above_sup_lo(self, weighted, space1, spec):
+        # Hw of r^a on (lo, hi) rises from 0 at lo like 1 - (lo/r)^(a + beta + 1); beta = 3
+        # for hardy's Q t^(Q-1) at Q = 4 and for t^3
+        kind = OperatorKind("weighted_hardy", power_weight(1.0, 3.0)) if weighted else HARDY
+        out = apply_operator(kind, power_profile(0.7, support=(0.3, 2.7)), space1, spec)
+        want = sorted(self.layer(0.3, 0.7 + 3.0 + 1.0, 1.0) + [2.7])
+        assert out.breakpoints == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["dual_hardy", "wcesaro"])
+    def test_cesaro_side_output_carries_the_layer_below_sup_hi(self, weighted, space1, spec):
+        # H*w of r^a on (lo, hi) falls to 0 at hi like 1 - (r/hi)^(beta - Q - a + 1), at Q = 4
+        kind, beta = (OperatorKind("weighted_cesaro", power_weight(1.0, 6.0)), 6.0) if weighted else (DUAL_HARDY, 3.0)
+        out = apply_operator(kind, power_profile(-1.0, support=(0.5, 1.7)), space1, spec)
+        want = sorted(self.layer(1.7, beta - 4.0 + 1.0 + 1.0, -1.0) + [0.5])
+        assert out.breakpoints == pytest.approx(want, rel=1e-15)
+
+    def test_no_layer_without_a_finite_edge(self, space1, spec):
+        # a Hardy-side output of an input reaching 0, or a Cesaro-side one of an input
+        # reaching infinity, never falls to 0: only the input's other edge is a breakpoint
+        head = power_profile(0.5, support=(0.0, 1.3))
+        tail = power_profile(-3.5, support=(0.7, INF))
+        assert apply_operator(HARDY, head, space1, spec).breakpoints == (1.3,)
+        assert apply_operator(DUAL_HARDY, tail, space1, spec).breakpoints == (0.7,)
+        # a probe-like mixture spans (0, inf): its outputs keep its own breakpoints only
+        mix = mixture_profile([head, tail, exp_profile(1.5, 0.2)])
+        for kind in (HARDY, DUAL_HARDY):
+            assert apply_operator(kind, mix, space1, spec).breakpoints == mix.breakpoints
+
+    @pytest.mark.parametrize("a", [5.0, 0.0])
+    def test_no_layer_when_the_window_does_not_decay(self, a, space1, spec):
+        # dual_hardy of r^a on (1, 2) has rate_hi = -a <= 0: no decay scale, no layer
+        out = apply_operator(DUAL_HARDY, power_profile(a, support=(1.0, 2.0)), space1, spec)
+        assert out.breakpoints == (1.0,)
+
+    def test_layer_radii_out_of_float_range_are_dropped(self, space1, spec):
+        # at rate 2^-7 the layer spans e^128 to e^2048: the radii past float range are left out
+        rate, kept = 2.0**-7, [128.0, 256.0, 512.0]
+        hardy = apply_operator(HARDY, power_profile(rate - 4.0, support=(1.0, INF)), space1, spec)
+        assert hardy.breakpoints == pytest.approx([math.exp(x) for x in kept], rel=1e-15)
+        cesaro = apply_operator(DUAL_HARDY, power_profile(-rate, support=(1.0, 2.0)), space1, spec)
+        assert cesaro.breakpoints == pytest.approx(sorted([1.0] + [2.0 * math.exp(-x) for x in kept]), rel=1e-15)
 
 
 class TestOperatorProperties:

@@ -502,7 +502,7 @@ def test_far_panel_of_the_span_meets_its_tolerance(rel_tol, span):
 def test_far_span_is_computed_once_per_tolerance(space1):
     # the span is a memo lookup made before any population starts: a whole
     # extremal ratio at the default spec (outer rel_tol 1e-8, inner 1e-10)
-    # computes it twice across its five populations, and a repeat not at all
+    # computes it twice across its three populations, and a repeat not at all
     query = SharpConstantQuery(HARDY, MixedExponents(2.0, 2.0, 2.0), space1)
     quadrature._far_span.cache_clear()
     populations, real = [], quadrature._population
@@ -511,7 +511,7 @@ def test_far_span_is_computed_once_per_tolerance(space1):
         assert quadrature._far_span.cache_info().misses == 2
         extremal_ratio(query, 0.01, QuadratureSpec())
     assert quadrature._far_span.cache_info().misses == 2
-    assert len(populations) == 10
+    assert len(populations) == 6
     assert set(populations) == {quadrature._far_span(1e-8), quadrature._far_span(1e-10)}
 
 

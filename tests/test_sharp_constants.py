@@ -167,7 +167,7 @@ class TestExtremalRatio:
         assert abs(rep.ratio - want) <= 1e-6 * want
 
     @pytest.mark.parametrize("kind,probe,panels,integrals,sweeps,populations", [
-        (HARDY, False, 1_365, 231, 10, 5),
+        (HARDY, False, 1_431, 246, 5, 3),
         (OperatorKind("weighted_cesaro", power_weight(1.0, 4.0)), False, 1_921, 252, 5, 3),
         (HARDY, True, 1_053, 162, 3, 3),
     ], ids=["hardy", "weighted_cesaro", "hardy-probe"])
@@ -188,6 +188,15 @@ class TestExtremalRatio:
         assert work_counts["inner_integrals"] == integrals
         assert work_counts["sweeps"] <= sweeps
         assert work_counts["populations"] == populations
+
+    def test_hardy_side_edge_layer_is_seeded(self, space2, spec, work_counts):
+        # H f_eps rises from 0 at r = 1 within about 1 / (Q - Q/p - eps) in log r; its edge-layer
+        # breakpoints seed the outer norms, which then need no bisection sweep: one outer
+        # population and two inner ones, for its envelope probes and its seeded panels
+        rep = extremal_ratio(q_of(HARDY, 5.0, 2.0, 2.0, space2), 1e-2, spec)
+        want = hardy_extremal_ratio(6.0, 5.0, 1e-2)
+        assert abs(rep.ratio - want) <= rep.error_estimate * rep.ratio
+        assert work_counts["populations"] == 3
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("p", [2.0, 5.0])
