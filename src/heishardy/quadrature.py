@@ -159,6 +159,7 @@ _CALL_PANELS = 256  # GK15 panels per integrand call, i.e. 3,840 points, the cap
 # integrals per population: an outer call's points make at most one population
 _MEMBERS = _CALL_PANELS * _XK.size
 _MAX_PANELS = 2000  # panels per integral before ToleranceNotReachedError
+_POW2 = 2.0 ** np.arange(160)  # the doublings of a seed ladder's steps (_ladder)
 
 
 def _panels(fun: Callable, lo: np.ndarray, hi: np.ndarray, member: np.ndarray, failures: dict):
@@ -168,36 +169,32 @@ def _panels(fun: Callable, lo: np.ndarray, hi: np.ndarray, member: np.ndarray, f
     contiguous); fun sees the flat nodes and their members, at most
     _CALL_PANELS panels per call, and each call's panels are reduced before
     the next is made, so no population-sized node array exists.  Each panel
-    reduces in a row sum of its own, so a member's values are bitwise those
-    it gets alone.  A call's first non-finite panel fails its member in
-    `failures`.
+    reduces in a row sum of its own (_gk15), so a member's values are
+    bitwise those it gets alone.  A call's first non-finite panel fails its
+    member in `failures`.
     """
     ik, err = np.empty(len(lo)), np.empty(len(lo))
+    half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
     for k in range(0, len(lo), _CALL_PANELS):
         s = slice(k, k + _CALL_PANELS)
-        half = 0.5 * (hi[s] - lo[s])
-        x = (0.5 * (lo[s] + hi[s])[:, None] + half[:, None] * _XK).ravel()
-        y = np.asarray(fun(x, np.repeat(member[s], _XK.size)), dtype=float).reshape(-1, _XK.size)
-        if not np.isfinite(y).all():  # the bad row is looked for only when there is one
+        x = np.multiply.outer(half[s], _XK)
+        x += mid[s, None]
+        y = np.asarray(fun(x.ravel(), np.repeat(member[s], _XK.size)), dtype=float).reshape(-1, _XK.size)
+        ik[s], err[s] = _gk15(y, half[s])
+        # a non-finite node makes K15 non-finite (every Kronrod weight is positive), so the
+        # nodes are looked at only then: K15 may also overflow from finite ones
+        if not np.isfinite(ik[s]).all() and not np.isfinite(y).all():
             j = k + int(np.argmax(~np.isfinite(y).all(axis=1)))
             failures.setdefault(int(member[j]), NonFiniteIntegrandError(
                 f"integrand not finite on panel [{float(lo[j])}, {float(hi[j])}]"))
-        ik[s] = half * (y * _WK).sum(axis=1)
-        err[s] = np.abs(ik[s] - half * (y * _WG).sum(axis=1))
     return ik, err
 
 
-def _fsum_rows(val: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """math.fsum(val[m, :counts[m]]) of every row m, bitwise, where val is 0.0 past counts[m]."""
-    sums, width = np.empty(len(val)), counts.max()
-    # the rows become Python floats a block at a time: one list of all of them would
-    # outweigh the population's own arrays
-    for k in range(0, len(val), _CALL_PANELS):
-        sums[k:k + _CALL_PANELS] = list(map(math.fsum, val[k:k + _CALL_PANELS, :width].tolist()))
-    # the padding can turn a -0.0 sum to 0.0; fsum's own sign of zero comes from the used panels
-    for m in np.flatnonzero(sums == 0.0).tolist():
-        sums[m] = math.fsum(val[m, :counts[m]].tolist())
-    return sums
+def _gk15(y: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K15 and |K15 - G7| of panels of half-widths `half`, node values in the rows of y: einsum
+    reduces each row alike wherever it sits, where a BLAS product (y @ w) may not."""
+    ik = half * np.einsum("ij,j->i", y, _WK)
+    return ik, np.abs(ik - half * np.einsum("ij,j->i", y, _WG))
 
 
 def _bisect(
@@ -212,13 +209,14 @@ def _bisect(
     its first failure; the lowest failing member's error is raised once
     all have stopped.  Panel rows start as wide as the seeded edges and
     double only when a bisection needs room.  Returns the values, each the
-    math.fsum of its member's panels, and the error estimates.
+    in-order sum of its member's own panels (in row order), and the error
+    estimates; both are bitwise a member's own in any population.
     """
     n = len(edges)
-    counts = np.sum(~np.isnan(edges), axis=1) - 1
-    used = np.arange(edges.shape[1] - 1) < counts[:, None]
     failures = {}
     lo, hi = edges[:, :-1].copy(), edges[:, 1:].copy()  # rows of the panels, split in place
+    used = ~np.isnan(hi)
+    counts = used.sum(axis=1)
     v, e = _panels(fun, lo[used], hi[used], np.nonzero(used)[0], failures)
 
     def wider(x, fill):  # panel rows with room for as many bisections again
@@ -246,7 +244,7 @@ def _bisect(
         if top >= _MAX_PANELS:
             full = more & (counts[act] >= _MAX_PANELS)
             for m in act[full].tolist():
-                value, error = math.fsum(val[m, :counts[m]].tolist()), float(err[m] + frozen[m])
+                value, error = float(np.cumsum(val[m, :counts[m]])[-1]), float(err[m] + frozen[m])
                 failures[m] = ToleranceNotReachedError(
                     f"tolerance not reached after {int(counts[m])} panels "
                     f"(estimate {value!r}, error {error!r})", estimate=value, error=error)
@@ -279,7 +277,9 @@ def _bisect(
             f"integral leaves float range (estimate {float(total[m])!r})"))
     if failures:
         raise failures[min(failures)]
-    return _fsum_rows(val, counts), err + frozen
+    # each value is read at its member's last panel: the padding past it cannot turn a
+    # -0.0 sum into 0.0
+    return np.cumsum(val[:, :counts.max()], axis=1)[np.arange(n), counts - 1], err + frozen
 
 
 def _ladder(a: np.ndarray, b: np.ndarray, cap_near: float, cap_far: float) -> np.ndarray:
@@ -297,21 +297,20 @@ def _ladder(a: np.ndarray, b: np.ndarray, cap_near: float, cap_far: float) -> np
     width = b - a
     step = np.minimum(cap_near, width) / 2.0
     far = np.maximum(cap_far, width / 64.0)
-    # d = ceil(log2(min(far, width)/step)) doublings reach the far cap or cross the
-    # window and ceil(width/far) far steps then cross it, so k columns hold every
-    # seed (two spare for rounding)
-    d = np.log2(np.divide(np.minimum(far, width), step, out=np.ones_like(far), where=step > 0.0))
-    k = int(min(np.max(np.ceil(d) + np.ceil(width / far)) + 2, 160))
+    # 2^d >= min(far, width)/step (binary exponents, so an empty window needs no 0/0), so d
+    # doublings reach the far cap or cross the window and ceil(width/far) far steps then
+    # cross it: k columns hold every seed (two spare for rounding)
+    d = np.frexp(np.minimum(far, width))[1] - np.frexp(step)[1] + 1
+    k = int(min(np.max(d + np.ceil(width / far)) + 2, 160))
     # steps double (exactly) up to the far cap; seeds are their running sums from a, in
     # order: a joins the first step and the sums accumulate in place
-    x = np.multiply(step[:, None], 2.0 ** np.arange(k))
+    x = np.multiply(step[:, None], _POW2[:k])
     np.minimum(x, far[:, None], out=x)
     x[:, 0] += a
     np.cumsum(x, axis=1, out=x)
     inside = x < b[:, None]
-    cols = inside.sum(axis=1).max()
     np.copyto(x, np.nan, where=~inside)
-    return x[:, :cols]
+    return x[:, :np.count_nonzero(inside.any(axis=0))]  # rows never decrease: seeds are a prefix
 
 
 @lru_cache(maxsize=64)
@@ -321,9 +320,9 @@ def _far_span(rel_tol: float) -> float:
     lo, hi = 4.0, 40.0
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        y = np.exp(-(0.5 * mid + 0.5 * mid * _XK))  # the nodes as _panels places them
-        k = 0.5 * mid * (y * _WK).sum()
-        lo, hi = (mid, hi) if abs(k - 0.5 * mid * (y * _WG).sum()) <= rel_tol * k else (lo, mid)
+        # the nodes as _panels places them, and its reduction
+        (k,), (e,) = _gk15(np.exp(-(0.5 * mid + 0.5 * mid * _XK))[None], np.array([0.5 * mid]))
+        lo, hi = (mid, hi) if e <= rel_tol * k else (lo, mid)
     return lo
 
 
@@ -340,28 +339,24 @@ def _cut(probes, sel, base, end, rate, sign, abs_tol, trunc, failures) -> None:
     mass, added to trunc[m], drops below abs_tol/20, but no nearer than 13
     units of u.  Where C or 20 C / (abs_tol rate) leaves float range, an
     infinite end is cut by the same rule in logs and a finite end is kept
-    whole; an infinite probe leaves no cut: NonFiniteIntegrandError.
+    whole; an infinite probe leaves no cut: NonFiniteIntegrandError.  Zero
+    probes and overflows are expected: _integrals' errstate ignores them.
     """
     if not sel.size:
         return
-    rate = rate[sel]
+    rate, old = rate[sel], end[sel]
     # a probe that underflowed to zero bounds nothing, even where exp overflows
     bound = np.where(probes == 0.0, 0.0, probes * np.exp(rate[:, None] * _ENVELOPE_OFFSETS))
     c_est = 2.0 * np.max(bound, axis=1)
-    # math.log and math.exp per element: np.exp differs from math.exp in the last bit
-    with np.errstate(divide="ignore"):  # abs_tol * rate may underflow: the log route takes over
-        arg = 20.0 * c_est / (abs_tol * rate)
-    width, hot = np.full(sel.size, 13.0), c_est != 0.0
-    width[hot] = np.maximum(np.array(list(map(math.log, arg[hot].tolist()))) / rate[hot], 13.0)
+    # abs_tol * rate may underflow, or the argument overflow: the log route takes over
+    width = np.where(c_est == 0.0, 13.0, np.maximum(np.log(20.0 * c_est / (abs_tol * rate)) / rate, 13.0))
     new = base[sel] + sign * width
-    cut = np.isfinite(width) & (sign * new < sign * end[sel])
+    cut = sign * new < sign * old  # never where the width is not finite
     end[sel[cut]] = new[cut]
-    trunc[sel[cut]] += c_est[cut] * np.array(list(map(math.exp, (-rate * width)[cut].tolist()))) / rate[cut]
-    logs = ~np.isfinite(width) & np.isinf(end[sel])  # a finite end is kept whole
-    for m, b, c, r, row in zip(sel[logs].tolist(), base[sel[logs]].tolist(), c_est[logs].tolist(),
-                               rate[logs].tolist(), probes[logs]):
-        with np.errstate(divide="ignore"):
-            log_c = math.log(2.0) + float(np.max(np.log(row) + r * _ENVELOPE_OFFSETS))
+    trunc[sel[cut]] += (c_est * np.exp(-rate * width) / rate)[cut]
+    for j in np.flatnonzero(~np.isfinite(width) & np.isinf(old)).tolist():  # a finite end is kept whole
+        m, b, c, r = int(sel[j]), float(base[sel[j]]), float(c_est[j]), float(rate[j])
+        log_c = math.log(2.0) + float(np.max(np.log(probes[j]) + r * _ENVELOPE_OFFSETS))
         w = max((log_c + math.log(20.0) - math.log(abs_tol) - math.log(r)) / r, 13.0)
         if not math.isfinite(w):
             failures[m] = NonFiniteIntegrandError(
@@ -424,29 +419,31 @@ def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds, far) -> tuple[n
         _cut(probes[up.size:][below], down[below], center, lo, rate_lo, -1.0, spec.abs_tol, trunc, failures)
 
     values, errors = np.zeros(n), trunc.copy()
-    live = (lo < hi) & (np.arange(n) < min(failures, default=n))
-    if live.any():
-        a, b, c, live_ids = lo[live], hi[live], center[live], ids[live]
-        r_lo, r_hi, exp_hi = rate_lo[live], rate_hi[live], exp_decay[live]
-        cap_lo = 4.0 / np.maximum(np.abs(r_lo), 0.25)
-        cap_hi = np.where(exp_hi, 2.0, 4.0 / np.maximum(np.abs(r_hi), 0.25))
-        cap = np.maximum(cap_lo, cap_hi)
-        # far panels span up to `far` e-folds of their own side's decay; a side that
-        # does not decay (rate 0) has no such scale and only doubles
-        far_lo = np.maximum(cap, far / np.abs(r_lo))
-        far_hi = np.where(exp_hi, cap, np.maximum(cap, far / np.abs(r_hi)))
-        # the envelope peaks at the centre, so each side's ladder grows away from it
-        rungs = _ladder(np.concatenate([-c, c]), np.concatenate([-a, b]),
-                        np.concatenate([cap_lo, cap_hi]), np.concatenate([far_lo, far_hi]))
-        edges = np.hstack([a[:, None], c[:, None], -rungs[:len(a)], rungs[len(a):], seeds[live], b[:, None]])
+    # every window is non-empty (_integrals passes no other, and cuts keep the centre inside),
+    # so the live members are those below the first failure
+    live = min(failures, default=n)
+    if live:
+        a, b, c = lo[:live], hi[:live], center[:live]
+        rates = np.abs([rate_lo[:live], rate_hi[:live]])
+        caps = 4.0 / np.maximum(rates, 0.25)  # the near caps of the lower and the upper side
+        caps[1, exp_decay[:live]] = 2.0
+        cap = np.maximum(caps[0], caps[1])
+        # the envelope peaks at the centre, so each side's ladder grows away from it; far
+        # panels span up to `far` e-folds of their own side's decay, an exponential tail's
+        # (rate inf) the larger near cap, and a side that does not decay (rate 0) only doubles
+        rungs = _ladder(np.concatenate([-c, c]), np.concatenate([-a, b]), caps.ravel(),
+                        np.maximum(cap, far / rates).ravel())
+        edges = np.hstack([a[:, None], c[:, None], -rungs[:live], rungs[live:], seeds[:live], b[:, None]])
         inner = edges[:, 1:-1]
-        inner[~((a[:, None] < inner) & (inner < b[:, None]))] = np.nan
+        inner[(inner <= a[:, None]) | (inner >= b[:, None])] = np.nan
         # sorted in place: a sorted copy would keep a second edge array alive through _bisect
         edges.sort(axis=1)
-        edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan  # a set of edges, as sorted(set(...))
-        edges.sort(axis=1)
-        value, err = _bisect(lambda x, m: fun(x, live_ids[m]), edges, spec.rel_tol, spec.abs_tol)
-        values[live], errors[live] = value, err + trunc[live]
+        same = edges[:, 1:] == edges[:, :-1]
+        if same.any():  # a set of edges, as sorted(set(...))
+            edges[:, 1:][same] = np.nan
+            edges.sort(axis=1)
+        value, err = _bisect(lambda x, m: fun(x, ids[m]), edges, spec.rel_tol, spec.abs_tol)
+        values[:live], errors[:live] = value, err + trunc[:live]
     if failures:
         raise failures[min(failures)]
     return values, errors

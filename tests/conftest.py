@@ -32,10 +32,13 @@ def work_counts(monkeypatch):
     panels: GK15 panels evaluated; sweeps: quadrature._panels calls, one per
     step of a population; inner_integrals: the integrals of operator-output
     evaluations, which reach the engine through operators._integrals;
-    populations: quadrature._population calls, outer and inner alike.
+    populations: quadrature._population calls, outer and inner alike; cuts
+    and ladders: quadrature._cut and quadrature._ladder calls, the set-up
+    stages of a population.
     """
-    counts = {"panels": 0, "inner_integrals": 0, "sweeps": 0, "populations": 0}
+    counts = {"panels": 0, "inner_integrals": 0, "sweeps": 0, "populations": 0, "cuts": 0, "ladders": 0}
     panels, integrals, population = quadrature._panels, quadrature._integrals, quadrature._population
+    cut, ladder = quadrature._cut, quadrature._ladder
 
     def counted_panels(fun, lo, *args):
         counts["panels"] += len(lo)
@@ -50,7 +53,17 @@ def work_counts(monkeypatch):
         counts["populations"] += 1
         return population(*args)
 
+    def counted_cut(*args):
+        counts["cuts"] += 1
+        return cut(*args)
+
+    def counted_ladder(*args):
+        counts["ladders"] += 1
+        return ladder(*args)
+
     monkeypatch.setattr(quadrature, "_panels", counted_panels)
+    monkeypatch.setattr(quadrature, "_cut", counted_cut)
+    monkeypatch.setattr(quadrature, "_ladder", counted_ladder)
     monkeypatch.setattr(quadrature, "_population", counted_population)
     monkeypatch.setattr(operators, "_integrals", counted_integrals)
     return counts

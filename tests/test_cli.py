@@ -326,7 +326,7 @@ class TestApplyCommand:
     @pytest.mark.parametrize("function,radii,values", [
         ("power:1,hi=1e-310", "1e-311,1",
          [7.99999999993e-312, 0.0, 3.6000000000002e-310, 0.0, 4.999999999963e-312, 0.0,
-          2.4997500000008003e-308, 0.0]),
+          2.499750000000801e-308, 0.0]),
         ("power:-5,lo=1e300", "1e300,1e301", [0.0] * 8),
     ], ids=["support-below-1e-310", "support-above-1e300"])
     def test_extreme_supports_are_evaluated(self, capsys, function, radii, values):

@@ -19,7 +19,6 @@ from heishardy.quadrature import (
     _ENVELOPE_OFFSETS,
     _bisect,
     _cut,
-    _fsum_rows,
     _ladder,
     _panels,
     abs_power_profile,
@@ -196,18 +195,23 @@ class TestBatchedAdaptive:
         with pytest.raises(NonFiniteIntegrandError, match=r"\[2\.0, 3\.0\]"):
             _bisect(fun, np.array([edges]), rel_tol=1e-8, abs_tol=1e-14)
 
-    def test_member_values_do_not_depend_on_the_call(self):
-        # each member's panels are reduced on their own, so a population gives
-        # every member bitwise the values it gets alone
-        rng = np.random.default_rng(5)
-        member = np.repeat(np.arange(8), np.arange(1, 9))
-        lo = rng.uniform(-5.0, 5.0, size=member.size)
-        hi = lo + rng.uniform(0.1, 2.0, size=member.size)
+    @given(size=st.integers(1, 600), cuts=st.lists(st.integers(1, 599), max_size=7, unique=True),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_member_values_do_not_depend_on_the_call(self, size, cuts, seed):
+        # each member's panels are reduced on their own, so a call of up to 600 panels (it
+        # crosses the 256-panel chunk boundary) gives every member, wherever its panels sit,
+        # bitwise the values it gets alone
+        edges = [0, *sorted(c for c in cuts if c < size), size]
+        member = np.repeat(np.arange(len(edges) - 1), np.diff(edges))
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-5.0, 5.0, size=size)
+        hi = lo + rng.uniform(0.1, 2.0, size=size)
         fun = lambda u, m: np.exp(-u * u) * (1.0 + m)  # noqa: E731
         together = np.concatenate(_panels(fun, lo, hi, member, {}))
         alone = [_panels(fun, lo[member == m], hi[member == m], member[member == m], {})
-                 for m in range(8)]
-        assert np.array_equal(together, np.concatenate([v for v, _ in alone] + [e for _, e in alone]))
+                 for m in range(len(edges) - 1)]
+        assert together.tobytes() == np.concatenate([v for v, _ in alone] + [e for _, e in alone]).tobytes()
 
     def test_lowest_failing_member_is_raised(self, monkeypatch):
         # member 0 (int_0^1 u^{-1/2} du) runs out of panels many sweeps after
@@ -309,25 +313,64 @@ _ROW = st.one_of(
 )
 
 
-@given(rows=st.lists(_ROW, min_size=1, max_size=5))
-@example(rows=[[-0.0, -0.0], [1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 5e-324], [1e300, 1.0, -1e300]])
+def _bisect_scripted(rows, splits, pad):
+    """_bisect over members whose GK15 panels are given: member m has the seeded panels
+    [k, k + 1] of values rows[m] and error 0, except that splits[m] = (k, left, right)
+    gives its panel k an error that forces one bisection, into halves of those values.
+    Edge rows are nan-padded by `pad` columns past the longest."""
+    seeded = iter([True, False])
+
+    def panels(fun, lo, hi, member, failures):
+        if next(seeded):
+            # each member's panels are contiguous, in order: k is the place in its row
+            k = np.arange(len(member)) - np.searchsorted(member, member)
+            v = np.array([rows[m][j] for m, j in zip(member.tolist(), k.tolist())])
+            e = np.array([0.0 if splits[m] is None or splits[m][0] != j else 1e300
+                          for m, j in zip(member.tolist(), k.tolist())])
+            return v, e
+        return np.array([splits[m][1 + j % 2] for j, m in enumerate(member.tolist())]), np.zeros(len(member))
+
+    width = max(map(len, rows)) + 1 + pad
+    edges = np.array([[*range(len(r) + 1)] + [np.nan] * (width - len(r) - 1) for r in rows], dtype=float)
+    with mock.patch.object(quadrature, "_panels", panels):
+        return _bisect(None, edges, rel_tol=1e-300, abs_tol=1e-300)
+
+
+_SPLIT = st.one_of(st.none(), st.tuples(st.integers(0, 11), _SUMMAND, _SUMMAND))
+
+
+@given(rows=st.lists(st.tuples(_ROW, _SPLIT), min_size=1, max_size=5), pad=st.integers(0, 3))
+@example(rows=[([-0.0, -0.0], None), ([1.0, 2.0 ** -53], None), ([1.0, 2.0 ** -53, 5e-324], None),
+               ([1e300, 1.0, -1e300], None)], pad=3)
+@example(rows=[([-0.0], (0, -0.0, -0.0)), ([1.0, -1.0], (1, -1.0, 2.0 ** -53))], pad=0)
 @settings(max_examples=300, deadline=None)
-def test_row_sums_are_the_fsum_of_the_used_panels_bitwise(rows):
-    # _bisect sums all members at once over zero-padded panel rows; each must be
-    # the fsum of its own panels alone, to the last bit and the sign of zero
-    counts = np.array([len(r) for r in rows])
-    val = np.zeros((len(rows), counts.max() + 3))
-    for m, r in enumerate(rows):
-        val[m, :len(r)] = r
-    want = np.array([math.fsum(val[m, :counts[m]].tolist()) for m in range(len(rows))])
-    assert _fsum_rows(val, counts).tobytes() == want.tobytes()
+def test_values_are_the_in_order_sums_of_the_used_panels_bitwise(rows, pad):
+    # _bisect sums all members at once over padded panel rows, after a bisection has put a
+    # panel's right half at the end of its row; each value must be the in-order sum of
+    # that member's own panels, to the last bit and the sign of zero, in any population
+    rows, splits = [r for r, _ in rows], [None if s is None else (s[0] % len(r), *s[1:]) for r, s in rows]
+    want = []
+    for r, split in zip(rows, splits):
+        used = list(r) if split is None else [*r[:split[0]], split[1], *r[split[0] + 1:], split[2]]
+        total = used[0]
+        for x in used[1:]:
+            total += x
+        want.append(total)
+    values, errors = _bisect_scripted(rows, splits, pad)
+    assert values.tobytes() == np.array(want).tobytes()
+    assert not errors.any()
+    alone = [_bisect_scripted([r], [split], pad)[0] for r, split in zip(rows, splits)]
+    assert np.concatenate(alone).tobytes() == values.tobytes()
 
 
-def test_bisect_sums_negative_zero_panels_as_fsum_does():
-    # two members whose panels are all -0.0, on rows of different widths
+def test_bisect_sums_negative_zero_nodes_as_its_panels_do():
+    # two members whose nodes are all -0.0, on rows of different widths: each value is
+    # the in-order sum of the panel values _panels gives
     edges = np.array([[0.0, 1.0, 2.0, np.nan], [0.0, 1.0, 2.0, 3.0]])
-    values, errors = _bisect(lambda u, m: np.full(u.shape, -0.0), edges, rel_tol=1e-8, abs_tol=1e-14)
-    assert values.tobytes() == np.array([math.fsum([-0.0] * 2), math.fsum([-0.0] * 3)]).tobytes()
+    fun = lambda u, m: np.full(u.shape, -0.0)  # noqa: E731
+    values, errors = _bisect(fun, edges, rel_tol=1e-8, abs_tol=1e-14)
+    ik, _ = _panels(fun, np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]), np.zeros(3, int), {})
+    assert values.tobytes() == np.array([ik[0] + ik[1], ik[0] + ik[1] + ik[2]]).tobytes()
     assert np.all(errors == 0.0)
 
 
@@ -586,7 +629,7 @@ def _cut_loop(call, sel, base, end, rate, sign, abs_tol, trunc, failures):
     c_est = 2.0 * np.max(np.where(probes == 0.0, 0.0, probes * np.exp(rate * _ENVELOPE_OFFSETS)), axis=1)
     for m, b, c, row in zip(sel.tolist(), base[sel].tolist(), c_est.tolist(), probes):
         log_c = None
-        width = 13.0 if c == 0.0 else max(math.log(20.0 * c / (abs_tol * rate)) / rate, 13.0)
+        width = 13.0 if c == 0.0 else max(float(np.log(20.0 * c / (abs_tol * rate))) / rate, 13.0)
         if width == INF and math.isinf(end[m]):
             with np.errstate(divide="ignore"):
                 log_c = math.log(2.0) + float(np.max(np.log(row) + rate * _ENVELOPE_OFFSETS))
@@ -595,7 +638,7 @@ def _cut_loop(call, sel, base, end, rate, sign, abs_tol, trunc, failures):
             failures[m] = None
         elif sign * (b + sign * width) < sign * end[m]:
             end[m] = b + sign * width
-            trunc[m] += (c * math.exp(-rate * width) if log_c is None else math.exp(log_c - rate * width)) / rate
+            trunc[m] += (c * float(np.exp(-rate * width)) if log_c is None else math.exp(log_c - rate * width)) / rate
 
 
 class TestCut:
@@ -622,7 +665,8 @@ class TestCut:
         got, want = [], []
         for out in (got, want):
             end, trunc, failures = end0.copy(), np.zeros(len(members)), {}
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            # as under _integrals, which runs every cut
+            with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
                 if out is got:  # every member at once
                     probes = call(base[sel, None] + sign * _ENVELOPE_OFFSETS,
                                   np.repeat(sel[:, None], 6, axis=1))

@@ -166,19 +166,21 @@ class TestExtremalRatio:
         want = weighted_cesaro_extremal_ratio(4.0, 2.0, 0.01, 4.0)
         assert abs(rep.ratio - want) <= 1e-6 * want
 
-    @pytest.mark.parametrize("kind,probe,panels,integrals,sweeps,populations", [
-        (HARDY, False, 1_431, 246, 5, 3),
-        (OperatorKind("weighted_cesaro", power_weight(1.0, 4.0)), False, 1_921, 252, 5, 3),
-        (HARDY, True, 1_053, 162, 3, 3),
+    @pytest.mark.parametrize("kind,probe,panels,integrals,sweeps,populations,cuts", [
+        (HARDY, False, 1_431, 246, 5, 3, 4),
+        (OperatorKind("weighted_cesaro", power_weight(1.0, 4.0)), False, 1_921, 252, 5, 3, 6),
+        (HARDY, True, 1_053, 162, 3, 3, 6),
     ], ids=["hardy", "weighted_cesaro", "hardy-probe"])
-    def test_work_counts(self, kind, probe, panels, integrals, sweeps, populations, space1, spec,
+    def test_work_counts(self, kind, probe, panels, integrals, sweeps, populations, cuts, space1, spec,
                          work_counts):
         # panels and integrals are the engine's work, pinned; sweeps (integrand
         # calls) fall as populations grow, so only their ceiling is pinned.  A
         # ratio's numerator and denominator share one outer population, and each
         # population probes both envelope sides in one call: one probe trial at
         # the loose spec runs three, the outer one and the numerator's envelope
-        # probes and seeded panels
+        # probes and seeded panels.  The set-up stages per population are pinned
+        # too: one seed ladder each, and a pair of cuts (upper, lower) in each
+        # population that probes an envelope
         q = q_of(kind, 2.0, 2.0, 2.0, space1)
         if probe:
             upper_bound_probe(q, 1, 0, QuadratureSpec(rel_tol=1e-4, abs_tol=1e-8))
@@ -188,6 +190,7 @@ class TestExtremalRatio:
         assert work_counts["inner_integrals"] == integrals
         assert work_counts["sweeps"] <= sweeps
         assert work_counts["populations"] == populations
+        assert (work_counts["cuts"], work_counts["ladders"]) == (cuts, populations)
 
     def test_hardy_side_edge_layer_is_seeded(self, space2, spec, work_counts):
         # H f_eps rises from 0 at r = 1 within about 1 / (Q - Q/p - eps) in log r; its edge-layer
