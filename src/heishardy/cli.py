@@ -51,7 +51,6 @@ from .quadrature import (
     exp_profile,
     mixture_profile,
     power_profile,
-    zero_profile,
 )
 from .sharp_constants import (
     DEFAULT_EPS_GRID,
@@ -140,7 +139,7 @@ def parse_function_spec(text: str) -> RadialProfile:
             parts.append(power_profile(v["alpha"], v["c"], (v["lo"], v["hi"])))
         else:
             parts.append(exp_profile(v["rate"], v["alpha"], v["c"]))
-    return mixture_profile(parts) if parts else zero_profile()
+    return mixture_profile(parts)
 
 
 # --- type= converters: each raises ValueError with the reason ---------------

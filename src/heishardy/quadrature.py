@@ -531,6 +531,12 @@ class RadialProfile:
     operator output falls to 0 at a support edge; every integral over the
     profile takes them, with the finite support edges, as seed panel edges.
 
+    A built profile (power, exp, constant, zero, mixture, scaled) is the sum
+    of the terms c r^a e^{-lam r} on [lo, hi] of its table `terms`, rows
+    (c, a, lam, lo, hi) that give its metadata (_terms); the zero profile is
+    the empty table, so `is_zero` is `terms == ()`.  A lazy profile (operator
+    outputs, product_profile, abs_power_profile) has `terms` None.
+
     Evaluation goes through ``logeval(u, kappa) = f(e^u) * e^{kappa u}`` so
     measure powers can be folded in without overflow at extreme radii.
     """
@@ -542,7 +548,7 @@ class RadialProfile:
         tail_exponent: float,
         support: tuple[float, float] = (0.0, math.inf),
         breakpoints: tuple[float, ...] = (),
-        is_zero: bool = False,
+        terms: tuple[tuple[float, ...], ...] | None = None,
     ):
         lo, hi = support
         if not (0.0 <= lo < hi):
@@ -552,10 +558,9 @@ class RadialProfile:
         self.tail_exponent = float(tail_exponent)
         self.support = (float(lo), float(hi))
         # the support in u = log r, the variable every evaluation works in
-        self.log_support = (math.log(lo) if lo > 0.0 else -math.inf,
-                            math.log(hi) if math.isfinite(hi) else math.inf)
+        self.log_support = _log_ends(lo, hi)
         self.breakpoints = tuple(sorted({b for b in breakpoints if 0.0 < b < math.inf}))
-        self.is_zero = is_zero
+        self.terms, self.is_zero = terms, terms == ()
 
     def logeval(self, u, kappa: float = 0.0) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -580,90 +585,82 @@ class RadialProfile:
         return tuple(sorted(set(pts)))
 
 
-def power_profile(
-    exponent: float,
-    coeff: float = 1.0,
-    support: tuple[float, float] = (0.0, math.inf),
-) -> RadialProfile:
-    """coeff * r^exponent, optionally truncated to `support`; zero_profile() when coeff is 0."""
+def _log_ends(lo: float, hi: float) -> tuple[float, float]:
+    """The support [lo, hi] in u = log r."""
+    return math.log(lo) if lo > 0.0 else -math.inf, math.log(hi) if math.isfinite(hi) else math.inf
+
+
+def _terms(table) -> RadialProfile:
+    """The built profile sum of c r^a e^{-lam r} on [lo, hi] over the rows (c, a, lam, lo, hi).
+
+    Rows with c = 0 drop out, and the empty table is the zero profile.  The
+    support is the rows' hull ((0, inf) if none), the origin (tail) exponent
+    the least (greatest) order of the rows at its lower (upper) end (0 and
+    -inf if none; -inf for lam > 0), and two rows or more make every finite
+    row edge a breakpoint.  Rows sum in order, each masked where narrower than
+    the hull (logeval masks that); lam = 0 skips e^{-lam r}: 0 e^u is nan past
+    u = 709.78.
+    """
+    for *_, lo, hi in table:
+        if not 0.0 <= lo < hi:
+            raise ValueError(f"support must satisfy 0 <= lo < hi, got {(lo, hi)}")
+    terms = tuple(t for t in table if t[0] != 0.0)
+    lo, hi = min((t[3] for t in terms), default=0.0), max((t[4] for t in terms), default=math.inf)
+    rows = [(c, a, lam, None if (t_lo, t_hi) == (lo, hi) else _log_ends(t_lo, t_hi))
+            for c, a, lam, t_lo, t_hi in terms]
 
     def lv(u, kappa):
-        return coeff * np.exp((exponent + kappa) * u)
+        acc = None
+        for c, a, lam, ends in rows:
+            arg = (a + kappa) * u
+            v = c * np.exp(arg - lam * np.exp(u) if lam > 0.0 else arg)
+            if ends is not None:
+                v = np.where((u >= ends[0]) & (u <= ends[1]), v, 0.0)
+            acc = v if acc is None else acc + v
+        return np.zeros_like(u) if acc is None else acc
 
-    profile = RadialProfile(lv, origin_exponent=exponent, tail_exponent=exponent, support=support)
-    return zero_profile() if coeff == 0.0 else profile  # the support is checked either way
+    origin = min((a for _, a, _, t_lo, _ in terms if t_lo == lo), default=0.0)
+    tail = max((-math.inf if lam > 0.0 else a for _, a, lam, _, t_hi in terms if t_hi == hi), default=-math.inf)
+    breaks = tuple(s for t in terms for s in t[3:]) if len(terms) > 1 else ()
+    return RadialProfile(lv, origin, tail, (lo, hi), breaks, terms)
+
+
+def _rows(parts: Sequence[RadialProfile], name: str) -> list:
+    """The terms of the built profiles `parts`, in order; TypeError naming `name` for a lazy one."""
+    if any(p.terms is None for p in parts):
+        raise TypeError(f"{name} takes built profiles, not lazy ones such as operator outputs")
+    return [t for p in parts for t in p.terms]
+
+
+def power_profile(exponent: float, coeff: float = 1.0,
+                  support: tuple[float, float] = (0.0, math.inf)) -> RadialProfile:
+    """coeff * r^exponent, optionally truncated to `support`; zero_profile() when coeff is 0."""
+    return _terms(((coeff, exponent, 0.0, *support),))
 
 
 def exp_profile(rate: float, exponent: float = 0.0, coeff: float = 1.0) -> RadialProfile:
-    """coeff * r^exponent * e^{-rate * r} with rate > 0; its tail exponent is -inf.
-
-    zero_profile() when coeff is 0.
-    """
+    """coeff * r^exponent * e^{-rate * r} with rate > 0, tail exponent -inf; zero_profile() when coeff is 0."""
     if not rate > 0:
         raise ValueError("decay rate must be positive")
-    if coeff == 0.0:
-        return zero_profile()
-
-    def lv(u, kappa):
-        arg = (exponent + kappa) * u - rate * np.exp(u)
-        return coeff * np.exp(arg)
-
-    return RadialProfile(lv, origin_exponent=exponent, tail_exponent=-math.inf)
+    return _terms(((coeff, exponent, rate, 0.0, math.inf),))
 
 
 def constant_profile(c: float, support: tuple[float, float] = (0.0, math.inf)) -> RadialProfile:
-    return power_profile(0.0, c, support)
+    return _terms(((c, 0.0, 0.0, *support),))
 
 
 def zero_profile() -> RadialProfile:
-    return RadialProfile(
-        lambda u, kappa: np.zeros_like(np.asarray(u, dtype=float)),
-        origin_exponent=0.0, tail_exponent=-math.inf, is_zero=True,
-    )
+    return _terms(())
 
 
 def mixture_profile(parts: Sequence[RadialProfile]) -> RadialProfile:
-    """Pointwise sum; metadata takes the worst case over the parts."""
-    parts = [p for p in parts if not p.is_zero]
-    if not parts:
-        return zero_profile()
-    if len(parts) == 1:
-        return parts[0]
-
-    def lv(u, kappa):
-        acc = parts[0].logeval(u, kappa).copy()
-        for p in parts[1:]:
-            acc = acc + p.logeval(u, kappa)
-        return acc
-
-    lo = min(p.support[0] for p in parts)
-    hi = max(p.support[1] for p in parts)
-    # only parts that actually reach an edge grade the behavior there
-    at_lo = [p for p in parts if p.support[0] == lo]
-    at_hi = [p for p in parts if p.support[1] == hi]
-    breaks = []
-    for p in parts:
-        breaks.extend(p.breakpoints)
-        breaks.extend(s for s in p.support if 0.0 < s < math.inf)
-    return RadialProfile(
-        lv,
-        origin_exponent=min(p.origin_exponent for p in at_lo),
-        tail_exponent=max(p.tail_exponent for p in at_hi),
-        support=(lo, hi),
-        breakpoints=tuple(breaks),
-    )
+    """Pointwise sum of built profiles: their terms, in order; metadata takes the worst case over them."""
+    return _terms(_rows(parts, "mixture_profile"))
 
 
 def scaled_profile(f: RadialProfile, c: float) -> RadialProfile:
-    if c == 0.0 or f.is_zero:
-        return zero_profile()
-    return RadialProfile(
-        lambda u, kappa: c * f.logeval(u, kappa),
-        origin_exponent=f.origin_exponent,
-        tail_exponent=f.tail_exponent,
-        support=f.support,
-        breakpoints=f.breakpoints,
-    )
+    """c * f of a built f: its terms with coefficients times c (one that underflows to 0 drops out)."""
+    return _terms([(c * t[0], *t[1:]) for t in _rows([f], "scaled_profile")])
 
 
 def product_profile(f: RadialProfile, g: RadialProfile) -> RadialProfile:

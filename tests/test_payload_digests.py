@@ -1,0 +1,32 @@
+"""The sha256 of three CLI payloads, pinned: refactors must keep every report byte for byte.
+
+The commands span the four operator kinds, mixture inputs with truncated
+powers and exponential parts, a negative coefficient, nested quadrature
+(apply, and the ratios and probes of verify-sharp) and plain norms.  A change
+that moves a payload on purpose re-pins its digest here and says so.
+"""
+
+import hashlib
+
+import pytest
+
+from heishardy.cli import EXIT_OK, main
+
+PAYLOADS = {
+    "verify-sharp --kind hardy,dual-hardy,whardy,wcesaro --n 1 --p 2,5 --trials 4 --seed 3":
+        "15763e38e1169229df9335fe7841a73711501967fc335b6e2ccaf9d7b61934be",
+    "apply --kind hardy,dual-hardy,whardy,wcesaro --n 1,2 --weight power:c=1,beta=3 "
+    "--function power:-3,lo=1+exp:2,alpha=1 --radii 0.5,1,2,7":
+        "5b48ff63b5c47e7b3c26bd747c6299f0dd08b79865252acd9ca58c837abf6236",
+    "norm --function power:-3,lo=1,hi=5+exp:2,alpha=1,c=-2 --n 1,2 --p 2,5":
+        "280832baf6a2b2057ef04fa4eb7da6ce8e2591fbd94108477c5bcefbd2781c37",
+}
+
+
+@pytest.mark.parametrize("command", list(PAYLOADS), ids=lambda c: c.split()[0])
+def test_payload_digest(command, capsys, monkeypatch):
+    monkeypatch.delenv("HH_SEED", raising=False)  # the default --seed of apply and norm
+    status = main(command.split())
+    captured = capsys.readouterr()
+    assert status == EXIT_OK, captured.err
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == PAYLOADS[command]
