@@ -200,11 +200,10 @@ def apply_operator(
       panel, so an integral over the output is seeded through it instead
       of bisecting into it sweep by sweep; past 16 / rate_hi the layer term
       is e^{-16} ~ 1e-7 of the output and the integral's own seed ladders
-      take over.  As radii they are sup_hi e^{-2^k / rate_hi}, or
-      sup_lo e^{2^k / rate_hi} on the Hardy side; those out of float range
-      are dropped.  A window that does not decay away from hi
-      (rate_hi <= 0) has no such scale and no layer.  Breakpoints only
-      seed integrals over the output; its values do not depend on them.
+      take over; a Hardy-side output has them mirrored, at -hi + 2^k / rate_hi.
+      A window that does not decay away from hi (rate_hi <= 0) has no such
+      scale and no layer.  Breakpoints only seed integrals over the output;
+      its values do not depend on them.
 
     The check runs on metadata before any evaluation and raises
     DivergentIntegralError: for hardy, f must be integrable against s^{Q-1}
@@ -213,13 +212,12 @@ def apply_operator(
     w, spec = kind.weight_on(space), spec.inner()
     if f.is_zero:
         return zero_profile()
-    sup_lo, sup_hi = f.support
     if kind.dual:  # g = f
-        shift, g, (lo, hi), breaks = float(space.q), f.logeval, f.log_support, np.array(f.log_breakpoints())
+        shift, g, (lo, hi), breaks = float(space.q), f.logeval, f.log_support, np.array(f.log_breakpoints)
         origin, tail = f.origin_exponent, f.tail_exponent
     else:  # g = R f
         shift, g, lo, hi = 0.0, (lambda u, kappa: f.logeval(-u, -kappa)), -f.log_support[1], -f.log_support[0]
-        breaks, origin, tail = -np.array(f.log_breakpoints()), -f.tail_exponent, -f.origin_exponent
+        breaks, origin, tail = -np.array(f.log_breakpoints), -f.tail_exponent, -f.origin_exponent
     bound = w.zero_exponent + 1.0 - shift
     rate_hi = bound - tail
     if math.isinf(hi) and rate_hi <= 0:
@@ -245,16 +243,14 @@ def apply_operator(
                                breaks[None, :] - flat[:, None])
         return (scale * values).reshape(u.shape)
 
-    # the edge layer below a finite hi: the radii of u = hi - 2^k / rate_hi, k = 0..4
-    layer = ()
+    # the output's breakpoints, apart from the inner seeds `breaks`: g's and the edge layer below hi
+    out = breaks
     if math.isfinite(hi) and 0.0 < rate_hi < math.inf:
-        edge, sign = (sup_hi, -1.0) if kind.dual else (sup_lo, 1.0)
-        with np.errstate(over="ignore", under="ignore"):  # radii out of float range are dropped
-            layer = tuple((edge * np.exp(sign * 2.0 ** np.arange(5) / rate_hi)).tolist())
+        out = np.concatenate([breaks, hi - 2.0 ** np.arange(5) / rate_hi])
     if kind.dual:
-        return RadialProfile(logeval, low, tail, (0.0, sup_hi), f.breakpoints + (sup_lo,) + layer)
+        return RadialProfile(logeval, low, tail, (-math.inf, hi), out)
     return RadialProfile(lambda u, kappa: logeval(-np.asarray(u, dtype=float), -kappa),
-                         -tail, -low, (sup_lo, math.inf), f.breakpoints + (sup_hi,) + layer)
+                         -tail, -low, (-hi, math.inf), -out)
 
 
 def duality_pairing_check(

@@ -524,18 +524,19 @@ class RadialProfile:
     The metadata is what makes improper integrals certifiable:
     |f(r)| = O(r^origin_exponent) as r -> 0+ and O(r^tail_exponent) as
     r -> infinity; tail_exponent = -inf declares an exponential tail
-    e^{-c r} that beats every power.  `support` clips the function to an
-    interval; outside it the profile evaluates to zero, and a bounded
-    support makes the tail exponent irrelevant.  `breakpoints` mark radii
-    where the local scale changes, both kinks and the edge layer where an
-    operator output falls to 0 at a support edge; every integral over the
-    profile takes them, with the finite support edges, as seed panel edges.
+    e^{-c r} that beats every power.  Its geometry is in u = log r.
+    `log_support` (lo < hi) clips the function; outside it the profile
+    evaluates to zero, and a bounded support makes the tail exponent
+    irrelevant.  `log_breakpoints` is the sorted set of the finite support
+    ends and of the finite breakpoints given, where the local scale changes
+    (kinks, and the edge layer where an operator output falls to 0 at a
+    support edge); every integral over the profile seeds its panels there.
 
-    A built profile (power, exp, constant, zero, mixture, scaled) is the sum
-    of the terms c r^a e^{-lam r} on [lo, hi] of its table `terms`, rows
-    (c, a, lam, lo, hi) that give its metadata (_terms); the zero profile is
-    the empty table, so `is_zero` is `terms == ()`.  A lazy profile (operator
-    outputs, product_profile, abs_power_profile) has `terms` None.
+    A built profile (power, exp, constant, zero, mixture, scaled) sums the
+    terms c r^a e^{-lam r} on u in [ulo, uhi] of the rows (c, a, lam, ulo,
+    uhi) of its table `terms`, which give its metadata (_terms); the zero
+    profile is the empty table, so `is_zero` is `terms == ()`.  A lazy profile
+    (operator outputs, product_profile, abs_power_profile) has `terms` None.
 
     Evaluation goes through ``logeval(u, kappa) = f(e^u) * e^{kappa u}`` so
     measure powers can be folded in without overflow at extreme radii.
@@ -546,20 +547,18 @@ class RadialProfile:
         logeval: Callable[[np.ndarray, float], np.ndarray],
         origin_exponent: float,
         tail_exponent: float,
-        support: tuple[float, float] = (0.0, math.inf),
-        breakpoints: tuple[float, ...] = (),
+        log_support: tuple[float, float] = (-math.inf, math.inf),
+        log_breakpoints: Sequence[float] = (),
         terms: tuple[tuple[float, ...], ...] | None = None,
     ):
-        lo, hi = support
-        if not (0.0 <= lo < hi):
-            raise ValueError(f"support must satisfy 0 <= lo < hi, got {support}")
+        lo, hi = map(float, log_support)
+        if not lo < hi:
+            raise ValueError(f"log support must satisfy lo < hi, got {log_support}")
         self._logeval = logeval
         self.origin_exponent = float(origin_exponent)
         self.tail_exponent = float(tail_exponent)
-        self.support = (float(lo), float(hi))
-        # the support in u = log r, the variable every evaluation works in
-        self.log_support = _log_ends(lo, hi)
-        self.breakpoints = tuple(sorted({b for b in breakpoints if 0.0 < b < math.inf}))
+        self.log_support = (lo, hi)
+        self.log_breakpoints = tuple(sorted({float(u) for u in (*log_breakpoints, lo, hi) if math.isfinite(u)}))
         self.terms, self.is_zero = terms, terms == ()
 
     def logeval(self, u, kappa: float = 0.0) -> np.ndarray:
@@ -579,35 +578,30 @@ class RadialProfile:
 
     __call__ = eval
 
-    def log_breakpoints(self) -> tuple[float, ...]:
-        pts = [math.log(b) for b in self.breakpoints]
-        pts.extend(u for u in self.log_support if math.isfinite(u))
-        return tuple(sorted(set(pts)))
 
-
-def _log_ends(lo: float, hi: float) -> tuple[float, float]:
-    """The support [lo, hi] in u = log r."""
-    return math.log(lo) if lo > 0.0 else -math.inf, math.log(hi) if math.isfinite(hi) else math.inf
+def _log_ends(support: tuple[float, float]) -> tuple[float, float]:
+    """The radius support [lo, hi] in u = log r: the one r -> u conversion, and its check."""
+    lo, hi = support
+    ends = math.log(lo) if lo > 0.0 else -math.inf, math.log(hi) if 0.0 < hi < math.inf else math.inf
+    if not (0.0 <= lo < hi and ends[0] < ends[1]):
+        raise ValueError(f"support must satisfy 0 <= lo < hi with log lo < log hi, got {(lo, hi)}")
+    return ends
 
 
 def _terms(table) -> RadialProfile:
-    """The built profile sum of c r^a e^{-lam r} on [lo, hi] over the rows (c, a, lam, lo, hi).
+    """The built profile sum of c r^a e^{-lam r} on u in [ulo, uhi] over the rows (c, a, lam, ulo, uhi).
 
-    Rows with c = 0 drop out, and the empty table is the zero profile.  The
-    support is the rows' hull ((0, inf) if none), the origin (tail) exponent
-    the least (greatest) order of the rows at its lower (upper) end (0 and
-    -inf if none; -inf for lam > 0), and two rows or more make every finite
-    row edge a breakpoint.  Rows sum in order, each masked where narrower than
-    the hull (logeval masks that); lam = 0 skips e^{-lam r}: 0 e^u is nan past
-    u = 709.78.
+    Rows have ulo < uhi (the constructors check); rows with c = 0 drop out,
+    and the empty table is the zero profile.  The log support is the rows'
+    hull ((-inf, inf) if none), the origin (tail) exponent the least
+    (greatest) order of the rows at its lower (upper) end (0 and -inf if
+    none; -inf for lam > 0), and two rows or more make every finite row edge
+    a breakpoint.  Rows sum in order, each masked where narrower than the
+    hull (logeval masks that); lam = 0 skips e^{-lam r}: 0 e^u is nan past u = 709.78.
     """
-    for *_, lo, hi in table:
-        if not 0.0 <= lo < hi:
-            raise ValueError(f"support must satisfy 0 <= lo < hi, got {(lo, hi)}")
     terms = tuple(t for t in table if t[0] != 0.0)
-    lo, hi = min((t[3] for t in terms), default=0.0), max((t[4] for t in terms), default=math.inf)
-    rows = [(c, a, lam, None if (t_lo, t_hi) == (lo, hi) else _log_ends(t_lo, t_hi))
-            for c, a, lam, t_lo, t_hi in terms]
+    lo, hi = min((t[3] for t in terms), default=-math.inf), max((t[4] for t in terms), default=math.inf)
+    rows = [(c, a, lam, None if (ulo, uhi) == (lo, hi) else (ulo, uhi)) for c, a, lam, ulo, uhi in terms]
 
     def lv(u, kappa):
         acc = None
@@ -619,8 +613,8 @@ def _terms(table) -> RadialProfile:
             acc = v if acc is None else acc + v
         return np.zeros_like(u) if acc is None else acc
 
-    origin = min((a for _, a, _, t_lo, _ in terms if t_lo == lo), default=0.0)
-    tail = max((-math.inf if lam > 0.0 else a for _, a, lam, _, t_hi in terms if t_hi == hi), default=-math.inf)
+    origin = min((a for _, a, _, ulo, _ in terms if ulo == lo), default=0.0)
+    tail = max((-math.inf if lam > 0.0 else a for _, a, lam, _, uhi in terms if uhi == hi), default=-math.inf)
     breaks = tuple(s for t in terms for s in t[3:]) if len(terms) > 1 else ()
     return RadialProfile(lv, origin, tail, (lo, hi), breaks, terms)
 
@@ -634,19 +628,19 @@ def _rows(parts: Sequence[RadialProfile], name: str) -> list:
 
 def power_profile(exponent: float, coeff: float = 1.0,
                   support: tuple[float, float] = (0.0, math.inf)) -> RadialProfile:
-    """coeff * r^exponent, optionally truncated to `support`; zero_profile() when coeff is 0."""
-    return _terms(((coeff, exponent, 0.0, *support),))
+    """coeff * r^exponent, optionally truncated to the radii `support`; zero_profile() when coeff is 0."""
+    return _terms(((coeff, exponent, 0.0, *_log_ends(support)),))
 
 
 def exp_profile(rate: float, exponent: float = 0.0, coeff: float = 1.0) -> RadialProfile:
     """coeff * r^exponent * e^{-rate * r} with rate > 0, tail exponent -inf; zero_profile() when coeff is 0."""
     if not rate > 0:
         raise ValueError("decay rate must be positive")
-    return _terms(((coeff, exponent, rate, 0.0, math.inf),))
+    return _terms(((coeff, exponent, rate, -math.inf, math.inf),))
 
 
 def constant_profile(c: float, support: tuple[float, float] = (0.0, math.inf)) -> RadialProfile:
-    return _terms(((c, 0.0, 0.0, *support),))
+    return _terms(((c, 0.0, 0.0, *_log_ends(support)),))
 
 
 def zero_profile() -> RadialProfile:
@@ -667,16 +661,16 @@ def product_profile(f: RadialProfile, g: RadialProfile) -> RadialProfile:
     """Pointwise product; exponents add, supports intersect."""
     if f.is_zero or g.is_zero:
         return zero_profile()
-    lo = max(f.support[0], g.support[0])
-    hi = min(f.support[1], g.support[1])
+    lo = max(f.log_support[0], g.log_support[0])
+    hi = min(f.log_support[1], g.log_support[1])
     if not lo < hi:
         return zero_profile()
     return RadialProfile(
         lambda u, kappa: f.logeval(u, 0.5 * kappa) * g.logeval(u, 0.5 * kappa),
         origin_exponent=f.origin_exponent + g.origin_exponent,
         tail_exponent=f.tail_exponent + g.tail_exponent,
-        support=(lo, hi),
-        breakpoints=f.breakpoints + g.breakpoints,
+        log_support=(lo, hi),
+        log_breakpoints=f.log_breakpoints + g.log_breakpoints,
     )
 
 
@@ -688,8 +682,8 @@ def abs_power_profile(f: RadialProfile, p: float) -> RadialProfile:
         lambda u, kappa: np.abs(f.logeval(u, kappa / p)) ** p,
         origin_exponent=p * f.origin_exponent,
         tail_exponent=p * f.tail_exponent,
-        support=f.support,
-        breakpoints=f.breakpoints,
+        log_support=f.log_support,
+        log_breakpoints=f.log_breakpoints,
     )
 
 
@@ -705,7 +699,7 @@ def _radial_integrals(gs, space: HeisSpace, spec: QuadratureSpec) -> tuple[np.nd
     """
     q = float(space.q)
     ends = np.array([(0.0, 0.0) if g.is_zero else g.log_support for g in gs])
-    breaks = [g.log_breakpoints() for g in gs]
+    breaks = [g.log_breakpoints for g in gs]
     seeds = np.array([b + (np.nan,) * (max(map(len, breaks)) - len(b)) for b in breaks])
 
     def fun(u, m):

@@ -229,54 +229,67 @@ class TestWeightedCesaro:
 
 
 class TestEdgeLayer:
-    """Breakpoints of the layer where an output falls to 0 at its input's support edge."""
+    """Breakpoints, in u = log r, of the layer where an output falls to 0 at its input's support edge."""
 
     @staticmethod
-    def layer(edge, rate, sign):
-        return [edge * math.exp(sign * 2.0**k / rate) for k in range(5)]
+    def layer(hi, rate):
+        """The layer below the Cesaro-side window's end hi, as apply_operator places it."""
+        return [hi - 2.0**k / rate for k in range(5)]
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["hardy", "whardy"])
     def test_hardy_side_output_carries_the_layer_above_sup_lo(self, weighted, space1, spec):
         # Hw of r^a on (lo, hi) rises from 0 at lo like 1 - (lo/r)^(a + beta + 1); beta = 3
-        # for hardy's Q t^(Q-1) at Q = 4 and for t^3
+        # for hardy's Q t^(Q-1) at Q = 4 and for t^3; the layer is the mirror of the reflected input's
         kind = OperatorKind("weighted_hardy", power_weight(1.0, 3.0)) if weighted else HARDY
         out = apply_operator(kind, power_profile(0.7, support=(0.3, 2.7)), space1, spec)
-        want = sorted(self.layer(0.3, 0.7 + 3.0 + 1.0, 1.0) + [2.7])
-        assert out.breakpoints == pytest.approx(want, rel=1e-15)
+        want = sorted([-u for u in self.layer(-math.log(0.3), 0.7 + 3.0 + 1.0)] + [math.log(0.3), math.log(2.7)])
+        assert out.log_support == (math.log(0.3), INF)
+        assert out.log_breakpoints == tuple(want)
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["dual_hardy", "wcesaro"])
     def test_cesaro_side_output_carries_the_layer_below_sup_hi(self, weighted, space1, spec):
         # H*w of r^a on (lo, hi) falls to 0 at hi like 1 - (r/hi)^(beta - Q - a + 1), at Q = 4
         kind, beta = (OperatorKind("weighted_cesaro", power_weight(1.0, 6.0)), 6.0) if weighted else (DUAL_HARDY, 3.0)
         out = apply_operator(kind, power_profile(-1.0, support=(0.5, 1.7)), space1, spec)
-        want = sorted(self.layer(1.7, beta - 4.0 + 1.0 + 1.0, -1.0) + [0.5])
-        assert out.breakpoints == pytest.approx(want, rel=1e-15)
+        want = sorted(self.layer(math.log(1.7), beta - 4.0 + 1.0 + 1.0) + [math.log(0.5), math.log(1.7)])
+        assert out.log_support == (-INF, math.log(1.7))
+        assert out.log_breakpoints == tuple(want)
 
     def test_no_layer_without_a_finite_edge(self, space1, spec):
         # a Hardy-side output of an input reaching 0, or a Cesaro-side one of an input
         # reaching infinity, never falls to 0: only the input's other edge is a breakpoint
         head = power_profile(0.5, support=(0.0, 1.3))
         tail = power_profile(-3.5, support=(0.7, INF))
-        assert apply_operator(HARDY, head, space1, spec).breakpoints == (1.3,)
-        assert apply_operator(DUAL_HARDY, tail, space1, spec).breakpoints == (0.7,)
+        assert apply_operator(HARDY, head, space1, spec).log_breakpoints == (math.log(1.3),)
+        assert apply_operator(DUAL_HARDY, tail, space1, spec).log_breakpoints == (math.log(0.7),)
         # a probe-like mixture spans (0, inf): its outputs keep its own breakpoints only
         mix = mixture_profile([head, tail, exp_profile(1.5, 0.2)])
         for kind in (HARDY, DUAL_HARDY):
-            assert apply_operator(kind, mix, space1, spec).breakpoints == mix.breakpoints
+            assert apply_operator(kind, mix, space1, spec).log_breakpoints == mix.log_breakpoints
 
     @pytest.mark.parametrize("a", [5.0, 0.0])
     def test_no_layer_when_the_window_does_not_decay(self, a, space1, spec):
         # dual_hardy of r^a on (1, 2) has rate_hi = -a <= 0: no decay scale, no layer
         out = apply_operator(DUAL_HARDY, power_profile(a, support=(1.0, 2.0)), space1, spec)
-        assert out.breakpoints == (1.0,)
+        assert out.log_breakpoints == (0.0, math.log(2.0))
 
-    def test_layer_radii_out_of_float_range_are_dropped(self, space1, spec):
-        # at rate 2^-7 the layer spans e^128 to e^2048: the radii past float range are left out
-        rate, kept = 2.0**-7, [128.0, 256.0, 512.0]
+    def test_far_layer_points_are_kept(self, space1, spec):
+        # at rate 2^-7 the layer spans 128 to 2048 in u, radii e^128 to e^2048 that float range
+        # does not hold: in u every point is kept
+        rate, far = 2.0**-7, [128.0, 256.0, 512.0, 1024.0, 2048.0]
         hardy = apply_operator(HARDY, power_profile(rate - 4.0, support=(1.0, INF)), space1, spec)
-        assert hardy.breakpoints == pytest.approx([math.exp(x) for x in kept], rel=1e-15)
+        assert hardy.log_breakpoints == tuple([0.0] + far)
         cesaro = apply_operator(DUAL_HARDY, power_profile(-rate, support=(1.0, 2.0)), space1, spec)
-        assert cesaro.breakpoints == pytest.approx(sorted([1.0] + [2.0 * math.exp(-x) for x in kept]), rel=1e-15)
+        assert cesaro.log_breakpoints == tuple(sorted([0.0, math.log(2.0)] + [math.log(2.0) - x for x in far]))
+
+    @pytest.mark.parametrize("p", [2.0, 5.0])
+    def test_far_layer_norm(self, p, space1, spec):
+        # the Cesaro-side output above, seeded through its whole layer, against the closed form
+        rate, q = 2.0**-7, float(space1.q)
+        out = apply_operator(DUAL_HARDY, power_profile(-rate, support=(1.0, 2.0)), space1, spec)
+        got = radial_norm_with_error(out, p, p, space1, spec)
+        exact = space1.omega_small ** (1.0 / p) * cesaro_truncated_power_norm(-rate, 1.0, 2.0, q, q - 1.0, q, p)
+        assert abs(got.value - exact) <= got.error + 1e-14 * abs(exact)
 
 
 class TestOperatorProperties:
@@ -431,7 +444,7 @@ def _recording(f, sizes):
         sizes.append(np.size(u))
         return f.logeval(u, kappa)
 
-    return RadialProfile(lv, f.origin_exponent, f.tail_exponent, f.support, f.breakpoints)
+    return RadialProfile(lv, f.origin_exponent, f.tail_exponent, f.log_support, f.log_breakpoints)
 
 
 class TestPopulationEvaluation:
@@ -532,28 +545,27 @@ def _hardy_branch_reference(kind, f, space, spec):
 
     It convolves f itself over v <= 0 with its own kernel, rates and
     metadata; apply_operator now reaches the Hardy side as the reflected
-    Cesaro side, Hw = R H*w' R.
+    Cesaro side, Hw = R H*w' R.  Its metadata rule reads f's support in u = log r.
     """
     w = kind.weight_on(space)
     spec = spec.inner()
-    sup_lo, sup_hi = f.support
     log_lo, log_hi = f.log_support
     power = w.family == "power"
     rate_lo, rate_hi = f.origin_exponent + (w.zero_exponent + 1.0), 1.0
-    if sup_lo == 0.0 and rate_lo <= 0:
+    if log_lo == -math.inf and rate_lo <= 0:
         raise DivergentIntegralError(
             f"Hardy-side operator diverges at the origin "
             f"(origin {f.origin_exponent} + weight order {w.zero_exponent} <= -1)"
         )
     kernel = ((lambda v, kappa: np.exp((w.beta + 1.0 - kappa) * v)) if power else
               (lambda v, kappa: w.eval_log(v) * np.exp((1.0 - kappa) * v)))
-    tail = -math.inf if math.isfinite(sup_hi) else f.tail_exponent
+    tail = -math.inf if math.isfinite(log_hi) else f.tail_exponent
     meta = dict(
         origin_exponent=f.origin_exponent, tail_exponent=max(tail, -(w.zero_exponent + 1.0)),
-        support=(sup_lo, math.inf), breakpoints=f.breakpoints,
+        log_support=(log_lo, math.inf), log_breakpoints=f.log_breakpoints,
     )
     scale = w.c if power else 1.0
-    f_breaks = np.array(f.log_breakpoints())
+    f_breaks = np.array(f.log_breakpoints)
 
     def logeval(u, kappa):
         u = np.asarray(u, dtype=float)
@@ -604,9 +616,9 @@ class TestHardySideReflection:
         bound = -(kind.weight_on(space).zero_exponent + 1.0)
         assert (new.tail_exponent == ref.tail_exponent
                 or ref.tail_exponent == bound and new.tail_exponent == bound + 1e-6)
-        assert new.support == ref.support
-        sup_hi = f.support[1]
-        assert new.breakpoints == tuple(sorted(set(ref.breakpoints) | ({sup_hi} - {INF})))
+        assert new.log_support == ref.log_support
+        log_hi = f.log_support[1]
+        assert new.log_breakpoints == tuple(sorted(set(ref.log_breakpoints) | ({log_hi} - {INF})))
 
     def test_divergence_reason_is_unchanged(self, space1, spec):
         for kind in (HARDY, OperatorKind("weighted_hardy", _GENERAL_WEIGHT)):
@@ -615,6 +627,51 @@ class TestHardySideReflection:
             with pytest.raises(DivergentIntegralError) as ref:
                 _hardy_branch_reference(kind, power_profile(-10.0), space1, spec)
             assert str(new.value) == str(ref.value)
+
+
+_U_ENDS = (-INF, -1.5, -0.25, 0.0, 0.8, 2.0, INF)  # row ends in u, r = 0 and r = inf among them
+
+
+@st.composite
+def _power_rows(draw):
+    """A space and 1-3 power rows (c, a, 0, ulo, uhi), a > -Q so that hardy converges."""
+    n = draw(st.sampled_from([1, 2]))
+    q = 2.0 * n + 2.0
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            i, j = sorted(draw(st.lists(st.integers(0, len(_U_ENDS) - 1), min_size=2, max_size=2, unique=True)))
+            ulo, uhi = _U_ENDS[i], _U_ENDS[j]
+        else:
+            ulo = draw(st.floats(-3.0, 3.0))
+            uhi = draw(st.one_of(st.just(INF), st.floats(ulo, 4.0).filter(lambda u: u > ulo)))
+        c = draw(st.floats(0.2, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+        rows.append((c, draw(st.floats(-q + 0.5, 3.0)), 0.0, ulo, uhi))
+    return heis_space(n), tuple(rows)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+class TestReflectionIdentity:
+    """H f is R (H*w' R f) with w'(t) = Q t^(2Q-1), bit for bit: R is exact in u = log r."""
+
+    @given(case=_power_rows(), u=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_hardy_is_the_mirrored_cesaro_side_of_the_reflected_input(self, case, u):
+        space, rows = case
+        q, spec = float(space.q), QuadratureSpec()
+        f = quadrature._terms(rows)
+        rf = quadrature._terms([(c, -a, 0.0, -uhi, -ulo) for c, a, _, ulo, uhi in rows])
+        hardy = apply_operator(HARDY, f, space, spec)
+        cesaro = apply_operator(OperatorKind("weighted_cesaro", power_weight(q, 2.0 * q - 1.0)), rf, space, spec)
+        assert hardy.log_support == (-cesaro.log_support[1], -cesaro.log_support[0])
+        assert hardy.log_breakpoints == tuple(sorted(-b for b in cesaro.log_breakpoints))
+        assert (hardy.origin_exponent, hardy.tail_exponent) == (-cesaro.tail_exponent, -cesaro.origin_exponent)
+        u = np.array(u + list(hardy.log_breakpoints))
+        for kappa in (0.0, q):
+            assert np.array_equal(_bits(hardy.logeval(u, kappa)), _bits(cesaro.logeval(-u, -kappa)))
 
 
 class TestCesaroSideGolden:

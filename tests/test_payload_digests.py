@@ -14,7 +14,7 @@ from heishardy.cli import EXIT_OK, main
 
 PAYLOADS = {
     "verify-sharp --kind hardy,dual-hardy,whardy,wcesaro --n 1 --p 2,5 --trials 4 --seed 3":
-        "15763e38e1169229df9335fe7841a73711501967fc335b6e2ccaf9d7b61934be",
+        "9c24a31b3350fb778cc1834f3dbf96383c8923d4d522b4e118719dcd2a558f37",
     "apply --kind hardy,dual-hardy,whardy,wcesaro --n 1,2 --weight power:c=1,beta=3 "
     "--function power:-3,lo=1+exp:2,alpha=1 --radii 0.5,1,2,7":
         "5b48ff63b5c47e7b3c26bd747c6299f0dd08b79865252acd9ca58c837abf6236",

@@ -2,18 +2,20 @@
 
 Before term tables, power_profile, exp_profile, zero_profile, mixture_profile
 and scaled_profile each built their own closure, and mixture_profile read
-the metadata off its parts.  _Reference below copies those closures and that
-rule verbatim; every built profile must evaluate and describe itself bit for
-bit as they did.  scaled_profile is the exception: a term table scales each
-coefficient, (c c') e^x, where the closure scaled the value, c (c' e^x), so
-the two differ by rounding.
+the metadata off its parts.  _Reference below copies those closures verbatim
+and that rule, applied to the supports in u = log r where profiles keep
+them (neighbouring radii can share a u, so their edges merge there); every
+built profile must evaluate and describe itself bit for bit as they did.
+scaled_profile is the exception: a term table scales each coefficient,
+(c c') e^x, where the closure scaled the value, c (c' e^x), so the two
+differ by rounding.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from heishardy.mixed_norm import SeparableFunction, radialize
 from heishardy.operators import HARDY, apply_operator
@@ -30,20 +32,24 @@ from heishardy.quadrature import (
 INF = math.inf
 
 
-class _Reference:
-    """The former RadialProfile: a closure, its metadata and the support mask."""
+def _log_support(support):
+    lo, hi = support
+    return math.log(lo) if lo > 0.0 else -INF, math.log(hi) if math.isfinite(hi) else INF
 
-    def __init__(self, logeval, origin_exponent, tail_exponent, support=(0.0, INF), breakpoints=(),
+
+class _Reference:
+    """The former RadialProfile: a closure, its metadata (in u) and the support mask."""
+
+    def __init__(self, logeval, origin_exponent, tail_exponent, log_support=(-INF, INF), log_breakpoints=(),
                  is_zero=False):
-        lo, hi = support
-        if not (0.0 <= lo < hi):
-            raise ValueError(f"support must satisfy 0 <= lo < hi, got {support}")
+        lo, hi = log_support
+        if not lo < hi:
+            raise ValueError(f"log support must satisfy lo < hi, got {log_support}")
         self._logeval = logeval
         self.origin_exponent = float(origin_exponent)
         self.tail_exponent = float(tail_exponent)
-        self.support = (float(lo), float(hi))
-        self.log_support = (math.log(lo) if lo > 0.0 else -INF, math.log(hi) if math.isfinite(hi) else INF)
-        self.breakpoints = tuple(sorted({b for b in breakpoints if 0.0 < b < INF}))
+        self.log_support = (float(lo), float(hi))
+        self.log_breakpoints = tuple(sorted({u for u in (*log_breakpoints, lo, hi) if math.isfinite(u)}))
         self.is_zero = is_zero
 
     def logeval(self, u, kappa=0.0):
@@ -54,11 +60,6 @@ class _Reference:
             vals = np.where((u >= ulo) & (u <= uhi), vals, 0.0)
         return vals
 
-    def log_breakpoints(self):
-        pts = [math.log(b) for b in self.breakpoints]
-        pts.extend(u for u in self.log_support if math.isfinite(u))
-        return tuple(sorted(set(pts)))
-
 
 def _ref_zero():
     return _Reference(lambda u, kappa: np.zeros_like(np.asarray(u, dtype=float)), 0.0, -INF, is_zero=True)
@@ -68,7 +69,7 @@ def _ref_power(exponent, coeff=1.0, support=(0.0, INF)):
     def lv(u, kappa):
         return coeff * np.exp((exponent + kappa) * u)
 
-    profile = _Reference(lv, origin_exponent=exponent, tail_exponent=exponent, support=support)
+    profile = _Reference(lv, origin_exponent=exponent, tail_exponent=exponent, log_support=_log_support(support))
     return _ref_zero() if coeff == 0.0 else profile
 
 
@@ -96,24 +97,23 @@ def _ref_mixture(parts):
             acc = acc + p.logeval(u, kappa)
         return acc
 
-    lo = min(p.support[0] for p in parts)
-    hi = max(p.support[1] for p in parts)
-    at_lo = [p for p in parts if p.support[0] == lo]
-    at_hi = [p for p in parts if p.support[1] == hi]
+    lo = min(p.log_support[0] for p in parts)
+    hi = max(p.log_support[1] for p in parts)
+    at_lo = [p for p in parts if p.log_support[0] == lo]
+    at_hi = [p for p in parts if p.log_support[1] == hi]
     breaks = []
     for p in parts:
-        breaks.extend(p.breakpoints)
-        breaks.extend(s for s in p.support if 0.0 < s < INF)
+        breaks.extend(p.log_breakpoints)
     return _Reference(lv, origin_exponent=min(p.origin_exponent for p in at_lo),
-                      tail_exponent=max(p.tail_exponent for p in at_hi), support=(lo, hi),
-                      breakpoints=tuple(breaks))
+                      tail_exponent=max(p.tail_exponent for p in at_hi), log_support=(lo, hi),
+                      log_breakpoints=tuple(breaks))
 
 
 def _ref_scaled(f, c):
     if c == 0.0 or f.is_zero:
         return _ref_zero()
     return _Reference(lambda u, kappa: c * f.logeval(u, kappa), f.origin_exponent, f.tail_exponent,
-                      f.support, f.breakpoints)
+                      f.log_support, f.log_breakpoints)
 
 
 # support edges from one grid, so that parts nest, touch and lie apart; and some off it
@@ -149,6 +149,13 @@ def _magnitude(part):
 def _both(part):
     family, args = part
     if family == "power":
+        ulo, uhi = _log_support(args[2])
+        if not ulo < uhi:  # neighbouring radii with one u: a support neither accepts
+            with pytest.raises(ValueError, match="support"):
+                _ref_power(*args)
+            with pytest.raises(ValueError, match="support"):
+                power_profile(*args)
+            reject()
         return power_profile(*args), _ref_power(*args)
     return exp_profile(*args), _ref_exp(*args)
 
@@ -157,7 +164,7 @@ def _grid(draw, profiles, lo, hi):
     """Draws of u in [lo, hi], with every support edge of the profiles there in u (and its neighbours)."""
     u = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=24))
     for p in profiles:
-        for e in p.log_breakpoints():
+        for e in p.log_breakpoints:
             u.extend(x for x in (e, math.nextafter(e, -INF), math.nextafter(e, INF)) if lo <= x <= hi)
     return np.array(u)
 
@@ -169,10 +176,8 @@ def _bits(x):
 def _assert_same_metadata(new, ref):
     assert new.origin_exponent == ref.origin_exponent
     assert new.tail_exponent == ref.tail_exponent
-    assert new.support == ref.support
     assert new.log_support == ref.log_support
-    assert new.breakpoints == ref.breakpoints
-    assert new.log_breakpoints() == ref.log_breakpoints()
+    assert new.log_breakpoints == ref.log_breakpoints
     assert new.is_zero == ref.is_zero
 
 
@@ -212,18 +217,19 @@ class TestTermTableParity:
 
 class TestTermTables:
     def test_built_profiles_carry_their_rows(self):
-        assert power_profile(-3.0, 2.0, (1.0, 5.0)).terms == ((2.0, -3.0, 0.0, 1.0, 5.0),)
-        assert exp_profile(2.0, 1.0, -2.0).terms == ((-2.0, 1.0, 2.0, 0.0, INF),)
-        assert constant_profile(4.0, (0.5, 2.0)).terms == ((4.0, 0.0, 0.0, 0.5, 2.0),)
+        # rows (c, a, lam, ulo, uhi): the radius supports in u = log r
+        assert power_profile(-3.0, 2.0, (1.0, 5.0)).terms == ((2.0, -3.0, 0.0, 0.0, math.log(5.0)),)
+        assert exp_profile(2.0, 1.0, -2.0).terms == ((-2.0, 1.0, 2.0, -INF, INF),)
+        assert constant_profile(4.0, (0.5, 2.0)).terms == ((4.0, 0.0, 0.0, math.log(0.5), math.log(2.0)),)
         mix = mixture_profile([power_profile(-3.0, support=(1.0, INF)), zero_profile(), exp_profile(2.0)])
-        assert mix.terms == ((1.0, -3.0, 0.0, 1.0, INF), (1.0, 0.0, 2.0, 0.0, INF))
-        assert scaled_profile(mix, -0.5).terms == ((-0.5, -3.0, 0.0, 1.0, INF), (-0.5, 0.0, 2.0, 0.0, INF))
+        assert mix.terms == ((1.0, -3.0, 0.0, 0.0, INF), (1.0, 0.0, 2.0, -INF, INF))
+        assert scaled_profile(mix, -0.5).terms == ((-0.5, -3.0, 0.0, 0.0, INF), (-0.5, 0.0, 2.0, -INF, INF))
 
     def test_zero_is_the_empty_table(self):
         for f in (zero_profile(), power_profile(1.0, 0.0), exp_profile(1.0, coeff=0.0), mixture_profile([]),
                   scaled_profile(exp_profile(1.0), 0.0), mixture_profile([zero_profile(), zero_profile()])):
             assert f.terms == () and f.is_zero
-            assert (f.support, f.origin_exponent, f.tail_exponent) == ((0.0, INF), 0.0, -INF)
+            assert (f.log_support, f.origin_exponent, f.tail_exponent) == ((-INF, INF), 0.0, -INF)
 
     def test_a_zero_coefficient_still_checks_its_support(self):
         with pytest.raises(ValueError, match="support"):

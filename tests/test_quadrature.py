@@ -699,6 +699,11 @@ class TestProfileAlgebra:
         with pytest.raises(ValueError):
             power_profile(1.0).eval(0.0)
 
+    @pytest.mark.parametrize("log_support", [(1.0, 1.0), (math.nan, 1.0)], ids=["empty", "nan"])
+    def test_rejects_a_log_support_without_lo_below_hi(self, log_support):
+        with pytest.raises(ValueError, match="log support"):
+            RadialProfile(lambda u, kappa: u, 0.0, 0.0, log_support=log_support)
+
     def test_logeval_scaling_identity(self):
         f = exp_profile(1.5, exponent=0.5)
         u = np.array([-2.0, 0.0, 1.0])

@@ -239,7 +239,7 @@ class TestExtremalRatio:
 
     def test_extremal_profile_shape(self, space1):
         prof = extremal_profile(0.25, 2.0, space1)
-        assert prof.support[0] == 1.0
+        assert prof.log_support[0] == 0.0
         assert prof.eval(0.5) == 0.0
         assert abs(prof.eval(2.0) - 2.0 ** -(2.0 + 0.25)) <= 1e-15
 
