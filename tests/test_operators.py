@@ -423,21 +423,6 @@ class TestOperatorKind:
         assert abs(out.eval(2.0) - 0.25) <= 1e-9
 
 
-class TestWeightFunction:
-    def test_power_moment_exact(self):
-        w = power_weight(2.0, 3.0)
-        assert w.moment(-1.0) == 1.0 / 1.5  # 2/(3-1+1)
-
-    def test_power_moment_divergent(self):
-        with pytest.raises(DivergentIntegralError):
-            power_weight(1.0, 0.0).moment(-1.0)
-
-    def test_general_moment_quadrature(self, spec):
-        w = weight_from_callable(lambda t: np.sqrt(np.asarray(t)), zero_exponent=0.5)
-        want = 1.0 / 2.5  # int t^{1/2} t dt
-        assert abs(w.moment(1.0, spec) - want) <= 1e-8
-
-
 def _recording(f, sizes):
     """f, appending the size of every evaluation to `sizes`."""
     def lv(u, kappa):

@@ -132,6 +132,40 @@ class TestTheoreticalConstant:
             theoretical_constant(q_of(kind, 2.0, 2.0, 2.0, space2))
 
 
+class TestWeightMoment:
+    """The moment int_0^1 t^e w(t) dt of theoretical_constant, at e = -Q/p = -1 (n = 1, p = 4)."""
+
+    @staticmethod
+    def constant(w, spec=QuadratureSpec()):
+        return theoretical_constant(q_of(OperatorKind("weighted_hardy", w), 4.0, 2.0, 2.0, heis_space(1)), spec)
+
+    def test_power_moment_exact(self):
+        assert self.constant(power_weight(2.0, 3.0)) == 2.0 / 3.0  # 2/(3-1+1)
+
+    def test_power_moment_divergent(self):
+        with pytest.raises(UnboundedOperatorError):
+            self.constant(power_weight(1.0, 0.0))
+
+    def test_general_moment_quadrature(self, spec):
+        w = weight_from_callable(lambda t: np.sqrt(np.asarray(t)), zero_exponent=0.5)
+        assert abs(self.constant(w, spec) - 2.0) <= 1e-8  # int t^{-1/2} dt
+
+    def test_general_weight_constants_are_pinned(self, space1, spec):
+        # bit for bit what the certified moment quadrature gave when these were recorded
+        beta32 = weight_from_callable(lambda t: np.asarray(t) ** 3 * (1.0 - np.asarray(t)) ** 2,
+                                      zero_exponent=3.0)
+        pins = {(2.0, "weighted_hardy"): "0x1.abcc42a9d8930p-3", (2.0, "weighted_cesaro"): "0x1.abcc42a9d8930p-3",
+                (5.0, "weighted_hardy"): "0x1.25d136399357dp-4", (5.0, "weighted_cesaro"): "0x1.3e4d5013b4f48p+0"}
+        for (p, tag), want in pins.items():
+            got = theoretical_constant(q_of(OperatorKind(tag, beta32), p, 4.0, 2.0, space1), spec)
+            assert got.hex() == want, (p, tag)
+        sqrt = weight_from_callable(lambda t: np.sqrt(np.asarray(t)), zero_exponent=0.5)
+        assert self.constant(sqrt, spec).hex() == "0x1.fffffffffffe4p+0"
+        with pytest.raises(UnboundedOperatorError, match=r"^unbounded operator for this weight: "
+                           r"weight moment diverges: t -> 0 rate -1\.5 <= 0$"):
+            theoretical_constant(q_of(OperatorKind("weighted_cesaro", sqrt), 4.0, 2.0, 2.0, space1), spec)
+
+
 class TestExtremalRatio:
     @pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
     def test_hardy_matches_oracle(self, eps, space1, spec):
