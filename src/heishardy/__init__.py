@@ -29,7 +29,6 @@ from .quadrature import (
 )
 from .operators import (
     OperatorKind,
-    WeightFunction,
     power_weight,
     HARDY,
     DUAL_HARDY,

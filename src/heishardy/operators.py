@@ -11,11 +11,14 @@ exact one-dimensional reduction, valid for radial functions on H^n
 
 All four are one Mellin convolution in v = log(s / r): the Hardy side
 integrates over v <= 0, the Cesaro side over v >= 0, and hardy/dual_hardy
-are the weighted kinds at w(t) = Q t^{Q-1}.  The reflection R f(r) = f(1/r)
-swaps the two sides (Hw = R H*w' R with w'(t) = t^Q w(t)), so one Cesaro-side
-routine implements both.  Outputs are lazily evaluated profiles: each radius evaluated is one
-certified quadrature in the log domain, so the power scaling demanded by
-downstream norm integrals never overflows.  Output decay metadata is
+are the weighted kinds at w(t) = Q t^{Q-1}.  A weight is a RadialProfile on
+(0, 1] whose origin exponent is its order at t = 0: power_weight(c, beta) is
+the one term row c t^beta, weight_from_callable any other as a lazy profile.
+The reflection R f(r) = f(1/r) swaps the two sides (Hw = R H*w' R with
+w'(t) = t^Q w(t)), so one Cesaro-side routine implements both.  Outputs are
+lazily evaluated profiles: each radius evaluated is one certified quadrature
+in the log domain, so the power scaling demanded by downstream norm
+integrals never overflows.  Output decay metadata is
 propagated symbolically from the input metadata, which keeps
 improper-integral certification sound end to end.  Divergence is always
 detected from metadata up front and raised as a typed error.
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -44,13 +46,12 @@ from .quadrature import (
     RadialProfile,
     _integrals,
     _radial_integrals,
-    certified_log_integral,
+    power_profile,
     product_profile,
     zero_profile,
 )
 
 __all__ = [
-    "WeightFunction",
     "power_weight",
     "weight_from_callable",
     "OperatorKind",
@@ -61,74 +62,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """Nonnegative weight on [0, 1] with its vanishing order at t = 0.
-
-    Power-law weights w(t) = c t^beta have exact rational moments;
-    anything else integrates through the certified engine.
-    """
-
-    eval: Callable[[np.ndarray], np.ndarray]
-    family: str  # "power" or "general"
-    c: float
-    beta: float
-    zero_exponent: float
-
-    def eval_log(self, v) -> np.ndarray:
-        """w(e^v) for v <= 0."""
-        v = np.asarray(v, dtype=float)
-        with np.errstate(under="ignore"):
-            t = np.exp(np.maximum(v, -745.0))
-        return np.asarray(self.eval(t), dtype=float)
-
-    def moment(self, exponent: float | Fraction, spec: QuadratureSpec = QuadratureSpec()) -> float:
-        """int_0^1 t^exponent w(t) dt, or DivergentIntegralError if exponent + beta0 + 1 <= 0.
-
-        A power weight's moment c / (exponent + beta + 1) is exact rational
-        arithmetic on the exponent as given (float or Fraction), rounded
-        once; a general weight's is a certified quadrature at float(exponent).
-        """
-        power = self.family == "power"
-        exponent = Fraction(exponent) if power else float(exponent)
-        rate = exponent + (Fraction(self.beta) if power else self.zero_exponent) + 1
-        if rate <= 0:
-            raise DivergentIntegralError(f"weight moment diverges: t -> 0 rate {float(rate)} <= 0")
-        if power:
-            return float(Fraction(self.c) / rate)
-        res = certified_log_integral(
-            lambda v: self.eval_log(v) * np.exp((exponent + 1.0) * v),
-            -math.inf, 0.0, rate_lo=rate, rate_hi=1.0, spec=spec,
-        )
-        return res.value
-
-
-def power_weight(c: float = 1.0, beta: float = 0.0) -> WeightFunction:
+def power_weight(c: float = 1.0, beta: float = 0.0) -> RadialProfile:
+    """The weight c t^beta on (0, 1]: the one term row (c, beta, 0, -inf, 0)."""
     if not (0 < c < math.inf and math.isfinite(beta)):
         raise ValueError(f"power-law weight needs finite c > 0 and beta, got c={c}, beta={beta}")
-
-    def ev(t):
-        return c * np.asarray(t, dtype=float) ** beta
-
-    return WeightFunction(eval=ev, family="power", c=c, beta=beta, zero_exponent=beta)
+    return power_profile(beta, c, support=(0.0, 1.0))
 
 
-def weight_from_callable(fn: Callable[[np.ndarray], np.ndarray], zero_exponent: float) -> WeightFunction:
-    """A general weight t -> fn(t) on [0, 1] vanishing like t^zero_exponent at 0.
+def weight_from_callable(fn: Callable[[np.ndarray], np.ndarray], zero_exponent: float) -> RadialProfile:
+    """A general weight t -> fn(t) on (0, 1] vanishing like t^zero_exponent at 0, as a lazy profile.
 
     fn must be elementwise in its array argument: one quadrature step
     evaluates it on the nodes of all its panels at once.
     """
-    return WeightFunction(eval=fn, family="general", c=math.nan, beta=math.nan,
-                          zero_exponent=zero_exponent)
+    if not math.isfinite(zero_exponent):
+        raise ValueError(f"a general weight needs a finite zero_exponent, got {zero_exponent}")
+
+    def logeval(u, kappa):  # fn(e^u) e^{kappa u}, e^u clamped at the bottom of float range
+        with np.errstate(under="ignore"):
+            return np.asarray(fn(np.exp(np.maximum(u, -745.0))), dtype=float) * np.exp(kappa * u)
+
+    return RadialProfile(logeval, zero_exponent, zero_exponent, (-math.inf, 0.0))
 
 
 @dataclass(frozen=True)
 class OperatorKind:
-    """Which operator to apply; weighted variants carry their weight."""
+    """Which operator to apply; weighted variants carry their weight, a profile on (0, 1]."""
 
     tag: str  # "hardy" | "dual_hardy" | "weighted_hardy" | "weighted_cesaro"
-    weight: WeightFunction | None = None
+    weight: RadialProfile | None = None
 
     def __post_init__(self) -> None:
         if self.tag not in ("hardy", "dual_hardy", "weighted_hardy", "weighted_cesaro"):
@@ -137,13 +99,19 @@ class OperatorKind:
             raise ValueError(f"{self.tag} requires a weight function")
         if self.tag in ("hardy", "dual_hardy") and self.weight is not None:
             raise ValueError(f"{self.tag} has the fixed weight Q t^(Q-1) and takes none")
+        w = self.weight
+        if w is not None and w.log_support[1] > 0.0:
+            raise ValueError(f"a weight lives on (0, 1], but its log support is {w.log_support}")
+        # a built weight is the one row of power_weight(c, beta), which checks c and beta
+        if w is not None and w.terms is not None and w.terms != power_weight(*w.terms[0][:2]).terms:
+            raise ValueError(f"a built weight is one power row c t^beta on (0, 1], got the rows {w.terms}")
 
     @property
     def dual(self) -> bool:
         """True for the Cesaro-side kinds (dual_hardy, weighted_cesaro)."""
         return self.tag in ("dual_hardy", "weighted_cesaro")
 
-    def weight_on(self, space: HeisSpace) -> WeightFunction:
+    def weight_on(self, space: HeisSpace) -> RadialProfile:
         """The kind's weight; hardy and dual_hardy use w(t) = Q t^{Q-1}."""
         if self.weight is not None:
             return self.weight
@@ -162,7 +130,7 @@ def apply_operator(
 
     It convolves a profile g against the kind's weight w over v = log(s / r)
     >= 0: for w(t) = c t^beta, H*w g(r) = c int_{v>=0} g(r e^v) e^{(shift-1-beta) v} dv,
-    and a general weight puts w(e^{-v}) in place of c e^{-beta v}.  The
+    and a lazy weight puts w(e^{-v}) in place of c e^{-beta v}.  The
     Cesaro side (kind.dual) is g = f at shift = Q.  The Hardy side is g = R f,
     R f(r) = f(1/r), at shift = 0, by the reflection Hw = R H*w' R with
     w'(t) = t^Q w(t), whose t^Q cancels the kernel's t^{-Q}:
@@ -177,7 +145,7 @@ def apply_operator(
     one certified quadrature per radius, all of them in one call of the
     population engine, each over the part of the half-line meeting g's
     support, with the caller's measure power kappa folded into the kernel
-    and a power weight's c applied outside.
+    and a built weight's c applied outside.
 
     Soundness of the output metadata (a, b: g's origin and tail exponents;
     beta0: the weight's order at t = 0; bound = beta0 + 1 - shift):
@@ -218,21 +186,22 @@ def apply_operator(
     else:  # g = R f
         shift, g, lo, hi = 0.0, (lambda u, kappa: f.logeval(-u, -kappa)), -f.log_support[1], -f.log_support[0]
         breaks, origin, tail = -np.array(f.log_breakpoints), -f.tail_exponent, -f.origin_exponent
-    bound = w.zero_exponent + 1.0 - shift
+    bound = w.origin_exponent + 1.0 - shift
     rate_hi = bound - tail
     if math.isinf(hi) and rate_hi <= 0:
         raise DivergentIntegralError(
             f"Cesaro-side operator diverges at t -> 0 (screening rate {rate_hi} <= 0)" if kind.dual else
             f"Hardy-side operator diverges at the origin "
-            f"(origin {f.origin_exponent} + weight order {w.zero_exponent} <= -1)")
+            f"(origin {f.origin_exponent} + weight order {w.origin_exponent} <= -1)")
     own = origin if lo == -math.inf else math.inf
     low = min(own, bound) - (1e-6 if own == bound else 0.0)  # the output's origin order
-    # a power weight's exponent is folded into the one exp, which keeps the
-    # factors in float range even on slowly converging windows
-    power = w.family == "power"
-    kernel = ((lambda v, kappa: np.exp((shift - 1.0 - kappa - w.beta) * v)) if power else
-              (lambda v, kappa: w.eval_log(-v) * np.exp((shift - 1.0 - kappa) * v)))
-    scale = w.c if power else 1.0
+    # a built weight's row c t^beta: beta is folded into the one exp, which keeps the
+    # factors in float range even on slowly converging windows, and c is applied outside
+    if w.terms is not None:
+        (scale, beta, *_), = w.terms
+        kernel = lambda v, kappa: np.exp((shift - 1.0 - kappa - beta) * v)
+    else:
+        scale, kernel = 1.0, lambda v, kappa: w.logeval(-v) * np.exp((shift - 1.0 - kappa) * v)
 
     def logeval(u, kappa):
         # r^kappa (H*w g)(r) at r = e^u: one inner integral per radius, all in one engine call
@@ -256,7 +225,7 @@ def apply_operator(
 def duality_pairing_check(
     f: RadialProfile,
     g: RadialProfile,
-    w: WeightFunction,
+    w: RadialProfile,
     space: HeisSpace,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> tuple[float, float]:

@@ -489,7 +489,6 @@ def certified_log_integral(
     rate_lo: float,
     rate_hi: float,
     spec: QuadratureSpec,
-    seeds: Sequence[float] = (),
 ) -> QuadResult:
     """Adaptive integral of fun(u) du over [u_lo, u_hi] with certified cutoffs.
 
@@ -510,8 +509,7 @@ def certified_log_integral(
     individual factors of an integrand would leave float range.
     """
     values, errors = _integrals(lambda u, m: fun(u), np.array([u_lo], dtype=float),
-                                np.array([u_hi], dtype=float), rate_lo, rate_hi, spec,
-                                np.array(seeds, dtype=float).reshape(1, -1))
+                                np.array([u_hi], dtype=float), rate_lo, rate_hi, spec, np.empty((1, 0)))
     return QuadResult(float(values[0]), float(errors[0]))
 
 

@@ -41,6 +41,7 @@ from .quadrature import (
     QuadratureSpec,
     RadialProfile,
     ToleranceNotReachedError,
+    certified_log_integral,
     exp_profile,
     mixture_profile,
     power_profile,
@@ -102,17 +103,21 @@ def theoretical_constant(q: SharpConstantQuery, spec: QuadratureSpec = Quadratur
     """The sharp constant omega_small^Delta * int_0^1 t^e w(t) dt, one formula for all kinds.
 
     e = -Q/p on the Hardy side and -Q + Q/p on the Cesaro side, exact in Q
-    and p, so a power weight's moment is exact (p/(p-1) for hardy, p for
-    dual_hardy; see WeightFunction.moment).  Raises UnboundedOperatorError
-    when the moment diverges (no finite operator norm for that weight).
+    and p.  A built weight's moment is the integral of its one row c t^beta,
+    c / (e + beta + 1) in exact rational arithmetic rounded once (p/(p-1) for
+    hardy, p for dual_hardy); a lazy weight's is a certified quadrature at
+    float(e).  Raises UnboundedOperatorError when the moment diverges at t -> 0.
     """
-    exps, space = q.exps, q.space
+    exps, space, w = q.exps, q.space, q.kind.weight_on(q.space)
     q_over_p = Fraction(space.q) / Fraction(exps.p)
     exponent = q_over_p - space.q if q.kind.dual else -q_over_p
-    try:
-        moment = q.kind.weight_on(space).moment(exponent, spec)
-    except DivergentIntegralError as exc:
-        raise UnboundedOperatorError(f"unbounded operator for this weight: {exc}") from exc
+    built = w.terms is not None  # its one row (c, beta, 0, -inf, 0)
+    rate = exponent + Fraction(w.terms[0][1]) + 1 if built else float(exponent) + w.origin_exponent + 1
+    if rate <= 0:
+        raise UnboundedOperatorError(
+            f"unbounded operator for this weight: weight moment diverges: t -> 0 rate {float(rate)} <= 0")
+    moment = (float(Fraction(w.terms[0][0]) / rate) if built else certified_log_integral(
+        lambda v: w.logeval(v, float(exponent) + 1.0), -math.inf, 0.0, rate, 1.0, spec).value)
     return space.omega_small ** exps.delta * moment
 
 
@@ -191,7 +196,7 @@ def _random_admissible_profile(rng: np.random.Generator, q: SharpConstantQuery) 
     weight moments stay finite.
     """
     p, Q = q.exps.p, float(q.space.q)
-    beta0 = q.kind.weight_on(q.space).zero_exponent
+    beta0 = q.kind.weight_on(q.space).origin_exponent
     origin_floor = -Q / p + 0.1
     tail_ceiling = -Q / p - 0.1
     if q.kind.dual:

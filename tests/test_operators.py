@@ -27,6 +27,7 @@ from heishardy.quadrature import (
     exp_profile,
     mixture_profile,
     power_profile,
+    scaled_profile,
     zero_profile,
 )
 
@@ -423,6 +424,46 @@ class TestOperatorKind:
         assert abs(out.eval(2.0) - 0.25) <= 1e-9
 
 
+class TestWeightProfiles:
+    """A weight is a profile on (0, 1]: power_weight one term row, weight_from_callable a lazy profile."""
+
+    @pytest.mark.parametrize("c,beta", [(1.0, 0.0), (2.0, 3.0), (0.5, -0.5)])
+    def test_power_weight_is_one_term_row(self, c, beta):
+        assert power_weight(c, beta).terms == ((c, beta, 0.0, -INF, 0.0),)
+
+    def test_callable_weight_evaluates_as_the_former_weight_class(self):
+        # fn(e^max(u, -745)) under errstate(under="ignore"), as WeightFunction.eval_log computed it
+        def fn(t):
+            return np.sqrt(t) * (1.0 - t) ** 2
+
+        u = np.concatenate([np.linspace(-800.0, 0.0, 4001), [-745.0, -744.5, -1e-300, -0.0]])
+        with np.errstate(under="ignore"):
+            former = np.asarray(fn(np.exp(np.maximum(u, -745.0))), dtype=float)
+        assert np.array_equal(_bits(weight_from_callable(fn, 0.5).logeval(u, 0.0)), _bits(former))
+
+    @pytest.mark.parametrize("order", [math.nan, INF, -INF])
+    def test_callable_weight_rejects_a_non_finite_order(self, order):
+        # a nan order once passed verify as "unbounded" and failed apply inside the engine;
+        # an infinite one raised NonFiniteIntegrandError from the moment quadrature
+        with pytest.raises(ValueError, match="finite zero_exponent"):
+            weight_from_callable(lambda t: np.asarray(t) ** 2, zero_exponent=order)
+
+    @pytest.mark.parametrize("weight", [
+        power_profile(1.0), exp_profile(1.0), mixture_profile([power_weight(1.0, 2.0), power_weight(2.0, 3.0)]),
+        scaled_profile(power_weight(1.0, 2.0), -1.0),
+    ], ids=["unbounded-support", "exp", "two-rows", "negative-c"])
+    @pytest.mark.parametrize("tag", ["weighted_hardy", "weighted_cesaro"])
+    def test_kind_rejects_a_profile_that_is_no_weight(self, tag, weight):
+        with pytest.raises(ValueError):
+            OperatorKind(tag, weight)
+
+    def test_kind_accepts_a_scaled_power_weight(self, space1, spec):
+        f = power_profile(-1.0)
+        kind = OperatorKind("weighted_hardy", scaled_profile(power_weight(1.0, 2.0), 3.0))
+        want = apply_operator(OperatorKind("weighted_hardy", power_weight(3.0, 2.0)), f, space1, spec)
+        assert apply_operator(kind, f, space1, spec).eval(2.0) == want.eval(2.0)
+
+
 def _recording(f, sizes):
     """f, appending the size of every evaluation to `sizes`."""
     def lv(u, kappa):
@@ -535,21 +576,22 @@ def _hardy_branch_reference(kind, f, space, spec):
     w = kind.weight_on(space)
     spec = spec.inner()
     log_lo, log_hi = f.log_support
-    power = w.family == "power"
-    rate_lo, rate_hi = f.origin_exponent + (w.zero_exponent + 1.0), 1.0
+    power = w.terms is not None  # a built weight is one power row c t^beta
+    c, beta = w.terms[0][:2] if power else (math.nan, math.nan)
+    rate_lo, rate_hi = f.origin_exponent + (w.origin_exponent + 1.0), 1.0
     if log_lo == -math.inf and rate_lo <= 0:
         raise DivergentIntegralError(
             f"Hardy-side operator diverges at the origin "
-            f"(origin {f.origin_exponent} + weight order {w.zero_exponent} <= -1)"
+            f"(origin {f.origin_exponent} + weight order {w.origin_exponent} <= -1)"
         )
-    kernel = ((lambda v, kappa: np.exp((w.beta + 1.0 - kappa) * v)) if power else
-              (lambda v, kappa: w.eval_log(v) * np.exp((1.0 - kappa) * v)))
+    kernel = ((lambda v, kappa: np.exp((beta + 1.0 - kappa) * v)) if power else
+              (lambda v, kappa: w.logeval(v) * np.exp((1.0 - kappa) * v)))
     tail = -math.inf if math.isfinite(log_hi) else f.tail_exponent
     meta = dict(
-        origin_exponent=f.origin_exponent, tail_exponent=max(tail, -(w.zero_exponent + 1.0)),
+        origin_exponent=f.origin_exponent, tail_exponent=max(tail, -(w.origin_exponent + 1.0)),
         log_support=(log_lo, math.inf), log_breakpoints=f.log_breakpoints,
     )
-    scale = w.c if power else 1.0
+    scale = c if power else 1.0
     f_breaks = np.array(f.log_breakpoints)
 
     def logeval(u, kappa):
@@ -598,7 +640,7 @@ class TestHardySideReflection:
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want) + spec.inner().abs_tol)
         assert new.origin_exponent == ref.origin_exponent
         # at a tie with the weight's order the output grows by a logarithm: raised by 1e-6
-        bound = -(kind.weight_on(space).zero_exponent + 1.0)
+        bound = -(kind.weight_on(space).origin_exponent + 1.0)
         assert (new.tail_exponent == ref.tail_exponent
                 or ref.tail_exponent == bound and new.tail_exponent == bound + 1e-6)
         assert new.log_support == ref.log_support
