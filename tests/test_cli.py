@@ -386,6 +386,11 @@ class TestGeomCheckCommand:
         assert status == EXIT_OK
         assert all(row["all_pass"] for row in json.loads(out)["results"])
 
+    def test_volume_z_of_3_32_passes(self, capsys):
+        # a correct run: the 5-sigma band admits it, where a 3-sigma one did not
+        doc = run_json(capsys, "geom-check", "--n", "1", "--seed", "565", "--triples", "100")
+        assert 3.3 < doc["results"][0]["checks"][-1]["statistic"] < 5.0
+
     def test_seed_is_taken_mod_2_64(self, capsys):
         argv = ("geom-check", "--n", "1", "--triples", "100", "--mc-count", "1000", "--seed")
         wrapped = run_json(capsys, *argv, "-1")["results"]
