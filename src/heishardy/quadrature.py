@@ -205,12 +205,15 @@ def _bisect(
     Row m of `edges` holds sorted distinct edges, nan-padded.  All seeded
     panels are evaluated together; then each sweep bisects the worst live
     panel (largest error, ties to the lowest index) of every unfinished
-    member and evaluates all the children in one call.  A member stops at
-    its first failure; the lowest failing member's error is raised once
-    all have stopped.  Panel rows start as wide as the seeded edges and
-    double only when a bisection needs room.  Returns the values, each the
-    in-order sum of its member's own panels (in row order), and the error
-    estimates; both are bitwise a member's own in any population.
+    member and evaluates all the children in one call.  A panel at machine
+    resolution is frozen (its key -inf) and keeps its error in the member's
+    one error sum, which the tolerance test, ToleranceNotReachedError and
+    the result all read.  A member stops at its first failure; the lowest
+    failing member's error is raised once all have stopped.  Panel rows
+    start as wide as the seeded edges and double only when a bisection
+    needs room.  Returns the values, each the in-order sum of its member's
+    own panels (in row order), and the error estimates; both are bitwise a
+    member's own in any population.
     """
     n = len(edges)
     failures = {}
@@ -228,7 +231,6 @@ def _bisect(
     # running sums add the panels in order, as a scalar loop does (np.sum pairs them)
     total = np.cumsum(val, axis=1)[:, -1]
     err = np.cumsum(np.where(used, key, 0.0), axis=1)[:, -1]
-    frozen = np.zeros(n)  # error on panels at machine resolution, not reducible
     done, top = np.zeros(n, dtype=bool), int(counts.max())  # top bounds every member's panel count
     while True:
         if failures:
@@ -239,12 +241,12 @@ def _bisect(
         k = key[act].argmax(axis=1)
         e_old = key[act, k]
         tol = np.maximum(rel_tol * np.abs(total[act]), abs_tol)
-        more = (err[act] + frozen[act] > tol) & (e_old > -np.inf)
+        more = (err[act] > tol) & (e_old > -np.inf)
         done[act[~more]] = True
         if top >= _MAX_PANELS:
             full = more & (counts[act] >= _MAX_PANELS)
             for m in act[full].tolist():
-                value, error = float(np.cumsum(val[m, :counts[m]])[-1]), float(err[m] + frozen[m])
+                value, error = float(np.cumsum(val[m, :counts[m]])[-1]), float(err[m])
                 failures[m] = ToleranceNotReachedError(
                     f"tolerance not reached after {int(counts[m])} panels "
                     f"(estimate {value!r}, error {error!r})", estimate=value, error=error)
@@ -254,8 +256,6 @@ def _bisect(
         mid = 0.5 * (a + b)
         flat = (mid <= a) | (mid >= b)
         if flat.any():
-            frozen[act[flat]] += e_old[flat]
-            err[act[flat]] -= e_old[flat]
             key[act[flat], k[flat]] = -np.inf
             act, k, e_old, a, b, mid = (x[~flat] for x in (act, k, e_old, a, b, mid))
         if not act.size:
@@ -279,7 +279,7 @@ def _bisect(
         raise failures[min(failures)]
     # each value is read at its member's last panel: the padding past it cannot turn a
     # -0.0 sum into 0.0
-    return np.cumsum(val[:, :counts.max()], axis=1)[np.arange(n), counts - 1], err + frozen
+    return np.cumsum(val[:, :counts.max()], axis=1)[np.arange(n), counts - 1], err
 
 
 def _ladder(a: np.ndarray, b: np.ndarray, cap_near: float, cap_far: float) -> np.ndarray:
@@ -334,37 +334,27 @@ def _cut(probes, sel, base, end, rate, sign, abs_tol, trunc, failures) -> None:
     """Pull end[m], on side `sign` of base[m], in to where the decay envelope is negligible.
 
     For each member m in sel, the envelope C e^{-rate[m] |u - base|} takes
-    its constant from probes (|integrand| at base[m] + sign * offsets, one
-    row per member of sel) and doubling; the cut sits where the neglected
-    mass, added to trunc[m], drops below abs_tol/20, but no nearer than 13
-    units of u.  Where C or 20 C / (abs_tol rate) leaves float range, an
-    infinite end is cut by the same rule in logs and a finite end is kept
-    whole; an infinite probe leaves no cut: NonFiniteIntegrandError.  Zero
-    probes and overflows are expected: _integrals' errstate ignores them.
+    log C = log 2 + max(log probes + rate offsets) from probes (|integrand|
+    at base[m] + sign * offsets, a row per member of sel), so a zero probe
+    bounds nothing.  Finite and infinite ends alike are cut where the
+    neglected mass e^{log C - rate w} / rate, added to trunc[m], drops below
+    abs_tol/20, but no nearer than w = 13 units of u.  An infinite end left
+    with no finite cut fails m with NonFiniteIntegrandError unless m failed
+    before; _integrals' errstate ignores zero and infinite probes.
     """
     if not sel.size:
         return
     rate, old = rate[sel], end[sel]
-    # a probe that underflowed to zero bounds nothing, even where exp overflows
-    bound = np.where(probes == 0.0, 0.0, probes * np.exp(rate[:, None] * _ENVELOPE_OFFSETS))
-    c_est = 2.0 * np.max(bound, axis=1)
-    # abs_tol * rate may underflow, or the argument overflow: the log route takes over
-    width = np.where(c_est == 0.0, 13.0, np.maximum(np.log(20.0 * c_est / (abs_tol * rate)) / rate, 13.0))
+    log_c = math.log(2.0) + np.max(np.log(probes) + rate[:, None] * _ENVELOPE_OFFSETS, axis=1)
+    width = np.maximum((log_c + math.log(20.0) - math.log(abs_tol) - np.log(rate)) / rate, 13.0)
     new = base[sel] + sign * width
     cut = sign * new < sign * old  # never where the width is not finite
     end[sel[cut]] = new[cut]
-    trunc[sel[cut]] += (c_est * np.exp(-rate * width) / rate)[cut]
-    for j in np.flatnonzero(~np.isfinite(width) & np.isinf(old)).tolist():  # a finite end is kept whole
-        m, b, c, r = int(sel[j]), float(base[sel[j]]), float(c_est[j]), float(rate[j])
-        log_c = math.log(2.0) + float(np.max(np.log(probes[j]) + r * _ENVELOPE_OFFSETS))
-        w = max((log_c + math.log(20.0) - math.log(abs_tol) - math.log(r)) / r, 13.0)
-        if not math.isfinite(w):
-            failures[m] = NonFiniteIntegrandError(
-                f"no finite cutoff for the decay envelope at u = {b!r} (constant {c!r})")
-        else:
-            end[m] = b + sign * w
-            # in logs, the neglected mass stays a bound: e^{-rate w} alone may underflow
-            trunc[m] += math.exp(log_c - r * w) / r
+    trunc[sel[cut]] += (np.exp(log_c - rate * width) / rate)[cut]
+    for j in np.flatnonzero(~np.isfinite(width) & np.isinf(old)).tolist():
+        failures.setdefault(int(sel[j]), NonFiniteIntegrandError(
+            f"no finite cutoff for the decay envelope at u = {float(base[sel[j]])!r} "
+            f"(constant {math.exp(log_c[j])!r})"))
 
 
 def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds, far) -> tuple[np.ndarray, np.ndarray]:
@@ -378,7 +368,10 @@ def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds, far) -> tuple[n
     e-folds, at most 16 units) and grow to far panels of `far` e-folds
     (_far_span of spec.rel_tol) of their own side's rate, never shorter than
     the larger near cap.  A side with rate 0 only doubles, and the
-    exponential-tail side keeps the larger near cap.
+    exponential-tail side keeps the larger near cap.  Both sides of every
+    member are cut, and a member keeps its first failure (the tail scan's,
+    then either cut's); the lowest failing member's error is raised after
+    the members below it are bisected.
     """
     def call(x, m):  # |fun| at envelope probes and tail scans, in calls no larger than _panels makes
         x, m, y = x.ravel(), ids[m.ravel()], np.empty(x.shape)
@@ -409,19 +402,13 @@ def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds, far) -> tuple[n
             "no certified cutoff for exponential tail", estimate=math.nan, error=math.inf))
             for m in scan.tolist())
     up = np.flatnonzero(~exp_decay & (np.isinf(hi) | (rate_hi * (hi - center) > _TRUNC_EFOLDS)))
-    down = np.flatnonzero((np.isinf(lo) | (rate_lo * (center - lo) > _TRUNC_EFOLDS))
-                          & (np.arange(n) < min(failures, default=n)))
+    down = np.flatnonzero(np.isinf(lo) | (rate_lo * (center - lo) > _TRUNC_EFOLDS))
     if up.size or down.size:
         probes = call(np.vstack([center[up, None] + _ENVELOPE_OFFSETS, center[down, None] - _ENVELOPE_OFFSETS]),
                       np.repeat(np.concatenate([up, down])[:, None], _ENVELOPE_OFFSETS.size, axis=1))
         _cut(probes[:up.size], up, center, hi, rate_hi, 1.0, spec.abs_tol, trunc, failures)
-        below = down < min(failures, default=n)  # the lower cut skips members above the first failure
-        _cut(probes[up.size:][below], down[below], center, lo, rate_lo, -1.0, spec.abs_tol, trunc, failures)
-
-    values, errors = np.zeros(n), trunc.copy()
-    # every window is non-empty (_integrals passes no other, and cuts keep the centre inside),
-    # so the live members are those below the first failure
-    live = min(failures, default=n)
+        _cut(probes[up.size:], down, center, lo, rate_lo, -1.0, spec.abs_tol, trunc, failures)
+    live = min(failures, default=n)  # windows are non-empty: _integrals passes no other, cuts keep c inside
     if live:
         a, b, c = lo[:live], hi[:live], center[:live]
         rates = np.abs([rate_lo[:live], rate_hi[:live]])
@@ -443,10 +430,9 @@ def _population(fun, ids, lo, hi, rate_lo, rate_hi, spec, seeds, far) -> tuple[n
             edges[:, 1:][same] = np.nan
             edges.sort(axis=1)
         value, err = _bisect(lambda x, m: fun(x, ids[m]), edges, spec.rel_tol, spec.abs_tol)
-        values[:live], errors[:live] = value, err + trunc[:live]
     if failures:
         raise failures[min(failures)]
-    return values, errors
+    return value, err + trunc
 
 
 def _integrals(

@@ -6,7 +6,6 @@ scipy's QUADPACK, so the two routes to every checked value share no code.
 """
 
 import math
-from math import comb
 
 import numpy as np
 from scipy.integrate import quad
@@ -22,24 +21,23 @@ def omega_closed_form(n: int) -> float:
     )
 
 
-def hardy_extremal_ratio(Q: float, p: float, eps: float) -> float:
-    """||H f_eps|| / ||f_eps|| for the power-tail family, by direct formula.
+def _hardy_side_ratio(Q: float, p: float, eps: float, beta: float, c: float) -> float:
+    """||Hw f_eps|| / ||f_eps|| for w(t) = c t^beta, in closed form at every real p.
 
-    For integer p the radial integral expands binomially into exact
-    rationals; otherwise it falls back to QUADPACK in the log variable.
+    With d0 = beta + 1 - Q/p and x = p eps / (d0 - eps), the output's p-th
+    power integrates to int_0^inf (e^{-eps u} - e^{-d0 u})^p du =
+    B(x, p + 1) / (d0 - eps), so the ratio is
+    c/(d0 - eps) [Gamma(1 + x) Gamma(p + 1) / Gamma(p + 1 + x)]^{1/p}.
     """
-    a = Q / p + eps
-    A = Q / (Q - a)
-    if p == int(p):
-        ip = int(p)
-        integral = sum(
-            comb(ip, k) * (-1) ** k / (a * (ip - k) + Q * k - Q) for k in range(ip + 1)
-        )
-    else:
-        fun = lambda u: (math.exp((Q / p - a) * u) - math.exp((Q / p - Q) * u)) ** p
-        edges = np.concatenate([[0.0], np.geomspace(1e-3, 60.0 / (p * eps), 400)])
-        integral = sum(quad(fun, lo, hi, limit=100)[0] for lo, hi in zip(edges[:-1], edges[1:]))
-    return A * (integral * p * eps) ** (1.0 / p)
+    d = beta + 1.0 - Q / p - eps
+    assert d > 0.0, "the ratio is finite only for eps < beta + 1 - Q/p"
+    x = p * eps / d
+    return c / d * math.exp((math.lgamma(1.0 + x) + math.lgamma(p + 1.0) - math.lgamma(p + 1.0 + x)) / p)
+
+
+def hardy_extremal_ratio(Q: float, p: float, eps: float) -> float:
+    """||H f_eps|| / ||f_eps|| for the power-tail family: H is Hw with w(t) = Q t^{Q-1}."""
+    return _hardy_side_ratio(Q, p, eps, Q - 1.0, Q)
 
 
 def dual_hardy_extremal_ratio(Q: float, p: float, eps: float) -> float:
@@ -49,24 +47,8 @@ def dual_hardy_extremal_ratio(Q: float, p: float, eps: float) -> float:
 
 
 def weighted_hardy_extremal_ratio(Q: float, p: float, eps: float, beta: float, c: float = 1.0) -> float:
-    """Ratio for w(t) = c t^beta via the exact output profile.
-
-    Hw f_eps(r) = c (r^{-a} - r^{-(beta+1)}) / (beta + 1 - a) for r > 1.
-    """
-    a = Q / p + eps
-    b1 = beta + 1.0
-    if p == int(p):
-        ip = int(p)
-        integral = sum(
-            comb(ip, k) * (-1) ** k / (a * (ip - k) + b1 * k - Q) for k in range(ip + 1)
-        )
-        # sign bookkeeping: r^{-a} >= r^{-b1} on r >= 1 requires a <= b1
-        assert a < b1
-    else:
-        fun = lambda u: abs(math.exp((Q / p - a) * u) - math.exp((Q / p - b1) * u)) ** p
-        edges = np.concatenate([[0.0], np.geomspace(1e-3, 60.0 / (p * eps), 400)])
-        integral = sum(quad(fun, lo, hi, limit=100)[0] for lo, hi in zip(edges[:-1], edges[1:]))
-    return (c / (b1 - Q / p - eps)) * (integral * p * eps) ** (1.0 / p)
+    """Ratio for w(t) = c t^beta, whose output is c (r^{-a} - r^{-(beta+1)}) / (beta + 1 - a) for r > 1."""
+    return _hardy_side_ratio(Q, p, eps, beta, c)
 
 
 def weighted_cesaro_extremal_ratio(Q: float, p: float, eps: float, beta: float, c: float = 1.0) -> float:
@@ -95,13 +77,19 @@ def hardy_truncated_power_norm(a: float, lo: float, hi: float, c: float, beta: f
     """(int |Hw f|^p r^{Q-1} dr)^{1/p} for f = r^a on (lo, hi) and w(t) = c t^beta.
 
     Hw f(r) = c r^a (min(1, hi/r)^s - (lo/r)^s) / s with s = a + beta + 1 for
-    r > lo, zero below; it is kinked at lo and at hi, where QUADPACK is split.
+    r > lo, zero below.  QUADPACK takes (lo, hi), where it is kinked at lo;
+    beyond hi it is the pure power K r^{a-s}, K = c (hi^s - lo^s) / s, whose
+    tail |K|^p hi^e / (-e), e = p (a - s) + Q, is taken in closed form in logs.
     """
     s = a + beta + 1.0
     g = lambda r: c * r**a * (min(1.0, hi / r) ** s - (lo / r) ** s) / s
     head = quad(lambda u: abs(g(math.exp(u))) ** p * math.exp(Q * u), math.log(lo), math.log(hi),
                 epsabs=0.0, epsrel=1e-13, limit=200)[0]
-    tail = quad(lambda r: abs(g(r)) ** p * r ** (Q - 1.0), hi, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    e = p * (a - s) + Q
+    # |hi^s - lo^s| is the larger power times 1 - e^{-|s| log(hi/lo)}
+    log_k = (math.log(abs(c)) + max(s * math.log(hi), s * math.log(lo))
+             + math.log(-math.expm1(-abs(s) * math.log(hi / lo))) - math.log(abs(s)))
+    tail = math.exp(p * log_k + e * math.log(hi)) / -e
     return (head + tail) ** (1.0 / p)
 
 

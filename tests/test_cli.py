@@ -465,6 +465,9 @@ class TestConfigHandling:
         (("apply", "--function", "power"), None),
         (("apply", "--function", "exp"), None),
         (("constants", "--weight", "power"), None),
+        # a family given without the parameter it needs
+        (("norm", "--function", "power:lo=1"), None),
+        (("apply", "--function", "exp:alpha=1"), None),
         # values the library constructors reject
         (("constants", "--weight", "power:c=0"), None),
         (("apply", "--function", "power:1,lo=2,hi=1"), None),
@@ -483,6 +486,7 @@ class TestConfigHandling:
             "function-key-twice", "function-bare-twice", "function-bare-and-key",
             "weight-key-and-bare", "weight-bare-and-key", "function-gauss",
             "function-unknown-parameter", "function-power", "function-exp", "weight-no-colon",
+            "function-power-no-alpha", "function-exp-no-rate",
             "weight-c-0", "function-lo-above-hi", "function-exp-rate-0", "radii-0", "p-abc"])
     def test_bad_exponent_exits_2(self, argv, hh_seed, capsys, monkeypatch):
         if hh_seed is None:

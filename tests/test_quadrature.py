@@ -299,6 +299,15 @@ class TestBatchedAdaptive:
                                      rate_lo=1.0, rate_hi=1.0, spec=QuadratureSpec())
         assert abs(res.value - 1e300 * -math.expm1(-100.0)) <= 1e-8 * 1e300
 
+    def test_envelope_out_of_float_range_cuts_a_finite_end_too(self):
+        # on [0, 2000] the cut in logs falls at u = 726.7, inside the window: past it, the
+        # neglected mass of 1e300 e^{-u} is below abs_tol/20, and no node goes there
+        nodes = []
+        res = certified_log_integral(lambda u: nodes.append(u.max()) or 1e300 * np.exp(-u), 0.0, 2000.0,
+                                     rate_lo=1.0, rate_hi=1.0, spec=QuadratureSpec())
+        assert max(nodes) <= 800.0
+        assert abs(res.value - 1e300) <= res.error
+
 
 _SUMMAND = st.one_of(
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.0 ** -1022, 1.0, -1.0, 2.0 ** -53, -(2.0 ** -53),
@@ -623,22 +632,39 @@ def test_lowest_divergent_member_is_raised_before_any_evaluation():
     assert calls == []
 
 
+def test_a_failed_tail_scan_keeps_its_error_through_the_lower_cut():
+    # member 0's exponential-tail scan never stops, and its lower envelope probes are
+    # infinite: the lower cut, which runs for every member, must not replace the scan's error
+    def fun(u, m):
+        with np.errstate(over="ignore"):
+            return np.where(m == 0, INF, np.exp(u - np.exp(u)))
+
+    with pytest.raises(ToleranceNotReachedError, match="exponential tail"):
+        quadrature._integrals(fun, np.array([-INF, -INF]), np.array([INF, INF]), 1.0, INF,
+                              QuadratureSpec(), np.full((2, 0), np.nan))
+
+
 def _cut_loop(call, sel, base, end, rate, sign, abs_tol, trunc, failures):
-    """_cut as a scalar loop over its members: the array cut's reference."""
+    """_cut as a scalar loop over its members, in logs: the array cut's reference."""
     probes = call(base[sel, None] + sign * _ENVELOPE_OFFSETS, np.repeat(sel[:, None], 6, axis=1))
-    c_est = 2.0 * np.max(np.where(probes == 0.0, 0.0, probes * np.exp(rate * _ENVELOPE_OFFSETS)), axis=1)
-    for m, b, c, row in zip(sel.tolist(), base[sel].tolist(), c_est.tolist(), probes):
-        log_c = None
-        width = 13.0 if c == 0.0 else max(float(np.log(20.0 * c / (abs_tol * rate))) / rate, 13.0)
-        if width == INF and math.isinf(end[m]):
-            with np.errstate(divide="ignore"):
-                log_c = math.log(2.0) + float(np.max(np.log(row) + rate * _ENVELOPE_OFFSETS))
-            width = max((log_c + math.log(20.0) - math.log(abs_tol) - math.log(rate)) / rate, 13.0)
+    for m, b, row in zip(sel.tolist(), base[sel].tolist(), probes):
+        log_c = math.log(2.0) + float(np.max(np.log(row) + rate * _ENVELOPE_OFFSETS))
+        width = max((log_c + math.log(20.0) - math.log(abs_tol) - float(np.log(rate))) / rate, 13.0)
         if not math.isfinite(width) and math.isinf(end[m]):
-            failures[m] = None
+            failures.setdefault(m, None)
         elif sign * (b + sign * width) < sign * end[m]:
             end[m] = b + sign * width
-            trunc[m] += (c * float(np.exp(-rate * width)) if log_c is None else math.exp(log_c - rate * width)) / rate
+            trunc[m] += float(np.exp(log_c - rate * width)) / rate
+
+
+def _linear_width(row, rate, abs_tol):
+    """The cut width from C = 2 max(probes e^{rate offsets}) without logs (inf where it overflows),
+    and the size of the log rule's terms over rate, which bounds where that rule rounds."""
+    c = 2.0 * np.max(np.where(row == 0.0, 0.0, row * np.exp(rate * _ENVELOPE_OFFSETS)))
+    if c == 0.0:
+        return 13.0, 13.0
+    terms = abs(math.log(c)) + math.log(20.0) + abs(math.log(abs_tol)) + abs(math.log(rate))
+    return max(float(np.log(20.0 * c / (abs_tol * rate))) / rate, 13.0), terms / rate
 
 
 class TestCut:
@@ -678,6 +704,16 @@ class TestCut:
             out.extend([end, trunc, sorted(failures)])
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert got[2] == want[2]
+        # wherever the linear formula is finite, the log rule moves its cut by rounding only:
+        # 4e-14 of the width, or of the log terms where they cancel to a far narrower width
+        # (rate 1.8e-3, probes of e^{-56.8 - rate |u - base|}, abs_tol 4.4e-21: width 28.7, moved 8.3e-14 of it)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            probes = call(base[sel, None] + sign * _ENVELOPE_OFFSETS, np.repeat(sel[:, None], 6, axis=1))
+            for m in sel.tolist():
+                width, terms = _linear_width(probes[m], float(rate[m]), abs_tol)
+                if math.isfinite(width):
+                    linear = end0[m] if width >= sign * (end0[m] - base[m]) else base[m] + sign * width
+                    assert abs(got[0][m] - linear) <= 4e-14 * max(width, terms)
 
 
 class TestProfileAlgebra:
