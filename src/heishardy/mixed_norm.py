@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import HeisSpace, koranyi_norm_array, sphere_project_array
+from .geometry import HeisSpace, dilate_array, koranyi_norm_array, sphere_project_array
 from .quadrature import (
     QuadratureSpec,
     QuadResult,
@@ -217,10 +217,12 @@ def hardy_radialization_identity_check(
     mean_h, se_h = (1.0, 0.0) if f.is_radial else _sphere_mean(f.angular, space, mc_count, seed + 1)
 
     pts = exact_ball_sample(space, mc_count, seed)
-    vals = np.asarray(f.radial.eval(radius * koranyi_norm_array(pts)), dtype=float)
+    radii = koranyi_norm_array(pts)
+    vals = np.asarray(f.radial.eval(radius * radii), dtype=float)
     if f.angular is not None:
-        # dilation preserves direction, so angles come from the unit-ball points
-        vals = vals * np.asarray(f.angular(sphere_project_array(pts)), dtype=float)
+        # dilation preserves direction, so angles come from the unit-ball
+        # points, projected as sphere_project_array does with the gauge above
+        vals = vals * np.asarray(f.angular(dilate_array(1.0 / radii, pts)), dtype=float)
     mc, se = _mc_mean(vals)
     return RadializationCheck(quadrature_side=h0 * mean_h, mc_side=mc,
                               mc_stderr=math.hypot(se, abs(h0) * se_h))

@@ -45,8 +45,9 @@ only on (seed mod 2^64, stream, i), so batches are bitwise reproducible and
 a batch is the prefix of any larger one.  exact_ball_sample draws from the
 ball law directly and serves every Monte Carlo estimate of the package, at
 any n.  The box samplers mc_ball_sample and mc_sphere_sample reject from
-[-1, 1]^{2n+1} in blocks of rounds, one stream per block, and report
-their acceptance rate, 1.5e-4 at n = 6.
+[-1, 1]^{2n+1} in blocks of rounds, one stream per block, report
+their acceptance rate, 1.5e-4 at n = 6, and raise at the first point
+they cannot fill.
 """
 
 from __future__ import annotations
@@ -719,7 +720,10 @@ def integrate_radial(
 # Box acceptance is the ball's share of [-1, 1]^{2n+1}: 0.62 at n = 1, 0.048
 # at n = 3, 1.5e-4 at n = 6.  After this many candidates each point stays
 # unfilled with probability 2e-212 at n = 3, 4.9e-6 at n = 5, 0.23 at n = 6,
-# so the package's own estimates draw from exact_ball_sample instead.
+# so the package's own estimates draw from exact_ball_sample instead.  The
+# box sampler fills indices in groups that double in size and raises at the
+# first group left unfilled, so a failing batch costs only the candidates of
+# its indices up to about twice the first unfillable one.
 _MC_ROUNDS = 10_000
 _DRAW = 1 << 16  # uniforms per draw within a block, or one index's run if that is more
 _BALL_TAG = 0x42414C4C  # "BALL": stream tag of exact_ball_sample, apart from the box rounds
@@ -756,35 +760,46 @@ def mc_ball_sample(space: HeisSpace, count: int, seed: int) -> SampleBatch:
     the pending indices take in index order, per each, in chunks of at most
     _DRAW uniforms (or one index) under one gauge test.  Index i keeps the
     first accepted row of its run, so its point depends only on the seed
-    and i.  Raises SamplingBudgetError when some index is still unfilled
-    after _MC_ROUNDS candidates, which is likely from n = 6 on.
+    and i.  The indices run in groups, the first one _DRAW chunk of block 0
+    and each later one twice the size of the one before; a group sweeps the
+    blocks in turn, reading each block's stream on from where the groups
+    before it stopped, so the layout above holds for the whole batch.
+    Raises SamplingBudgetError, naming the first unfilled index, as soon as
+    a group has an index still unfilled after _MC_ROUNDS candidates, which
+    is likely from n = 6 on.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     d = space.dim
     per = math.ceil(2.0**d / space.unit_ball_lebesgue)
     out = np.empty((count, d), dtype=float)
-    pending = np.arange(count)
-    attempts = 0
-    for block, start in enumerate(range(0, _MC_ROUNDS, per)):
-        rounds, rng, left = min(per, _MC_ROUNDS - start), _stream(seed, block), []
-        step = max(1, _DRAW // (rounds * d))
-        for k in range(0, len(pending), step):
-            idx = pending[k:k + step]
-            cand = rng.random((len(idx), rounds, d)) * 2.0 - 1.0
-            accept = koranyi_norm_array(cand) <= 1.0
-            first, hit = np.argmax(accept, axis=1), accept.any(axis=1)
-            out[idx[hit]] = cand[hit, first[hit]]
-            attempts += int(np.where(hit, first + 1, rounds).sum())
-            left.append(idx[~hit])
-        pending = np.concatenate(left)
-        if len(pending) == 0:
-            break
-    else:
-        raise SamplingBudgetError(
-            f"rejection sampling left {len(pending)} of {count} points unfilled after "
-            f"{_MC_ROUNDS} rounds (acceptance {(count - len(pending)) / attempts:.3g})"
-        )
+    streams: list[np.random.Generator] = []
+    attempts, lo, size = 0, 0, max(1, _DRAW // (min(per, _MC_ROUNDS) * d))
+    while lo < count:
+        hi = min(lo + size, count)
+        pending = np.arange(lo, hi)
+        for block, start in enumerate(range(0, _MC_ROUNDS, per)):
+            if block == len(streams):
+                streams.append(_stream(seed, block))
+            rounds, rng, left = min(per, _MC_ROUNDS - start), streams[block], []
+            step = max(1, _DRAW // (rounds * d))
+            for k in range(0, len(pending), step):
+                idx = pending[k:k + step]
+                cand = rng.random((len(idx), rounds, d)) * 2.0 - 1.0
+                accept = koranyi_norm_array(cand) <= 1.0
+                first, hit = np.argmax(accept, axis=1), accept.any(axis=1)
+                out[idx[hit]] = cand[hit, first[hit]]
+                attempts += int(np.where(hit, first + 1, rounds).sum())
+                left.append(idx[~hit])
+            pending = np.concatenate(left)
+            if len(pending) == 0:
+                break
+        else:
+            raise SamplingBudgetError(
+                f"rejection sampling left point {pending[0]} of {count} unfilled after "
+                f"{_MC_ROUNDS} rounds (acceptance {(hi - len(pending)) / attempts:.3g})"
+            )
+        lo, size = hi, 2 * size
     return SampleBatch(
         coords=out, seed=seed, acceptance_rate=count / attempts,
         attempts=attempts, kind="ball",
@@ -809,6 +824,9 @@ def mc_sphere_sample(space: HeisSpace, count: int, seed: int) -> SampleBatch:
 def exact_ball_sample(space: HeisSpace, count: int, seed: int) -> np.ndarray:
     """Uniform points of {|x|_h <= 1}, shape (count, 2n+1), without rejection.
 
+    The batch is coordinate-major (Fortran order), the layout in which the
+    geometry kernels read one coordinate column at a time.
+
     For x = (z, t): u = |z|^4 ~ Beta(n/2, 3/2), drawn as A/(A+B) with A and B
     sums of n and 3 squared normals; t is uniform on [-sqrt(1-u), sqrt(1-u)];
     the direction of z is a normalized Gaussian.
@@ -817,5 +835,7 @@ def exact_ball_sample(space: HeisSpace, count: int, seed: int) -> np.ndarray:
     g, t = _gaussian_rows(count, 3 * n + 3, seed, _BALL_TAG)
     a, b = np.sum(g[:, 2 * n:3 * n] ** 2, axis=1), np.sum(g[:, 3 * n:] ** 2, axis=1)
     u = a / (a + b)
-    z = g[:, :2 * n] * (u**0.25 / np.linalg.norm(g[:, :2 * n], axis=1))[:, None]
-    return np.column_stack([z, t * np.sqrt(1.0 - u)])
+    out = np.empty((count, 2 * n + 1), order="F")
+    out[:, :-1] = g[:, :2 * n] * (u**0.25 / np.linalg.norm(g[:, :2 * n], axis=1))[:, None]
+    out[:, -1] = t * np.sqrt(1.0 - u)
+    return out

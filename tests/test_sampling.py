@@ -6,6 +6,7 @@ import pytest
 
 from heishardy import quadrature
 from heishardy.geometry import (
+    _gaussian_rows,
     _stream,
     dilate_array,
     heis_space,
@@ -59,6 +60,11 @@ def box_layout_reference(space, count, seed, budget):
         if not pending:
             break
     return out, attempts, len(pending)
+
+
+def first_unfilled(points):
+    """The smallest index that box_layout_reference left unfilled (NaN)."""
+    return int(np.flatnonzero(np.isnan(points[:, 0]))[0])
 
 
 # the bench's batch size at each n; n = 6 runs out of rounds by design
@@ -147,8 +153,12 @@ class TestBallSampler:
         with pytest.raises(SamplingBudgetError):
             mc_ball_sample(heis_space(6), 100, 7)
 
-    @pytest.mark.parametrize("n, count", [(1, 300), (3, 60), (5, 12)])
-    def test_points_follow_the_block_layout_bitwise(self, n, count):
+    @pytest.mark.parametrize("n, count, draw", [(1, 300, None), (3, 60, None), (5, 12, None),
+                                                 (2, 20_000, 4096)])
+    def test_points_follow_the_block_layout_bitwise(self, monkeypatch, n, count, draw):
+        # a _DRAW of 4096 splits the n = 2 batch into groups of 163, 326, 652, ... indices
+        if draw is not None:
+            monkeypatch.setattr(quadrature, "_DRAW", draw)
         space = heis_space(n)
         batch = mc_ball_sample(space, count, 41)
         want, attempts, unfilled = box_layout_reference(space, count, 41, quadrature._MC_ROUNDS)
@@ -158,11 +168,27 @@ class TestBallSampler:
     @pytest.mark.parametrize("budget", [3, 7])
     def test_budget_cuts_the_last_block_short(self, monkeypatch, space2, budget):
         # per = 5 at n = 2: a budget of 3 is one short block, 7 a full block and a cut one
-        _, _, unfilled = box_layout_reference(space2, 50, 8, budget)
+        want, _, unfilled = box_layout_reference(space2, 50, 8, budget)
         assert 0 < unfilled < 50
         monkeypatch.setattr(quadrature, "_MC_ROUNDS", budget)
-        with pytest.raises(SamplingBudgetError, match=f"left {unfilled} of 50 points"):
+        with pytest.raises(SamplingBudgetError, match=f"point {first_unfilled(want)} of 50 "):
             mc_ball_sample(space2, 50, 8)
+
+    def test_raises_at_the_first_unfillable_point(self, monkeypatch):
+        # groups double from one index at n = 6, so the raise comes before
+        # index 2 (i + 1) is tried, whatever the count
+        space = heis_space(6)
+        i = first_unfilled(box_layout_reference(space, 100, 7, quadrature._MC_ROUNDS)[0])
+        rows, gauge = [0], quadrature.koranyi_norm_array
+
+        def counted(x):
+            rows[0] += x.size // x.shape[-1]
+            return gauge(x)
+
+        monkeypatch.setattr(quadrature, "koranyi_norm_array", counted)
+        with pytest.raises(SamplingBudgetError, match=f"point {i} of 10000 "):
+            mc_ball_sample(space, 10_000, 7)
+        assert 0 < rows[0] <= 2 * (i + 1) * quadrature._MC_ROUNDS
 
     @pytest.mark.parametrize("n, count", [(1, 20_000), (3, 1_000), (5, 100)])
     def test_prefix_and_chunking_invariance(self, monkeypatch, n, count):
@@ -252,6 +278,18 @@ class TestExactBallSampler:
         assert np.array_equal(big, exact_ball_sample(space, 20_000, 9))
         assert np.array_equal(big[:1_000], exact_ball_sample(space, 1_000, 9))
         assert not np.array_equal(big[:1_000], exact_ball_sample(space, 1_000, 10))
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_batch_is_coordinate_major(self, n):
+        # the row-major form the sampler returned before, built from the same stream
+        space = heis_space(n)
+        pts = exact_ball_sample(space, 1_000, 3)
+        g, t = _gaussian_rows(1_000, 3 * n + 3, 3, quadrature._BALL_TAG)
+        a, b = np.sum(g[:, 2 * n:3 * n] ** 2, axis=1), np.sum(g[:, 3 * n:] ** 2, axis=1)
+        u = a / (a + b)
+        z = g[:, :2 * n] * (u**0.25 / np.linalg.norm(g[:, :2 * n], axis=1))[:, None]
+        assert pts.flags.f_contiguous
+        assert np.array_equal(pts, np.column_stack([z, t * np.sqrt(1.0 - u)]))
 
     def test_rejects_bad_count(self, space1):
         with pytest.raises(ValueError):
