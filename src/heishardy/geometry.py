@@ -19,8 +19,9 @@ run_geometry_checks estimates the latter at any n.
 
 Every seeded draw of the package starts from _stream(seed, tag), the
 counter-based random stream keyed (seed mod 2^64, tag); _gaussian_rows
-turns one such stream into fixed-width rows of normals and a uniform, so
-row i depends only on (seed, tag, i).
+turns one such stream into blocks of fixed-width rows of normals and a
+uniform, so row i depends only on (seed, tag, i).  The Monte Carlo kernels
+run in blocks of _BLOCK rows: flat memory, no bit depending on the blocking.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -162,6 +164,8 @@ def heis_distance(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 # --- seeded streams -----------------------------------------------------------
 
+_BLOCK = 2048  # rows per Monte Carlo block: 16 KB a column, 208 KB a block of points at n = 6
+
 
 def _stream(seed: int, tag: int) -> np.random.Generator:
     """The Philox stream keyed (seed mod 2^64, tag); tags keep the package's draws apart."""
@@ -169,19 +173,28 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
         key=np.array([operator.index(seed) & 0xFFFFFFFFFFFFFFFF, tag], dtype=np.uint64)))
 
 
-def _gaussian_rows(count: int, k: int, seed: int, tag: int) -> tuple[np.ndarray, np.ndarray]:
-    """k standard normals and one uniform on [-1, 1) per row, from the stream (seed, tag).
+def _stream_at(seed: int, tag: int, k: int) -> np.random.Generator:
+    """_stream(seed, tag) after k doubles: Philox makes 4 per counter step."""
+    rng = _stream(seed, tag)
+    rng.bit_generator.advance(k // 4)
+    rng.random(k % 4)
+    return rng
 
-    Box-Muller keeps the uniforms per row fixed (Generator.standard_normal
-    and Generator.beta consume a variable number), so row i depends only on
-    (seed, tag, i).
+
+def _gaussian_rows(count: int, k: int, seed: int, tag: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks of at most _BLOCK rows of k standard normals and one uniform on [-1, 1) each.
+
+    The blocks read on through one stream (seed, tag), and Box-Muller keeps
+    the uniforms per row fixed (Generator.standard_normal and Generator.beta
+    consume a variable number), so row i depends only on (seed, tag, i).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    h = (k + 1) // 2
-    w = _stream(seed, tag).random((count, 2 * h + 1))
-    rad, ang = np.sqrt(-2.0 * np.log1p(-w[:, :h])), 2.0 * math.pi * w[:, h:2 * h]
-    return np.hstack([rad * np.cos(ang), rad * np.sin(ang)])[:, :k], 2.0 * w[:, -1] - 1.0
+    h, rng = (k + 1) // 2, _stream(seed, tag)
+    for lo in range(0, count, _BLOCK):
+        w = rng.random((min(_BLOCK, count - lo), 2 * h + 1))
+        rad, ang = np.sqrt(-2.0 * np.log1p(-w[:, :h])), 2.0 * math.pi * w[:, h:2 * h]
+        yield np.hstack([rad * np.cos(ang), rad * np.sin(ang)])[:, :k], 2.0 * w[:, -1] - 1.0
 
 
 # --- bulk property suite ----------------------------------------------------
@@ -230,39 +243,40 @@ def run_geometry_checks(
     kernels run on contiguous columns, plus a volume cross-check of
     the unit gauge ball: the share of mc_count candidates uniform in the
     cylinder B^{2n} x [-1, 1] that fall in the ball, whose expectation
-    (n/2) B(n/2, 3/2) is 0.79 at n = 1 and 0.46 at n = 6.
+    (n/2) B(n/2, 3/2) is 0.79 at n = 1 and 0.46 at n = 6.  Blocks of _BLOCK
+    rows fold into maxima and counts; triples and mc_count must be >= 1.
     """
+    if triples < 1:
+        raise ValueError("triples must be >= 1")
     n, d = space.n, space.dim
-    rng = _stream(seed, 0x47454F)  # "GEO"
-    x, y, z = (np.asfortranarray(rng.uniform(-10.0, 10.0, size=(triples, d))) for _ in range(3))
-
-    # both sides are temporaries, freed before the distance checks allocate theirs
-    assoc_err = float(np.max(np.abs(
-        group_mul_array(group_mul_array(x, y), z) - group_mul_array(x, group_mul_array(y, z)))))
-
-    inv_err = float(np.max(np.abs(group_mul_array(x, -x))))
-
-    r = rng.uniform(0.1, 10.0, size=triples)
-    norms = koranyi_norm_array(x)
-    scaled = koranyi_norm_array(dilate_array(r, x))
-    gauge_rel = float(np.max(np.abs(scaled - r * norms) / (r * norms)))
-
-    d_pq = heis_distance(x, y)
-    d_translated = heis_distance(group_mul_array(z, x), group_mul_array(z, y))
-    nonzero = d_pq > 1e-12
-    left_rel = float(np.max(np.abs(d_translated[nonzero] - d_pq[nonzero]) / d_pq[nonzero]))
-
-    d_px = heis_distance(x, z)
-    d_xq = heis_distance(z, y)
-    slack = d_pq - (d_px + d_xq)
-    violations = int(np.sum(slack > 1e-12))
-    worst = float(np.max(slack))
+    # x, y, z and then r are consecutive whole draws of the "GEO" stream, each read on from its offset
+    rngs = [_stream_at(seed, 0x47454F, k * triples * d) for k in range(4)]
+    maxima, violations = [], 0
+    for lo in range(0, triples, _BLOCK):
+        m = min(_BLOCK, triples - lo)
+        x, y, z = (np.asfortranarray(rng.uniform(-10.0, 10.0, size=(m, d))) for rng in rngs[:3])
+        r = rngs[3].uniform(0.1, 10.0, size=m)
+        assoc_err = np.max(np.abs(
+            group_mul_array(group_mul_array(x, y), z) - group_mul_array(x, group_mul_array(y, z))))
+        inv_err = np.max(np.abs(group_mul_array(x, -x)))
+        norms = koranyi_norm_array(x)
+        gauge_rel = np.max(np.abs(koranyi_norm_array(dilate_array(r, x)) - r * norms) / (r * norms))
+        d_pq = heis_distance(x, y)
+        d_translated = heis_distance(group_mul_array(z, x), group_mul_array(z, y))
+        nonzero = d_pq > 1e-12
+        left_rel = np.max(np.abs(d_translated[nonzero] - d_pq[nonzero]) / d_pq[nonzero], initial=0.0)
+        slack = d_pq - (heis_distance(x, z) + heis_distance(z, y))
+        violations += int(np.sum(slack > 1e-12))
+        maxima.append((assoc_err, inv_err, gauge_rel, left_rel, np.max(slack)))
+    assoc_err, inv_err, gauge_rel, left_rel, worst = map(float, np.max(maxima, axis=0))
 
     # |z|^2 of the first 2n coordinates of a uniform point of S^{2n+1}, uniform in B^{2n}
-    g, t = _gaussian_rows(mc_count, 2 * n + 2, seed, 0x43594C)  # "CYL"
-    horiz = np.sum(g[:, :-2] ** 2, axis=1) / np.sum(g**2, axis=1)
+    hits = 0
+    for g, t in _gaussian_rows(mc_count, 2 * n + 2, seed, 0x43594C):  # "CYL"
+        horiz = np.sum(g[:, :-2] ** 2, axis=1) / np.sum(g**2, axis=1)
+        hits += int(np.count_nonzero(horiz**2 + t**2 <= 1.0))
     vol_cyl = 2.0 * math.pi**n / math.factorial(n)
-    est = int(np.count_nonzero(horiz**2 + t**2 <= 1.0)) / mc_count * vol_cyl
+    est = hits / mc_count * vol_cyl
     expected = space.unit_ball_lebesgue
     p_acc = expected / vol_cyl
     se = vol_cyl * math.sqrt(p_acc * (1 - p_acc) / mc_count)

@@ -40,7 +40,7 @@ integrand that leaves float range raises NonFiniteIntegrandError.
 
 The Monte Carlo half of the module draws uniform points of the Koranyi
 unit ball from the seeded streams of the geometry module (geometry._stream
-and its fixed-width rows, geometry._gaussian_rows): index i's point depends
+and its blocks of fixed-width rows, geometry._gaussian_rows): index i's point depends
 only on (seed mod 2^64, stream, i), so batches are bitwise reproducible and
 a batch is the prefix of any larger one.  exact_ball_sample draws from the
 ball law directly and serves every Monte Carlo estimate of the package, at
@@ -766,13 +766,13 @@ def mc_ball_sample(space: HeisSpace, count: int, seed: int) -> SampleBatch:
     before it stopped, so the layout above holds for the whole batch.
     Raises SamplingBudgetError, naming the first unfilled index, as soon as
     a group has an index still unfilled after _MC_ROUNDS candidates, which
-    is likely from n = 6 on.
+    is likely from n = 6 on.  The batch is coordinate-major (Fortran order).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     d = space.dim
     per = math.ceil(2.0**d / space.unit_ball_lebesgue)
-    out = np.empty((count, d), dtype=float)
+    out = np.empty((count, d), order="F")
     streams: list[np.random.Generator] = []
     attempts, lo, size = 0, 0, max(1, _DRAW // (min(per, _MC_ROUNDS) * d))
     while lo < count:
@@ -824,18 +824,19 @@ def mc_sphere_sample(space: HeisSpace, count: int, seed: int) -> SampleBatch:
 def exact_ball_sample(space: HeisSpace, count: int, seed: int) -> np.ndarray:
     """Uniform points of {|x|_h <= 1}, shape (count, 2n+1), without rejection.
 
-    The batch is coordinate-major (Fortran order), the layout in which the
-    geometry kernels read one coordinate column at a time.
+    The batch is coordinate-major (Fortran order), the geometry kernels'
+    layout, filled in blocks of geometry._BLOCK rows: only it grows with count.
 
     For x = (z, t): u = |z|^4 ~ Beta(n/2, 3/2), drawn as A/(A+B) with A and B
     sums of n and 3 squared normals; t is uniform on [-sqrt(1-u), sqrt(1-u)];
     the direction of z is a normalized Gaussian.
     """
     n = space.n
-    g, t = _gaussian_rows(count, 3 * n + 3, seed, _BALL_TAG)
-    a, b = np.sum(g[:, 2 * n:3 * n] ** 2, axis=1), np.sum(g[:, 3 * n:] ** 2, axis=1)
-    u = a / (a + b)
-    out = np.empty((count, 2 * n + 1), order="F")
-    out[:, :-1] = g[:, :2 * n] * (u**0.25 / np.linalg.norm(g[:, :2 * n], axis=1))[:, None]
-    out[:, -1] = t * np.sqrt(1.0 - u)
+    out, lo = np.empty((count, 2 * n + 1), order="F"), 0
+    for g, t in _gaussian_rows(count, 3 * n + 3, seed, _BALL_TAG):
+        rows, lo = slice(lo, lo + len(t)), lo + len(t)
+        a, b = np.sum(g[:, 2 * n:3 * n] ** 2, axis=1), np.sum(g[:, 3 * n:] ** 2, axis=1)
+        u = a / (a + b)
+        out[rows, :-1] = g[:, :2 * n] * (u**0.25 / np.linalg.norm(g[:, :2 * n], axis=1))[:, None]
+        out[rows, -1] = t * np.sqrt(1.0 - u)
     return out

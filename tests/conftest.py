@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import settings
 
@@ -8,6 +10,19 @@ from heishardy.quadrature import QuadratureSpec
 # reproducible property-test runs
 settings.register_profile("default", deadline=None, derandomize=True)
 settings.load_profile("default")
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """traced_peak(fn): the peak bytes that tracemalloc sees allocated while fn() runs."""
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak
 
 
 @pytest.fixture(scope="session")

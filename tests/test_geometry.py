@@ -285,3 +285,10 @@ def test_geometry_report_bits_are_pinned(n):
     rep = run_geometry_checks(heis_space(n), triples=20_000, mc_count=1_000, seed=7)
     assert rep.triangle_violations == 0
     assert {field: getattr(rep, field).hex() for field in GOLDEN_REPORTS[n]} == GOLDEN_REPORTS[n]
+
+
+def test_traced_peak_is_flat_in_the_batch_size(traced_peak):
+    # the suite runs in blocks of rows, so no temporary grows with triples or mc_count
+    peak = traced_peak(lambda: run_geometry_checks(heis_space(6), triples=200_000,
+                                                   mc_count=200_000, seed=1))
+    assert peak <= 4 << 20

@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heishardy import quadrature
+from heishardy import geometry, quadrature
 from heishardy.geometry import (
     _gaussian_rows,
     _stream,
+    _stream_at,
     dilate_array,
     heis_space,
     koranyi_norm_array,
@@ -28,6 +29,14 @@ KS_CRIT_1PCT = 1.62762
 def binomial_stderrs(est_rate, true_rate, attempts):
     se = math.sqrt(true_rate * (1.0 - true_rate) / attempts)
     return abs(est_rate - true_rate) / se
+
+
+def gaussian_rows_reference(count, k, seed, tag):
+    """k normals and one uniform on [-1, 1) per row, Box-Muller over one whole draw of _stream(seed, tag)."""
+    h = (k + 1) // 2
+    w = _stream(seed, tag).random((count, 2 * h + 1))
+    rad, ang = np.sqrt(-2.0 * np.log1p(-w[:, :h])), 2.0 * math.pi * w[:, h:2 * h]
+    return np.hstack([rad * np.cos(ang), rad * np.sin(ang)])[:, :k], 2.0 * w[:, -1] - 1.0
 
 
 def box_layout_reference(space, count, seed, budget):
@@ -162,7 +171,7 @@ class TestBallSampler:
         space = heis_space(n)
         batch = mc_ball_sample(space, count, 41)
         want, attempts, unfilled = box_layout_reference(space, count, 41, quadrature._MC_ROUNDS)
-        assert unfilled == 0
+        assert unfilled == 0 and batch.coords.flags.f_contiguous
         assert np.array_equal(batch.coords, want) and batch.attempts == attempts
 
     @pytest.mark.parametrize("budget", [3, 7])
@@ -242,6 +251,8 @@ class TestSphereSampler:
         a = mc_sphere_sample(space1, 2000, 77)
         b = mc_sphere_sample(space1, 2000, 77)
         assert np.array_equal(a.coords, b.coords)
+        # the ball batch is coordinate-major, so the projection reads contiguous columns
+        assert a.coords.flags.f_contiguous
 
     def test_seed_changes_batch(self, space1):
         a = mc_sphere_sample(space1, 2000, 77)
@@ -284,7 +295,7 @@ class TestExactBallSampler:
         # the row-major form the sampler returned before, built from the same stream
         space = heis_space(n)
         pts = exact_ball_sample(space, 1_000, 3)
-        g, t = _gaussian_rows(1_000, 3 * n + 3, 3, quadrature._BALL_TAG)
+        g, t = gaussian_rows_reference(1_000, 3 * n + 3, 3, quadrature._BALL_TAG)
         a, b = np.sum(g[:, 2 * n:3 * n] ** 2, axis=1), np.sum(g[:, 3 * n:] ** 2, axis=1)
         u = a / (a + b)
         z = g[:, :2 * n] * (u**0.25 / np.linalg.norm(g[:, :2 * n], axis=1))[:, None]
@@ -296,6 +307,9 @@ class TestExactBallSampler:
             exact_ball_sample(space1, 0, 1)
         with pytest.raises(ValueError):
             run_geometry_checks(space1, triples=10, mc_count=0, seed=0)
+        for triples in (0, -1):
+            with pytest.raises(ValueError, match="triples must be >= 1"):
+                run_geometry_checks(space1, triples=triples, mc_count=10, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 5])
     def test_seed_is_taken_mod_2_64(self, space1, seed):
@@ -321,3 +335,38 @@ class TestExactBallSampler:
         box = mc_sphere_sample(space, 200_000, 31).coords[:, -1] ** 2
         se = math.hypot(exact.std(ddof=1), box.std(ddof=1)) / math.sqrt(200_000)
         assert abs(exact.mean() - box.mean()) <= 3.0 * se
+
+
+class TestBlocks:
+    """The Monte Carlo kernels run in blocks of geometry._BLOCK rows; no bit depends on it."""
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_results_do_not_depend_on_the_block_size(self, monkeypatch, n):
+        # 250 triples and 333 points fill no whole number of blocks of 7 or 64 rows
+        space = heis_space(n)
+        kw = dict(triples=250, mc_count=333, seed=4)
+        report, batch = run_geometry_checks(space, **kw), exact_ball_sample(space, 333, 4)
+        for block in (1, 7, 64):
+            monkeypatch.setattr(geometry, "_BLOCK", block)
+            assert run_geometry_checks(space, **kw) == report
+            assert np.array_equal(exact_ball_sample(space, 333, 4), batch)
+
+    @pytest.mark.parametrize("count, block", [(1, 2048), (1_000, 7), (4_097, 2048)])
+    def test_blocks_are_the_rows_of_one_whole_draw(self, monkeypatch, count, block):
+        monkeypatch.setattr(geometry, "_BLOCK", block)
+        blocks = list(_gaussian_rows(count, 9, 3, 0x43594C))
+        assert [len(t) for _, t in blocks[:-1]] == [block] * (len(blocks) - 1)
+        want_g, want_t = gaussian_rows_reference(count, 9, 3, 0x43594C)
+        assert np.array_equal(np.concatenate([g for g, _ in blocks]), want_g)
+        assert np.array_equal(np.concatenate([t for _, t in blocks]), want_t)
+
+    @pytest.mark.parametrize("k", [0, 5, 6, 7, 1001, 4_096])
+    def test_positioned_stream_reads_on_from_its_offset(self, k):
+        # offsets 0, 1, 2, 3 and 1 mod 4: advance() moves in steps of 4 doubles
+        whole = _stream(8, 0x47454F).random(k + 50)
+        assert np.array_equal(_stream_at(8, 0x47454F, k).random(50), whole[k:])
+
+    def test_exact_batch_peak_is_its_output_plus_a_block(self, traced_peak):
+        space = heis_space(6)
+        peak = traced_peak(lambda: exact_ball_sample(space, 200_000, 1))
+        assert peak <= 200_000 * space.dim * 8 + (2 << 20)
