@@ -45,9 +45,9 @@ only on (seed mod 2^64, stream, i), so batches are bitwise reproducible and
 a batch is the prefix of any larger one.  exact_ball_sample draws from the
 ball law directly and serves every Monte Carlo estimate of the package, at
 any n.  The box samplers mc_ball_sample and mc_sphere_sample reject from
-[-1, 1]^{2n+1} in blocks of rounds, one stream per block, report
-their acceptance rate, 1.5e-4 at n = 6, and raise at the first point
-they cannot fill.
+[-1, 1]^{2n+1} along one stream of candidate rows, point i the i-th
+accepted row, report their acceptance rate, 1.5e-4 at n = 6, and raise at
+the first point they cannot fill.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import HeisSpace, _gaussian_rows, _stream, koranyi_norm_array, sphere_project_array
+from .geometry import _BLOCK, HeisSpace, _gaussian_rows, _stream, koranyi_norm_array, sphere_project_array
 
 __all__ = [
     "DivergentIntegralError",
@@ -718,15 +718,12 @@ def integrate_radial(
 # --- Monte Carlo samplers -------------------------------------------------------
 
 # Box acceptance is the ball's share of [-1, 1]^{2n+1}: 0.62 at n = 1, 0.048
-# at n = 3, 1.5e-4 at n = 6.  After this many candidates each point stays
+# at n = 3, 1.5e-4 at n = 6.  A run of this many rejections leaves a point
 # unfilled with probability 2e-212 at n = 3, 4.9e-6 at n = 5, 0.23 at n = 6,
-# so the package's own estimates draw from exact_ball_sample instead.  The
-# box sampler fills indices in groups that double in size and raises at the
-# first group left unfilled, so a failing batch costs only the candidates of
-# its indices up to about twice the first unfillable one.
+# so the package's own estimates draw from exact_ball_sample instead.
 _MC_ROUNDS = 10_000
-_DRAW = 1 << 16  # uniforms per draw within a block, or one index's run if that is more
-_BALL_TAG = 0x42414C4C  # "BALL": stream tag of exact_ball_sample, apart from the box rounds
+_BOX_TAG = 0x424F58  # "BOX": the candidate stream of the box samplers
+_BALL_TAG = 0x42414C4C  # "BALL": stream tag of exact_ball_sample
 
 
 @dataclass
@@ -754,55 +751,40 @@ def mc_ball_sample(space: HeisSpace, count: int, seed: int) -> SampleBatch:
     """Uniform points of {|x|_h <= 1} by rejection from the box [-1, 1]^{2n+1}.
 
     The ball sits inside the box because |x|_h <= 1 forces both the
-    horizontal square-sum and the last coordinate into [-1, 1].  Rounds run
-    in blocks of per = ceil(2^{2n+1} / unit_ball_lebesgue), the mean count
-    of candidates per point: block b comes from _stream(seed, b), whose rows
-    the pending indices take in index order, per each, in chunks of at most
-    _DRAW uniforms (or one index) under one gauge test.  Index i keeps the
-    first accepted row of its run, so its point depends only on the seed
-    and i.  The indices run in groups, the first one _DRAW chunk of block 0
-    and each later one twice the size of the one before; a group sweeps the
-    blocks in turn, reading each block's stream on from where the groups
-    before it stopped, so the layout above holds for the whole batch.
-    Raises SamplingBudgetError, naming the first unfilled index, as soon as
-    a group has an index still unfilled after _MC_ROUNDS candidates, which
-    is likely from n = 6 on.  The batch is coordinate-major (Fortran order).
+    horizontal square-sum and the last coordinate into [-1, 1].  Candidates
+    are the rows of _stream(seed, _BOX_TAG), 2n+1 uniforms u each mapped to
+    2u - 1 and gauge-tested _BLOCK rows at a time; point i is the i-th
+    accepted row, so a batch is the prefix of any larger one and no bit
+    depends on the blocking.  A point's run is the candidates after the
+    previous acceptance.  At the end of the block where some run reaches
+    _MC_ROUNDS rejections, likely from n = 6 on, SamplingBudgetError names
+    the first such point, with the acceptance of the candidates through
+    that rejection.  The batch is coordinate-major (Fortran order).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    d = space.dim
-    per = math.ceil(2.0**d / space.unit_ball_lebesgue)
-    out = np.empty((count, d), order="F")
-    streams: list[np.random.Generator] = []
-    attempts, lo, size = 0, 0, max(1, _DRAW // (min(per, _MC_ROUNDS) * d))
-    while lo < count:
-        hi = min(lo + size, count)
-        pending = np.arange(lo, hi)
-        for block, start in enumerate(range(0, _MC_ROUNDS, per)):
-            if block == len(streams):
-                streams.append(_stream(seed, block))
-            rounds, rng, left = min(per, _MC_ROUNDS - start), streams[block], []
-            step = max(1, _DRAW // (rounds * d))
-            for k in range(0, len(pending), step):
-                idx = pending[k:k + step]
-                cand = rng.random((len(idx), rounds, d)) * 2.0 - 1.0
-                accept = koranyi_norm_array(cand) <= 1.0
-                first, hit = np.argmax(accept, axis=1), accept.any(axis=1)
-                out[idx[hit]] = cand[hit, first[hit]]
-                attempts += int(np.where(hit, first + 1, rounds).sum())
-                left.append(idx[~hit])
-            pending = np.concatenate(left)
-            if len(pending) == 0:
-                break
-        else:
+    rng, out = _stream(seed, _BOX_TAG), np.empty((count, space.dim), order="F")
+    filled, tested, start = 0, 0, 0
+    while filled < count:
+        cand = rng.random((_BLOCK, space.dim)) * 2.0 - 1.0
+        hits = np.flatnonzero(koranyi_norm_array(cand) <= 1.0)[:count - filled]
+        ends = tested + 1 + hits  # candidates through each acceptance
+        tested += _BLOCK
+        # a run still open at the block end counts as if accepted just after it
+        starts = np.append(start, ends)
+        runs = np.diff(starts if filled + len(hits) == count else np.append(starts, tested + 1))
+        late = np.flatnonzero(runs > _MC_ROUNDS)
+        if late.size:
+            i = late[0]
             raise SamplingBudgetError(
-                f"rejection sampling left point {pending[0]} of {count} unfilled after "
-                f"{_MC_ROUNDS} rounds (acceptance {(hi - len(pending)) / attempts:.3g})"
+                f"rejection sampling left point {filled + i} of {count} unfilled after "
+                f"{_MC_ROUNDS} rounds (acceptance {(filled + i) / (starts[i] + _MC_ROUNDS):.3g})"
             )
-        lo, size = hi, 2 * size
+        out[filled:filled + len(hits)] = cand[hits]
+        filled, start = filled + len(hits), int(starts[-1])
     return SampleBatch(
-        coords=out, seed=seed, acceptance_rate=count / attempts,
-        attempts=attempts, kind="ball",
+        coords=out, seed=seed, acceptance_rate=count / start,
+        attempts=start, kind="ball",
     )
 
 

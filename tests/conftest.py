@@ -82,3 +82,16 @@ def work_counts(monkeypatch):
     monkeypatch.setattr(quadrature, "_population", counted_population)
     monkeypatch.setattr(operators, "_integrals", counted_integrals)
     return counts
+
+
+@pytest.fixture
+def gauge_rows(monkeypatch):
+    """{"rows": n}: the rows the box sampler has gauge-tested, filled as the test runs."""
+    counts, gauge = {"rows": 0}, quadrature.koranyi_norm_array
+
+    def counted(x):
+        counts["rows"] += x.size // x.shape[-1]
+        return gauge(x)
+
+    monkeypatch.setattr(quadrature, "koranyi_norm_array", counted)
+    return counts

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -39,41 +40,35 @@ def gaussian_rows_reference(count, k, seed, tag):
     return np.hstack([rad * np.cos(ang), rad * np.sin(ang)])[:, :k], 2.0 * w[:, -1] - 1.0
 
 
-def box_layout_reference(space, count, seed, budget):
-    """mc_ball_sample recomputed one index at a time from its documented layout.
+def box_stream_reference(space, count, seed, budget):
+    """mc_ball_sample recomputed one candidate row at a time from its documented stream.
 
-    Rounds run in blocks of per = ceil(2^d / unit_ball_lebesgue); block b,
-    cut short at the budget, comes from _stream(seed, b), and each index
-    still pending takes a contiguous run of the block's rows, in index order.
-    Returns the points (NaN where unfilled), the candidates up to and
-    including each accepted one (all of them for an unfilled index), and the
-    number of unfilled indices.
+    Candidates are the rows of _stream(seed, _BOX_TAG), 2n+1 uniforms u each
+    mapped to 2u - 1, and point i is the i-th accepted row.  Returns the
+    points accepted, the candidates read, and the first point whose run (the
+    candidates after the previous acceptance) reaches `budget` rejections,
+    where reading stops, or None once all count points are filled.  Rows are
+    gauge-tested 1,000 at a time: a row's gauge does not depend on its batch.
     """
-    d = space.dim
-    per = math.ceil(2.0**d / space.unit_ball_lebesgue)
-    out, attempts, pending = np.full((count, d), np.nan), 0, list(range(count))
-    for block, start in enumerate(range(0, budget, per)):
-        rounds = min(per, budget - start)
-        rows = _stream(seed, block).random((len(pending) * rounds, d)) * 2.0 - 1.0
-        inside = koranyi_norm_array(rows) <= 1.0
-        still = []
-        for j, i in enumerate(pending):
-            hits = np.flatnonzero(inside[j * rounds:(j + 1) * rounds])
-            if hits.size:
-                out[i] = rows[j * rounds + hits[0]]
-                attempts += int(hits[0]) + 1
+    rng, points, attempts, run = _stream(seed, quadrature._BOX_TAG), [], 0, 0
+    while True:
+        rows = np.array([rng.random(space.dim) * 2.0 - 1.0 for _ in range(1000)])
+        for row, inside in zip(rows, koranyi_norm_array(rows) <= 1.0):
+            if len(points) == count:
+                return np.array(points), attempts, None
+            if run == budget:
+                return np.array(points), attempts, len(points)
+            attempts += 1
+            if inside:
+                points.append(row)
+                run = 0
             else:
-                attempts += rounds
-                still.append(i)
-        pending = still
-        if not pending:
-            break
-    return out, attempts, len(pending)
+                run += 1
 
 
-def first_unfilled(points):
-    """The smallest index that box_layout_reference left unfilled (NaN)."""
-    return int(np.flatnonzero(np.isnan(points[:, 0]))[0])
+def budget_message(i, count, budget, read):
+    """The SamplingBudgetError text for point i, the acceptance over the candidates read."""
+    return re.escape(f"point {i} of {count} unfilled after {budget} rounds (acceptance {i / read:.3g})")
 
 
 # the bench's batch size at each n; n = 6 runs out of rounds by design
@@ -162,52 +157,69 @@ class TestBallSampler:
         with pytest.raises(SamplingBudgetError):
             mc_ball_sample(heis_space(6), 100, 7)
 
-    @pytest.mark.parametrize("n, count, draw", [(1, 300, None), (3, 60, None), (5, 12, None),
-                                                 (2, 20_000, 4096)])
-    def test_points_follow_the_block_layout_bitwise(self, monkeypatch, n, count, draw):
-        # a _DRAW of 4096 splits the n = 2 batch into groups of 163, 326, 652, ... indices
-        if draw is not None:
-            monkeypatch.setattr(quadrature, "_DRAW", draw)
+    @pytest.mark.parametrize("n, count, block", [(1, 300, None), (3, 60, None), (5, 12, None),
+                                                  (2, 20_000, 4096)])
+    def test_points_follow_the_block_layout_bitwise(self, monkeypatch, n, count, block):
+        # a _BLOCK of 4096 reads the n = 2 batch in 24 blocks instead of 48
+        if block is not None:
+            monkeypatch.setattr(quadrature, "_BLOCK", block)
         space = heis_space(n)
         batch = mc_ball_sample(space, count, 41)
-        want, attempts, unfilled = box_layout_reference(space, count, 41, quadrature._MC_ROUNDS)
-        assert unfilled == 0 and batch.coords.flags.f_contiguous
+        want, attempts, failed = box_stream_reference(space, count, 41, quadrature._MC_ROUNDS)
+        assert failed is None and batch.coords.flags.f_contiguous
         assert np.array_equal(batch.coords, want) and batch.attempts == attempts
 
     @pytest.mark.parametrize("budget", [3, 7])
     def test_budget_cuts_the_last_block_short(self, monkeypatch, space2, budget):
-        # per = 5 at n = 2: a budget of 3 is one short block, 7 a full block and a cut one
-        want, _, unfilled = box_layout_reference(space2, 50, 8, budget)
-        assert 0 < unfilled < 50
+        # acceptance 0.2 at n = 2: some run of the first block passes either budget,
+        # and the raise names the first such point, not the block's open run
+        _, read, failed = box_stream_reference(space2, 50, 8, budget)
+        assert failed is not None and 0 < failed < 50
         monkeypatch.setattr(quadrature, "_MC_ROUNDS", budget)
-        with pytest.raises(SamplingBudgetError, match=f"point {first_unfilled(want)} of 50 "):
+        with pytest.raises(SamplingBudgetError, match=budget_message(failed, 50, budget, read)):
             mc_ball_sample(space2, 50, 8)
 
-    def test_raises_at_the_first_unfillable_point(self, monkeypatch):
-        # groups double from one index at n = 6, so the raise comes before
-        # index 2 (i + 1) is tried, whatever the count
+    def test_the_longest_run_sets_the_least_budget_that_fills(self, monkeypatch, space2):
+        # a run of exactly budget - 1 rejections passes; the rest of the last block,
+        # past the 50th acceptance, belongs to no run
+        budget = next(b for b in range(1, 1000) if box_stream_reference(space2, 50, 8, b)[2] is None)
+        want, attempts, _ = box_stream_reference(space2, 50, 8, budget)
+        _, read, failed = box_stream_reference(space2, 50, 8, budget - 1)
+        monkeypatch.setattr(quadrature, "_MC_ROUNDS", budget)
+        batch = mc_ball_sample(space2, 50, 8)
+        assert np.array_equal(batch.coords, want) and batch.attempts == attempts
+        monkeypatch.setattr(quadrature, "_MC_ROUNDS", budget - 1)
+        with pytest.raises(SamplingBudgetError, match=budget_message(failed, 50, budget - 1, read)):
+            mc_ball_sample(space2, 50, 8)
+
+    @pytest.mark.parametrize("count", [100, 10_000])
+    def test_raises_at_the_first_unfillable_point(self, gauge_rows, count):
+        # the raise comes at the end of the block holding the run's _MC_ROUNDS-th
+        # rejection, whatever the count; at seed 7 that is point 0's run, and its
+        # rate, with no point before it, reads acceptance 0
         space = heis_space(6)
-        i = first_unfilled(box_layout_reference(space, 100, 7, quadrature._MC_ROUNDS)[0])
-        rows, gauge = [0], quadrature.koranyi_norm_array
+        _, read, i = box_stream_reference(space, count, 7, quadrature._MC_ROUNDS)
+        with pytest.raises(SamplingBudgetError, match=budget_message(i, count, quadrature._MC_ROUNDS, read)):
+            mc_ball_sample(space, count, 7)
+        assert read <= gauge_rows["rows"] <= read + quadrature._BLOCK - 1
 
-        def counted(x):
-            rows[0] += x.size // x.shape[-1]
-            return gauge(x)
-
-        monkeypatch.setattr(quadrature, "koranyi_norm_array", counted)
-        with pytest.raises(SamplingBudgetError, match=f"point {i} of 10000 "):
-            mc_ball_sample(space, 10_000, 7)
-        assert 0 < rows[0] <= 2 * (i + 1) * quadrature._MC_ROUNDS
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_rows_past_the_last_acceptance_stay_under_a_block(self, gauge_rows, n):
+        # rows tested past each point's acceptance were a third of all (47,034 for
+        # 32,573 kept at n = 1, seed 7); the stream leaves only its last block's tail
+        batch = mc_ball_sample(heis_space(n), BENCH_COUNTS[n], 7)
+        assert batch.attempts <= gauge_rows["rows"] <= batch.attempts + quadrature._BLOCK - 1
 
     @pytest.mark.parametrize("n, count", [(1, 20_000), (3, 1_000), (5, 100)])
     def test_prefix_and_chunking_invariance(self, monkeypatch, n, count):
-        # each count spans more than one _DRAW chunk of a block
+        # each count spans more than one block of 7 rows and more than one of 4096
         space = heis_space(n)
         big = mc_ball_sample(space, count, 13)
         assert np.array_equal(big.coords[:10], mc_ball_sample(space, 10, 13).coords)
-        monkeypatch.setattr(quadrature, "_DRAW", 4096)
-        rechunked = mc_ball_sample(space, count, 13)
-        assert np.array_equal(rechunked.coords, big.coords) and rechunked.attempts == big.attempts
+        for block in (7, 4096):
+            monkeypatch.setattr(quadrature, "_BLOCK", block)
+            reblocked = mc_ball_sample(space, count, 13)
+            assert np.array_equal(reblocked.coords, big.coords) and reblocked.attempts == big.attempts
 
     @pytest.mark.parametrize("n, count", [(3, 20_000), (4, 2_000), (5, 200)])
     def test_acceptance_rate_at_higher_n(self, n, count):
